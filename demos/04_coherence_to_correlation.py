@@ -27,7 +27,7 @@ for amps in ([1, 0, 0], [1, 1, 0], [1, 1, 1]):
 # Affinity is preserved by the embedding (unitary + pure ancillas).
 rho = rk.random_mixed([3], 3, seed=31)
 sig = rk.random_mixed([3], 3, seed=32)
-drift = abs(rk.alpha_affinity(rk.embed_state(emb, rho), rk.map_witness(emb, sig), 0.5)
+drift = abs(rk.alpha_affinity(rk.embed_state(emb, rho), rk.embed_state(emb, sig), 0.5)
             - rk.alpha_affinity(rho, sig, 0.5))
 print("\naffinity preservation drift:", drift)
 

@@ -254,13 +254,3 @@ def channel_from_json(text: str) -> KrausChannel:
     return kraus_channel(ops, tag=doc.get("tag", "general"),
                          site_dims=tuple(doc["site_dims"]) if "site_dims" in doc else None,
                          site_factors=factors)
-
-
-def save_channel(channel: KrausChannel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(channel_to_json(channel))
-
-
-def load_channel(path) -> KrausChannel:
-    with open(path) as fh:
-        return channel_from_json(fh.read())

@@ -7,8 +7,10 @@ Subcommands: ``affinity`` (pairwise affinity table), ``indicator``
 Every command requires an explicit ``--seed``: there is no wall-clock
 default, so identical invocations produce byte-identical reports.  Exit
 codes: 0 success / all checks passed, 1 verification failure, 2 input
-error.  The environment variable ``RESOURCE_KIT_THREADS`` caps internal
-parallelism.
+error.  ``affinity`` and ``indicator`` write CSV or JSON (``--format``);
+``verify`` prints a summary and writes certificate CSV, ``embed`` writes
+JSON.  Order-2 coherence rows are the exact closed form, found without
+search (restarts 0, spread 0).
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True,
                        help="master seed (required; no wall-clock default)")
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if with_opts:
             p.add_argument("--restarts", type=int, default=8)
             p.add_argument("--max-iter", type=int, default=400)
@@ -88,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_emb.add_argument("--k", type=int, action="append", required=True)
     p_emb.add_argument("--alpha", type=_alpha_value, action="append", required=True)
     common(p_emb)
+
+    for p in (p_aff, p_ind):  # the only commands with two report forms
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

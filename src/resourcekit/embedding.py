@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
-
 import numpy as np
 
 from .errors import DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOfRange
@@ -29,8 +27,8 @@ from .feasible import (
     _coarsens,
     build_family,
     coherent_rank_pure,
-    enumerate_partitions,
     factorize_pure,
+    structure_pool,
 )
 from .indicators import _variant_value, max_affinity, multilevel_coherence
 from .states import DensityMatrix, PureState, _trusted, pure_state
@@ -88,7 +86,12 @@ def embed_pure(emb: EmbeddingMap, psi: PureState) -> PureState:
 
 
 def embed_state(emb: EmbeddingMap, rho: DensityMatrix) -> DensityMatrix:
-    """Conjugate rho (x) |0><0|^d by the flag unitary; trace preserved."""
+    """Conjugate rho (x) |0><0|^d by the flag unitary; trace preserved.
+
+    Embedding both arguments preserves their affinity (unitary invariance
+    plus multiplicativity with the pure ancilla), so witnesses embed the
+    same way as states.
+    """
     if rho.d != emb.d:
         raise DimensionMismatch(f"state dimension {rho.d} != embedding dimension {emb.d}")
     anc = 2 ** emb.d
@@ -96,12 +99,6 @@ def embed_state(emb: EmbeddingMap, rho: DensityMatrix) -> DensityMatrix:
     padded[::anc, ::anc] = rho.data  # ancillas in |0..0> occupy stride-anc slots
     out = emb.unitary @ padded @ emb.unitary.T
     return _trusted(out, emb.dims)
-
-
-def map_witness(emb: EmbeddingMap, sigma: DensityMatrix) -> DensityMatrix:
-    """Embed a witness state; affinity with any embedded state is preserved
-    (unitary invariance plus multiplicativity with the pure ancilla)."""
-    return embed_state(emb, sigma)
 
 
 def _embedded_partition(emb: EmbeddingMap, support) -> tuple[tuple[int, ...], ...]:
@@ -158,7 +155,6 @@ class TransportRow:
     lhs: float
     rhs: float
     slack: float
-    witness_feasible: bool
 
 
 def _check_mapped_feasibility(mapped, sep_k: int, prod_k: int) -> None:
@@ -181,8 +177,8 @@ def _check_mapped_feasibility(mapped, sep_k: int, prod_k: int) -> None:
 
 
 def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
-                   restarts: int = 2, max_iter: int = 200, tol: float = 1e-10,
-                   coh_opts=None) -> list[TransportRow]:
+                   restarts: int = 2, max_iter: int = 200,
+                   tol: float = 1e-10) -> list[TransportRow]:
     """Transport an order-k coherence witness through the embedding and
     certify the four induced correlation bounds on the embedded state.
 
@@ -198,26 +194,23 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     if not 2 <= k <= d:
         raise KOutOfRange(f"need 2 <= k <= {d}, got {k}")
     emb = build_embedding(d)
-    coh_opts = dict(coh_opts or {})
-    coh_opts.setdefault("restarts", restarts)
-    coh_opts.setdefault("max_iter", max_iter)
-    coh_opts.setdefault("tol", tol)
+    opts = {"restarts": restarts, "max_iter": max_iter, "tol": tol}
     coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed,
-                               m=comb(d, k - 1), **coh_opts)
+                               m=len(structure_pool("multilevel", rho.dims, k - 1)),
+                               **opts)
     mapped = map_components(emb, coh.components)
     sep_k = d - k + 2
     prod_k = k
     _check_mapped_feasibility(mapped, sep_k, prod_k)
     rho2 = embed_state(emb, rho)
 
-    sep_family = build_family("separable", emb.dims, sep_k,
-                              m=_slots_for(emb.dims, "separable", sep_k))
-    prod_family = build_family("producible", emb.dims, prod_k,
-                               m=_slots_for(emb.dims, "producible", prod_k))
-    sep_res = max_affinity(rho2, sep_family, alpha, seed=seed, restarts=restarts,
-                           max_iter=max_iter, tol=tol, init_witnesses=[mapped])
-    prod_res = max_affinity(rho2, prod_family, alpha, seed=seed, restarts=restarts,
-                            max_iter=max_iter, tol=tol, init_witnesses=[mapped])
+    results = []
+    for kind, fam_k in (("separable", sep_k), ("producible", prod_k)):
+        family = build_family(kind, emb.dims, fam_k,
+                              m=len(structure_pool(kind, emb.dims, fam_k)))
+        results.append(max_affinity(rho2, family, alpha, seed=seed,
+                                    init_witnesses=[mapped], **opts))
+    sep_res, prod_res = results
 
     coh_plain = 1.0 - coh.best_affinity
     coh_avg = _variant_value(coh.best_affinity, alpha, "avg")
@@ -233,20 +226,12 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     return rows
 
 
-def _slots_for(dims, kind, k) -> int:
-    n = len(dims)
-    if kind == "separable":
-        return len(enumerate_partitions(n, exactly_k_parts=k).partitions)
-    return len(enumerate_partitions(n, max_part_size=min(k, n)).partitions)
-
-
 def _row(lhs_label, rhs_label, lhs, rhs) -> TransportRow:
     return TransportRow(lhs_label, rhs_label, float(lhs), float(rhs),
-                        float(rhs) - float(lhs), True)
+                        float(rhs) - float(lhs))
 
 
 def transport_report_json(rows) -> str:
     return json.dumps({"rows": [{"lhs_label": r.lhs_label, "rhs_label": r.rhs_label,
-                                 "lhs": r.lhs, "rhs": r.rhs, "slack": r.slack,
-                                 "witness_feasible": r.witness_feasible}
+                                 "lhs": r.lhs, "rhs": r.rhs, "slack": r.slack}
                                 for r in rows]})

@@ -232,33 +232,38 @@ def _block_size(kind, dims, structure) -> int:
     return sum(2 * prod(dims[i] for i in part) for part in structure)
 
 
-def build_family(kind: str, dims, k: int, m: int | None = None) -> FeasibleFamily:
-    """Construct a family of ``m`` components with cyclically assigned structure.
-
-    Components cycle through the full enumeration of size-k supports
-    (multilevel), exactly-k-part partitions (separable) or max-part-size-k
-    partitions (producible).  The default component count is the squared
-    total dimension, a Caratheodory-motivated bound on the number of extreme
-    points a member can need.
-    """
+def structure_pool(kind: str, dims, k: int) -> list:
+    """Every structure a component of the family may take: the size-k
+    supports (multilevel), exactly-k-part partitions (separable) or
+    max-part-size-k partitions (producible), in enumeration order."""
     dims = tuple(int(x) for x in dims)
-    d = prod(dims)
+    n = len(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
     if kind == "multilevel":
+        d = prod(dims)
         if not 1 <= k <= d:
             raise EmptySet(f"no states with support size {k} in dimension {d}")
-        pool = [tuple(s) for s in itertools.combinations(range(d), k)]
-    elif kind == "separable":
-        n = len(dims)
+        return [tuple(s) for s in itertools.combinations(range(d), k)]
+    if kind == "separable":
         if not 1 <= k <= n:
             raise EmptySet(f"no partitions of {n} subsystems into exactly {k} parts")
-        pool = list(enumerate_partitions(n, exactly_k_parts=k).partitions)
-    else:
-        n = len(dims)
-        if k < 1:
-            raise EmptySet("part size bound must be at least 1")
-        pool = list(enumerate_partitions(n, max_part_size=min(k, n)).partitions)
+        return list(enumerate_partitions(n, exactly_k_parts=k).partitions)
+    if k < 1:
+        raise EmptySet("part size bound must be at least 1")
+    return list(enumerate_partitions(n, max_part_size=min(k, n)).partitions)
+
+
+def build_family(kind: str, dims, k: int, m: int | None = None) -> FeasibleFamily:
+    """Construct a family of ``m`` components with cyclically assigned structure.
+
+    Components cycle through :func:`structure_pool`.  The default component
+    count is the squared total dimension, a Caratheodory-motivated bound on
+    the number of extreme points a member can need.
+    """
+    dims = tuple(int(x) for x in dims)
+    d = prod(dims)
+    pool = structure_pool(kind, dims, k)
     if m is None:
         m = d * d
     if m < 1:
@@ -400,51 +405,32 @@ def _slot_compatible(family: FeasibleFamily, slot, structure) -> bool:
     return _coarsens(slot, structure)
 
 
-def encode(family: FeasibleFamily, components, strict: bool = True) -> np.ndarray:
-    """Parameters that decode to the given mixture (used slots exact,
-    unused slots carry ~1e-18 weight, which only *adds* support and so can
-    only improve any affinity evaluated against the result).
+def encode(family: FeasibleFamily, components) -> np.ndarray:
+    """Parameters that decode to exactly the given mixture.
 
-    With ``strict`` unset, components that fit no free slot are projected:
-    multilevel components keep their best-covered amplitudes, correlation
-    components are replaced by their per-part mean-field factors.
+    Each component takes the first free slot whose structure admits it.
+    Unused slots carry ~1e-18 weight, which only *adds* support and so can
+    only improve any affinity evaluated against the result.  A component
+    that fits no free slot raises WitnessEncodingError: the mixture is
+    never altered to fit, so an injected witness reproduces its affinity.
     """
     theta = np.zeros(family.param_len)
     logits = np.full(family.m, UNUSED_SLOT_LOGIT)
     used = [False] * family.m
     for comp in components:
         structure = _component_structure(family, comp)
-        slot_idx = None
-        for i, slot in enumerate(family.structures):
-            if not used[i] and _slot_compatible(family, slot, structure):
-                slot_idx = i
-                break
+        slot_idx = next((i for i, slot in enumerate(family.structures)
+                         if not used[i] and _slot_compatible(family, slot, structure)),
+                        None)
         if slot_idx is None:
-            if strict:
-                raise WitnessEncodingError(
-                    f"no free slot matches component structure {structure}")
-            slot_idx = next((i for i in range(family.m) if not used[i]), None)
-            if slot_idx is None:
-                continue
-            psi_proj = _project_component(family, family.structures[slot_idx], comp.state)
-            comp = WitnessComponent(comp.weight, psi_proj, family.structures[slot_idx])
+            raise WitnessEncodingError(
+                f"no free slot matches component structure {structure}")
         used[slot_idx] = True
         lo, hi = family.blocks[slot_idx]
         theta[lo:hi] = _encode_component(family, comp.state, family.structures[slot_idx])
         logits[slot_idx] = log(max(comp.weight, 1e-300))
     theta[:family.m] = logits
     return theta
-
-
-def _project_component(family, slot, psi: PureState) -> PureState:
-    if family.kind == "multilevel":
-        vec = np.zeros(family.d, dtype=complex)
-        vec[list(slot)] = psi.amps[list(slot)]
-        if np.linalg.norm(vec) < 1e-12:
-            vec[list(slot)] = 1.0
-        return pure_state(vec, family.dims)
-    factors = _part_factors(family, psi, slot)
-    return pure_state(_assemble_product(family.dims, slot, factors), family.dims)
 
 
 def is_feasible_pure(kind: str, k: int, psi: PureState, tol: float = 1e-9) -> bool:

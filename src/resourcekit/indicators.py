@@ -8,19 +8,16 @@ family's parameter vector; because every decoded point is a family member,
 any optimizer output certifies an upper bound on the indicator, with the
 decoded mixture as the witness.
 
-Order k=2 of the coherence indicators additionally has an exact closed
-form: over diagonal states the optimum weights are proportional to the
+Order k=2 of the coherence indicators is solved by its exact closed form
+alone: over diagonal states the optimum weights are proportional to the
 (1/alpha)-th power of the diagonal of rho^alpha (a Lagrange/Hoelder
-stationarity argument), giving max affinity (sum_i a_i^(1/alpha))^alpha.
-That closed form is both injected as a start and kept if better, and it is
-what the optimizer path is cross-checked against.
+stationarity argument), giving max affinity (sum_i a_i^(1/alpha))^alpha,
+and the optimal diagonal mixture is the witness.  No search runs there.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +36,7 @@ from .feasible import (
     encode,
     is_feasible_pure,
 )
-from .states import DensityMatrix, PureState, _frac_power_raw, basis_pure, spectral
+from .states import DensityMatrix, _frac_power_raw, _trusted, basis_pure
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 2000
@@ -48,16 +45,6 @@ DEFAULT_TOL = 1e-10
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
           "entanglement", "entanglement_avg")
-
-
-def thread_count(threads=None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("RESOURCE_KIT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 class Diagnostics(NamedTuple):
@@ -75,21 +62,7 @@ class MaxAffinityResult(NamedTuple):
 
 
 def _as_components(witness):
-    """Normalize an initial witness to a list of weighted pure components.
-
-    Accepts a concrete component list, or a DensityMatrix whose
-    eigendecomposition is then used (appropriate for e.g. diagonal states;
-    structured mixtures should pass their decomposition explicitly, since
-    eigenvectors of a mixture need not inherit component structure).
-    """
-    if isinstance(witness, DensityMatrix):
-        spec = spectral(witness)
-        comps = []
-        for lam, col in zip(spec.eigenvalues, spec.eigenvectors.T):
-            if lam > 1e-12:
-                comps.append(WitnessComponent(float(lam),
-                                              PureState(witness.dims, col.copy())))
-        return comps
+    """Normalize an initial witness to a list of weighted pure components."""
     out = []
     for item in witness:
         if isinstance(item, WitnessComponent):
@@ -104,15 +77,17 @@ def _as_components(witness):
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                  seed, restarts: int = DEFAULT_RESTARTS,
                  max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                 init_witnesses=(), threads=None) -> MaxAffinityResult:
+                 init_witnesses=()) -> MaxAffinityResult:
     """Best affinity between rho and the family found by multi-start search.
 
     Starting points are the encoded initial witnesses followed by seeded
     random vectors; random start r depends only on (seed, r), so enlarging
     ``restarts`` never discards earlier starts and the best value is
     monotone in search effort.  ``max_iter=0`` evaluates the starts without
-    local polishing.  Ties resolve to the lowest start index, making the
-    result deterministic per seed.
+    local polishing.  Starts run one after another and ties resolve to the
+    lowest start index, making the result deterministic per seed.  An
+    initial witness that fits no free family slot raises
+    WitnessEncodingError (see :func:`encode`).
     """
     alpha = _check_alpha(alpha)
     if rho.d != family.d:
@@ -127,7 +102,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
         return -float(np.real(np.sum(rho_a * s_pow.T)))
 
     seed_words = [int(s) for s in seed] if np.ndim(seed) else [int(seed)]
-    starts = [encode(family, _as_components(w), strict=False) for w in init_witnesses]
+    starts = [encode(family, _as_components(w)) for w in init_witnesses]
     for r in range(restarts):
         rng = np.random.default_rng(seed_words + [r])
         starts.append(rng.standard_normal(family.param_len))
@@ -142,12 +117,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                                 "xatol": tol, "fatol": tol, "adaptive": True})
         return float(res.fun), int(res.nit), res.x
 
-    workers = thread_count(threads)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(t) for t in starts]
+    outcomes = [run(t) for t in starts]
 
     funs = np.array([o[0] for o in outcomes])
     best = int(np.argmin(funs))
@@ -168,6 +138,15 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
 # Closed form for coherence order 2 (diagonal witnesses).
 # ---------------------------------------------------------------------------
 
+def _k2_weights(rho: DensityMatrix, alpha: float) -> tuple[np.ndarray, float]:
+    """Optimal order-2 diagonal weights q and s = sum_i a_i^(1/alpha), with
+    a_i the diagonal of rho^alpha: q_i = a_i^(1/alpha) / s."""
+    a = np.clip(np.real(np.diag(_frac_power_raw(rho.data, alpha))), 0.0, None)
+    q = a ** (1.0 / alpha)
+    s = float(q.sum())
+    return q / s, s
+
+
 def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     """Exact order-2 coherence indicator values (plain, averaged).
 
@@ -176,17 +155,13 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     (sum_i a_i^(1/alpha))^alpha.
     """
     alpha = _check_alpha(alpha)
-    a = np.clip(np.real(np.diag(_frac_power_raw(rho.data, alpha))), 0.0, None)
-    s = float((a ** (1.0 / alpha)).sum())
+    s = _k2_weights(rho, alpha)[1]
     return 1.0 - s ** alpha, 1.0 - s
 
 
 def closed_form_witness(rho: DensityMatrix, alpha: float) -> list[WitnessComponent]:
     """The optimal diagonal mixture behind :func:`closed_form_k2`."""
-    alpha = _check_alpha(alpha)
-    a = np.clip(np.real(np.diag(_frac_power_raw(rho.data, alpha))), 0.0, None)
-    q = a ** (1.0 / alpha)
-    q /= q.sum()
+    q = _k2_weights(rho, _check_alpha(alpha))[0]
     return [WitnessComponent(float(qi), basis_pure(rho.dims, i), (i,))
             for i, qi in enumerate(q) if qi > 0.0]
 
@@ -222,41 +197,42 @@ def _variant_value(affinity: float, alpha: float, variant: str) -> float:
 
 def _seed_key(seed) -> int:
     """Canonical integer form of a seed (scalars pass through unchanged)."""
+    if seed is None:
+        raise ValueError("seed is required")
     if np.ndim(seed) == 0:
         return int(seed)
     return int(np.random.SeedSequence([int(s) for s in seed]).generate_state(1)[0])
 
 
-def _result(label, k, alpha, variant, res: MaxAffinityResult, seed) -> IndicatorResult:
+def _result(label, k, alpha, variant, seed, affinity, witness, components,
+            diag: Diagnostics) -> IndicatorResult:
     return IndicatorResult(label=label if variant == "plain" else label + "_avg",
                            k=k, alpha=alpha,
-                           value=_variant_value(res.affinity, alpha, variant),
-                           best_affinity=res.affinity, witness=res.witness,
-                           components=res.components, seed=_seed_key(seed),
-                           restarts=res.diagnostics.restarts,
-                           iterations=res.diagnostics.iterations,
-                           spread=res.diagnostics.spread)
+                           value=_variant_value(affinity, alpha, variant),
+                           best_affinity=affinity, witness=witness,
+                           components=tuple(components), seed=_seed_key(seed),
+                           restarts=diag.restarts, iterations=diag.iterations,
+                           spread=diag.spread)
 
 
 def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
                          variant: str = "plain", *, seed, m=None,
                          **opts) -> IndicatorResult:
     """Upper bound on the order-k coherence indicator (support size < k
-    witnesses).  Order 2 injects the closed-form witness and keeps whichever
-    affinity is larger."""
+    witnesses).  Order 2 is exact: the closed-form affinity with the
+    closed-form witness, found without search, so ``m`` and the optimizer
+    options go unused there."""
     if not 2 <= k <= rho.d:
         raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
+    if k == 2:
+        q, s = _k2_weights(rho, _check_alpha(alpha))
+        return _result("coherence", k, alpha, variant, seed, s ** float(alpha),
+                       _trusted(np.diag(q), rho.dims),
+                       closed_form_witness(rho, alpha), Diagnostics(0, 0, 0.0))
     family = build_family("multilevel", rho.dims, k - 1, m=m)
-    init = list(opts.pop("init_witnesses", ()))
-    if k == 2:
-        init.append(closed_form_witness(rho, alpha))
-    res = max_affinity(rho, family, alpha, seed=seed, init_witnesses=init, **opts)
-    if k == 2:
-        cf_aff = 1.0 - closed_form_k2(rho, alpha)[0]
-        if cf_aff > res.affinity:
-            res = MaxAffinityResult(cf_aff, res.witness, res.components,
-                                    res.theta, res.diagnostics)
-    return _result("coherence", k, alpha, variant, res, seed)
+    res = max_affinity(rho, family, alpha, seed=seed, **opts)
+    return _result("coherence", k, alpha, variant, seed, res.affinity,
+                   res.witness, res.components, res.diagnostics)
 
 
 def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float,
@@ -283,7 +259,8 @@ def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float
     else:
         raise ValueError(f"kind must be 'nonseparability' or 'entanglement', got {kind!r}")
     res = max_affinity(rho, family, alpha, seed=seed, **opts)
-    return _result(label, k, alpha, variant, res, seed)
+    return _result(label, k, alpha, variant, seed, res.affinity, res.witness,
+                   res.components, res.diagnostics)
 
 
 def compute_indicator(rho: DensityMatrix, label: str, k: int, alpha: float,

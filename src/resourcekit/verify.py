@@ -12,6 +12,8 @@ counterexample and never an optimizer artifact.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .affinity import (
@@ -39,7 +41,6 @@ from .embedding import (
     build_embedding,
     depth_correspondence_pure,
     embed_state,
-    map_witness,
     theorem3_check,
 )
 from .errors import FeasibilityCheckFailed
@@ -47,13 +48,14 @@ from .feasible import (
     WitnessComponent,
     build_family,
     decode_mixture,
-    enumerate_partitions,
+    structure_pool,
 )
 from .indicators import closed_form_k2, max_affinity
 from .states import (
-    DensityMatrix,
     PureState,
+    _rng,
     pure_state,
+    random_mixed,
     random_unitary,
     tensor,
     trace_distance,
@@ -133,19 +135,6 @@ def all_passed(certs) -> bool:
     return all(entry["passed"] for entry in summarize(certs).values())
 
 
-def _rng(seed, *tags):
-    return np.random.default_rng([int(seed)] + [int(t) for t in tags])
-
-
-def _rand_state(seed, tags, dims, rank=None) -> DensityMatrix:
-    rng = _rng(seed, *tags)
-    d = int(np.prod(dims))
-    rank = rank or d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return validate(m / np.real(np.trace(m)), dims)
-
-
 # ---------------------------------------------------------------------------
 # Suite: core affinity identities and monotonicity properties.
 # ---------------------------------------------------------------------------
@@ -156,8 +145,8 @@ def run_affinity_props(seed, n_samples=None):
     for i in range(n):
         alpha = ALPHA_GRID[i % 3]
         d = 2 + i % 3
-        rho = _rand_state(seed, (0, i, 0), (d,), rank=1 + i % d)
-        sig = _rand_state(seed, (0, i, 1), (d,))
+        rho = random_mixed((d,), 1 + i % d, [seed, 0, i, 0])
+        sig = random_mixed((d,), d, [seed, 0, i, 1])
 
         a = _affinity_raw(rho.data, sig.data, alpha)
         certs.append(_cert("bounds", 0.0, a, alpha=alpha, seed=seed))
@@ -167,23 +156,23 @@ def run_affinity_props(seed, n_samples=None):
         if trace_distance(rho, sig) > 1e-3:
             certs.append(_cert("separation", a, 1.0 - 1e-6, alpha=alpha, seed=seed))
 
-        u = random_unitary(d, _rng(seed, 0, i, 2))
+        u = random_unitary(d, [seed, 0, i, 2])
         rot = lambda m: validate(u @ m.data @ u.conj().T, m.dims)
         certs.append(_cert("unitary-invariance",
                            alpha_affinity(rot(rho), rot(sig), alpha),
                            alpha_affinity(rho, sig, alpha),
                            equality=True, alpha=alpha, seed=seed))
 
-        rho2 = _rand_state(seed, (0, i, 3), (2,))
-        sig2 = _rand_state(seed, (0, i, 4), (2,))
+        rho2 = random_mixed((2,), 2, [seed, 0, i, 3])
+        sig2 = random_mixed((2,), 2, [seed, 0, i, 4])
         certs.append(_cert("multiplicativity",
                            alpha_affinity(tensor(rho, rho2), tensor(sig, sig2), alpha),
                            alpha_affinity(rho, sig, alpha) * alpha_affinity(rho2, sig2, alpha),
                            equality=True, alpha=alpha, seed=seed))
 
-        lam = _rng(seed, 0, i, 5).dirichlet(np.ones(2))
-        rho_b = _rand_state(seed, (0, i, 6), (d,))
-        sig_b = _rand_state(seed, (0, i, 7), (d,))
+        lam = _rng([seed, 0, i, 5]).dirichlet(np.ones(2))
+        rho_b = random_mixed((d,), d, [seed, 0, i, 6])
+        sig_b = random_mixed((d,), d, [seed, 0, i, 7])
         mix_r = validate(lam[0] * rho.data + lam[1] * rho_b.data, (d,))
         mix_s = validate(lam[0] * sig.data + lam[1] * sig_b.data, (d,))
         certs.append(_cert("joint-concavity",
@@ -192,7 +181,7 @@ def run_affinity_props(seed, n_samples=None):
                            alpha_affinity(mix_r, mix_s, alpha),
                            alpha=alpha, seed=seed))
 
-        chan = random_channel(d, 2 + i % 2, _rng(seed, 0, i, 8))
+        chan = random_channel(d, 2 + i % 2, [seed, 0, i, 8])
         certs.append(_cert("cptp-monotonicity",
                            alpha_affinity(rho, sig, alpha),
                            alpha_affinity(channel_apply(chan, rho),
@@ -210,7 +199,7 @@ def run_appendix_b(seed, n_samples=None):
     n = 500 if n_samples is None else int(n_samples)
     certs = []
     for i in range(n):
-        rng = _rng(seed, 1, i)
+        rng = _rng([seed, 1, i])
         size = 1 + int(rng.integers(8))
         a = np.abs(rng.standard_normal(size)) + 0.05
         b = np.abs(rng.standard_normal(size)) + 0.05
@@ -225,12 +214,12 @@ def run_appendix_b(seed, n_samples=None):
 
         alpha = ALPHA_GRID[i % 3]
         d = 2 + i % 3
-        rho = _rand_state(seed, (1, i, 0), (d,))
-        sig = _rand_state(seed, (1, i, 1), (d,))
+        rho = random_mixed((d,), d, [seed, 1, i, 0])
+        sig = random_mixed((d,), d, [seed, 1, i, 1])
         if i % 2:
-            chan = random_channel(d, 2 + i % 2, _rng(seed, 1, i, 2))
+            chan = random_channel(d, 2 + i % 2, [seed, 1, i, 2])
         else:
-            chan = random_projective(d, 1 + i % (d - 1), _rng(seed, 1, i, 2))
+            chan = random_projective(d, 1 + i % (d - 1), [seed, 1, i, 2])
         certs.append(selective_power_sum(rho, sig, chan, alpha, seed=seed))
         certs.append(data_processing_sum(rho, sig, chan, alpha, seed=seed))
         certs.append(selective_loss_bound(rho, sig, chan, alpha, seed=seed))
@@ -241,6 +230,11 @@ def run_appendix_b(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 # Witness transport helpers shared by the theorem suites.
 # ---------------------------------------------------------------------------
+
+def _family(kind, dims, k, copies=1):
+    """Family with ``copies`` slots for every structure in its pool."""
+    return build_family(kind, dims, k, m=len(structure_pool(kind, dims, k)) * copies)
+
 
 def _push_pure(op: np.ndarray, comp: WitnessComponent, structure) -> WitnessComponent | None:
     amps = op @ comp.state.amps
@@ -281,12 +275,6 @@ def _tensor_components(left, right, dims, join_structure):
 # Suite: coherence indicator properties.
 # ---------------------------------------------------------------------------
 
-def _coh_family(dims, order, copies=1):
-    from math import comb, prod
-    d = prod(dims)
-    return build_family("multilevel", dims, order - 1, m=comb(d, order - 1) * copies)
-
-
 def run_theorem1(seed, n_samples=None, n_constructive=None):
     n = 300 if n_samples is None else int(n_samples)
     if n_constructive is None:
@@ -297,10 +285,10 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
     for i in range(n):
         alpha = ALPHA_GRID[i % 3]
         d = 2 + i % 3
-        rho1 = _rand_state(seed, (2, i, 0), (d,))
-        rho2 = _rand_state(seed, (2, i, 1), (d,))
+        rho1 = random_mixed((d,), d, [seed, 2, i, 0])
+        rho2 = random_mixed((d,), d, [seed, 2, i, 1])
 
-        lam = _rng(seed, 2, i, 2).dirichlet(np.ones(2))
+        lam = _rng([seed, 2, i, 2]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
         c_mix = closed_form_k2(mix, alpha)[0]
         certs.append(_cert("order2-convexity", c_mix,
@@ -308,7 +296,7 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
                            + lam[1] * closed_form_k2(rho2, alpha)[0],
                            alpha=alpha, seed=seed))
 
-        chan = make_monomial_incoherent(d, 1 + i % 3, _rng(seed, 2, i, 3))
+        chan = make_monomial_incoherent(d, 1 + i % 3, [seed, 2, i, 3])
         plain, avg = closed_form_k2(rho1, alpha)
         out_plain, out_avg = closed_form_k2(channel_apply(chan, rho1), alpha)
         certs.append(_cert("order2-channel-monotonicity", out_plain, plain,
@@ -320,8 +308,8 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
         certs.append(_cert("order2-avg-monotonicity", lhs_avg, avg,
                            alpha=alpha, seed=seed))
 
-        small1 = _rand_state(seed, (2, i, 4), (2 + i % 2,))
-        small2 = _rand_state(seed, (2, i, 5), (2 + (i + 1) % 2,))
+        small1 = random_mixed((2 + i % 2,), 2 + i % 2, [seed, 2, i, 4])
+        small2 = random_mixed((2 + (i + 1) % 2,), 2 + (i + 1) % 2, [seed, 2, i, 5])
         prod_plain, prod_avg = closed_form_k2(tensor(small1, small2), alpha)
         for variant, lhs in (("plain", prod_plain), ("avg", prod_avg)):
             idx = 0 if variant == "plain" else 1
@@ -341,18 +329,18 @@ def _theorem1_constructive(seed, nc):
     opts = {"restarts": 2, "max_iter": 300}
     for i in range(nc):
         alpha = ALPHA_GRID[i % 3]
-        rho1 = _rand_state(seed, (3, i, 0), (d,))
-        rho2 = _rand_state(seed, (3, i, 1), (d,))
-        fam = _coh_family((d,), k)
+        rho1 = random_mixed((d,), d, [seed, 3, i, 0])
+        rho2 = random_mixed((d,), d, [seed, 3, i, 1])
+        fam = _family("multilevel", (d,), k - 1)
 
         r1 = max_affinity(rho1, fam, alpha, seed=_seed_int(seed, 3, i, 2), **opts)
         r2 = max_affinity(rho2, fam, alpha, seed=_seed_int(seed, 3, i, 3), **opts)
 
         # convexity of the plain indicator via mixed witnesses
-        lam = _rng(seed, 3, i, 4).dirichlet(np.ones(2))
+        lam = _rng([seed, 3, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
         mixed_wit = _scaled(r1.components, lam[0]) + _scaled(r2.components, lam[1])
-        fam_mix = _coh_family((d,), k, copies=2)
+        fam_mix = _family("multilevel", (d,), k - 1, copies=2)
         rm = max_affinity(mix, fam_mix, alpha, seed=_seed_int(seed, 3, i, 5),
                           init_witnesses=[mixed_wit], **opts)
         certs.append(_cert("order3-witness-convexity", 1.0 - rm.affinity,
@@ -360,9 +348,9 @@ def _theorem1_constructive(seed, nc):
                            alpha=alpha, seed=seed))
 
         # channel monotonicity and average monotonicity under monomial maps
-        chan = make_monomial_incoherent(d, 2, _rng(seed, 3, i, 6))
+        chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
         moved = _apply_to_components(chan, r1.components, keep_structure=False)
-        fam_out = _coh_family((d,), k, copies=len(moved))
+        fam_out = _family("multilevel", (d,), k - 1, copies=len(moved))
         ro = max_affinity(channel_apply(chan, rho1), fam_out, alpha,
                           seed=_seed_int(seed, 3, i, 7),
                           init_witnesses=[moved], restarts=1, max_iter=100)
@@ -383,7 +371,7 @@ def _theorem1_constructive(seed, nc):
             if q <= OUTCOME_THRESHOLD:
                 continue
             wit_i = [WitnessComponent(c.weight / q, c.state, None) for c in pushed]
-            fam_i = _coh_family((d,), k, copies=len(wit_i))
+            fam_i = _family("multilevel", (d,), k - 1, copies=len(wit_i))
             ri = max_affinity(rho_i, fam_i, alpha, seed=_seed_int(seed, 3, i, 8),
                               init_witnesses=[wit_i], restarts=1, max_iter=100)
             lhs += p * (1.0 - ri.affinity ** (1.0 / alpha))
@@ -396,7 +384,7 @@ def _theorem1_constructive(seed, nc):
         tens_wit = _tensor_components(
             r1.components, r2.components, joint.dims,
             lambda s1, s2: tuple(sorted(3 * a + b for a in s1 for b in s2)))
-        fam_t = _coh_family(joint.dims, (k - 1) ** 2 + 1)
+        fam_t = _family("multilevel", joint.dims, (k - 1) ** 2)
         rt = max_affinity(joint, fam_t, alpha, seed=_seed_int(seed, 3, i, 9),
                           init_witnesses=[tens_wit], restarts=0, max_iter=0)
         for variant in ("plain", "avg"):
@@ -420,15 +408,6 @@ def _seed_int(seed, *tags):
 # Suite: correlation indicator properties.
 # ---------------------------------------------------------------------------
 
-def _corr_family(dims, kind, k, copies=1):
-    n = len(dims)
-    if kind == "separable":
-        pool = len(enumerate_partitions(n, exactly_k_parts=k).partitions)
-    else:
-        pool = len(enumerate_partitions(n, max_part_size=min(k, n)).partitions)
-    return build_family(kind, dims, k, m=pool * copies)
-
-
 def _t2_config(i):
     """Cycle instance configurations over systems and family kinds."""
     dims = (2, 2) if i % 2 == 0 else (2, 2, 2)
@@ -437,7 +416,7 @@ def _t2_config(i):
 
 
 def _t2_run(seed, tags, rho, dims, kind, famk, alpha, copies=2, **extra):
-    fam = _corr_family(dims, kind, famk, copies=copies)
+    fam = _family(kind, dims, famk, copies=copies)
     opts = {"restarts": 1, "max_iter": 200}
     opts.update(extra)
     return max_affinity(rho, fam, alpha, seed=_seed_int(seed, *tags), **opts)
@@ -450,8 +429,8 @@ def run_theorem2(seed, n_samples=None):
     # members of each family score (numerically) zero
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        fam = _corr_family(dims, kind, famk, copies=2)
-        theta = _rng(seed, 4, 0, i).standard_normal(fam.param_len)
+        fam = _family(kind, dims, famk, copies=2)
+        theta = _rng([seed, 4, 0, i]).standard_normal(fam.param_len)
         member_comps = decode_mixture(fam, theta)
         member = validate(sum(c.weight * c.state.projector().data
                               for c in member_comps), dims)
@@ -463,11 +442,11 @@ def run_theorem2(seed, n_samples=None):
     # local-unitary covariance at the witness level, both directions
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        rho = _rand_state(seed, (4, 1, i), dims)
+        rho = random_mixed(dims, prod(dims), [seed, 4, 1, i])
         r1 = _t2_run(seed, (4, 1, i, 0), rho, dims, kind, famk, alpha)
         u_full = np.array([[1.0 + 0j]])
         for j in range(len(dims)):
-            u_full = np.kron(u_full, random_unitary(2, _rng(seed, 4, 1, i, j)))
+            u_full = np.kron(u_full, random_unitary(2, [seed, 4, 1, i, j]))
         rho_u = validate(u_full @ rho.data @ u_full.conj().T, dims)
         wit_u = [WitnessComponent(c.weight, pure_state(u_full @ c.state.amps, dims),
                                   c.structure) for c in r1.components]
@@ -485,11 +464,11 @@ def run_theorem2(seed, n_samples=None):
     # convexity of the plain indicators via witness mixing
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        rho_a = _rand_state(seed, (4, 2, i, 0), dims)
-        rho_b = _rand_state(seed, (4, 2, i, 1), dims)
+        rho_a = random_mixed(dims, prod(dims), [seed, 4, 2, i, 0])
+        rho_b = random_mixed(dims, prod(dims), [seed, 4, 2, i, 1])
         ra = _t2_run(seed, (4, 2, i, 2), rho_a, dims, kind, famk, alpha)
         rb = _t2_run(seed, (4, 2, i, 3), rho_b, dims, kind, famk, alpha)
-        lam = _rng(seed, 4, 2, i, 4).dirichlet(np.ones(2))
+        lam = _rng([seed, 4, 2, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho_a.data + lam[1] * rho_b.data, dims)
         rmix = _t2_run(seed, (4, 2, i, 5), mix, dims, kind, famk, alpha, copies=4,
                        init_witnesses=[_scaled(ra.components, lam[0])
@@ -501,9 +480,9 @@ def run_theorem2(seed, n_samples=None):
     # monotonicity under one-round product channels, direct and on average
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        rho = _rand_state(seed, (4, 3, i), dims)
+        rho = random_mixed(dims, prod(dims), [seed, 4, 3, i])
         r1 = _t2_run(seed, (4, 3, i, 0), rho, dims, kind, famk, alpha)
-        locc = make_local_product([random_channel(2, 2, _rng(seed, 4, 3, i, j))
+        locc = make_local_product([random_channel(2, 2, [seed, 4, 3, i, j])
                                    for j in range(len(dims))])
         moved = _apply_to_components(locc, r1.components, keep_structure=True)
         rl = _t2_run(seed, (4, 3, i, 1), channel_apply(locc, rho), dims, kind, famk,
@@ -537,15 +516,15 @@ def run_theorem2(seed, n_samples=None):
         alpha = ALPHA_GRID[i % 3]
         dims = (2, 2)
         kind, famk = ("separable", 2) if i % 2 == 0 else ("producible", 1)
-        rho_a = _rand_state(seed, (4, 4, i, 0), dims)
-        rho_b = _rand_state(seed, (4, 4, i, 1), dims)
+        rho_a = random_mixed(dims, prod(dims), [seed, 4, 4, i, 0])
+        rho_b = random_mixed(dims, prod(dims), [seed, 4, 4, i, 1])
         ra = _t2_run(seed, (4, 4, i, 2), rho_a, dims, kind, famk, alpha)
         rb = _t2_run(seed, (4, 4, i, 3), rho_b, dims, kind, famk, alpha)
         joint = tensor(rho_a, rho_b)
         tens_wit = _tensor_components(
             ra.components, rb.components, joint.dims,
             lambda s1, s2: _join_partitions(s1, s2, len(dims), famk, kind))
-        fam_j = _corr_family(joint.dims, kind, famk, copies=len(tens_wit))
+        fam_j = _family(kind, joint.dims, famk, copies=len(tens_wit))
         rj = max_affinity(joint, fam_j, alpha, seed=_seed_int(seed, 4, 4, i, 4),
                           init_witnesses=[tens_wit], restarts=0, max_iter=0)
         for variant_pow in (1.0, 1.0 / alpha):
@@ -559,7 +538,7 @@ def run_theorem2(seed, n_samples=None):
     for i in range(n):
         alpha = ALPHA_GRID[i % 3]
         dims = (2, 2, 2)
-        rho = _rand_state(seed, (4, 5, i), dims)
+        rho = random_mixed(dims, prod(dims), [seed, 4, 5, i])
         rf = _t2_run(seed, (4, 5, i, 0), rho, dims, "separable", 3, alpha)
         rn = _t2_run(seed, (4, 5, i, 1), rho, dims, "separable", 2, alpha,
                      copies=max(2, len(rf.components)),
@@ -590,7 +569,7 @@ def _join_partitions(s1, s2, shift, famk, kind):
 # ---------------------------------------------------------------------------
 
 def _unambiguous_pure(seed, tags, d, rank) -> PureState:
-    rng = _rng(seed, *tags)
+    rng = _rng([seed, *tags])
     while True:
         support = sorted(rng.choice(d, size=rank, replace=False).tolist())
         amps = np.zeros(d, dtype=complex)
@@ -639,10 +618,10 @@ def run_embedding(seed, n_samples=None):
         alpha = ALPHA_GRID[i % 3]
         d = 2 + i % 2
         emb = build_embedding(d)
-        rho = _rand_state(seed, (5, 9, i, 0), (d,))
-        sig = _rand_state(seed, (5, 9, i, 1), (d,))
+        rho = random_mixed((d,), d, [seed, 5, 9, i, 0])
+        sig = random_mixed((d,), d, [seed, 5, 9, i, 1])
         a_src = alpha_affinity(rho, sig, alpha)
-        a_emb = alpha_affinity(embed_state(emb, rho), map_witness(emb, sig), alpha)
+        a_emb = alpha_affinity(embed_state(emb, rho), embed_state(emb, sig), alpha)
         certs.append(_cert("affinity-preservation", a_emb, a_src,
                            equality=True, alpha=alpha, seed=seed))
     return certs
@@ -658,7 +637,7 @@ def run_theorem3(seed, n_samples=None):
     for d, k in ((2, 2), (3, 2), (3, 3)):
         for i in range(n):
             alpha = ALPHA_GRID[i % 3]
-            rho = _rand_state(seed, (6, d, k, i), (d,))
+            rho = random_mixed((d,), d, [seed, 6, d, k, i])
             try:
                 rows = theorem3_check(rho, k, alpha, seed=_seed_int(seed, 6, d, k, i),
                                       restarts=1, max_iter=150)

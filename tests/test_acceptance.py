@@ -26,6 +26,7 @@ def _report(num, ok, text):
 def test_criterion_1_closed_form_oracle_agreement():
     t0 = time.time()
     worst = 0.0
+    bad_witnesses = 0
     for d in (2, 3, 4):
         for i in range(50):
             rho = rk.random_mixed([d], d, seed=[SEED, 1, d, i])
@@ -34,10 +35,11 @@ def test_criterion_1_closed_form_oracle_agreement():
                                               restarts=1, max_iter=100)
                 cf_plain, _ = rk.closed_form_k2(rho, alpha)
                 worst = max(worst, abs(res.value - cf_plain))
+                bad_witnesses += not rk.check_witness(res, rho)
     elapsed = time.time() - t0
-    _report(1, worst <= 1e-6 and elapsed < 60.0,
-            f"optimizer vs closed form on 450 runs: worst |diff| = {worst:.2e}, "
-            f"{elapsed:.1f}s (< 60s)")
+    _report(1, worst <= 1e-6 and bad_witnesses == 0 and elapsed < 60.0,
+            f"indicator vs closed form on 450 runs: worst |diff| = {worst:.2e}, "
+            f"{bad_witnesses} witnesses failing revalidation, {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_2_derived_anchor_values():

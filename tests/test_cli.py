@@ -171,3 +171,11 @@ def test_embed_plus_state(states, capsys):
     doc = json.loads(capsys.readouterr().out)
     row = doc["transport"]["k=2,alpha=0.5"]["rows"][0]
     assert row["rhs"] == pytest.approx(0.2928932, abs=1e-6)
+
+
+def test_format_only_where_honoured(states, capsys):
+    # verify and embed have one output form each, so they refuse --format
+    assert main(["verify", "--suite", "appendix-b", "--seed", "11",
+                 "--n-samples", "1", "--format", "json"]) == 2
+    assert main(["embed", "--state", states["diag"], "--k", "2", "--alpha", "0.5",
+                 "--seed", "9", "--format", "json"]) == 2

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import resourcekit as rk
-from resourcekit.errors import BadLength, EmptySet, NTooLarge
-from resourcekit.feasible import decode_mixture, is_feasible_pure
+from resourcekit.errors import BadLength, EmptySet, NTooLarge, WitnessEncodingError
+from resourcekit.feasible import (
+    WitnessComponent,
+    decode_mixture,
+    is_feasible_pure,
+    structure_pool,
+)
 
 from oracles import partial_transpose
 
@@ -42,6 +47,15 @@ def test_build_family_multilevel_one_is_diagonal():
 def test_build_family_separable_two_qubits():
     fam = rk.build_family("separable", (2, 2), 2, m=4)
     assert all(s == ((0,), (1,)) for s in fam.structures)
+
+
+def test_structure_pool_counts_and_cycling():
+    assert len(structure_pool("multilevel", (4,), 2)) == 6
+    assert len(structure_pool("separable", (2, 2, 2), 2)) == 3
+    assert len(structure_pool("producible", (2, 2, 2), 2)) == 4
+    pool = structure_pool("producible", (2, 2, 2), 2)
+    fam = rk.build_family("producible", (2, 2, 2), 2, m=2 * len(pool))
+    assert list(fam.structures) == pool + pool
 
 
 def test_family_empty_set():
@@ -127,6 +141,19 @@ def test_encode_round_trip_correlation():
         sigma = rk.decode(fam, theta)
         again = rk.decode(fam, rk.encode(fam, comps))
         assert np.abs(sigma.data - again.data).max() <= 1e-12
+
+
+def test_encode_refuses_components_without_a_free_slot():
+    # the mixture is never altered to fit: too few slots, or a component
+    # whose structure no slot admits, raises
+    fam = rk.build_family("multilevel", (3,), 1, m=2)
+    comps = [(1 / 3, rk.basis_pure([3], i), (i,)) for i in range(3)]
+    with pytest.raises(WitnessEncodingError):
+        rk.encode(fam, [WitnessComponent(*c) for c in comps])
+    sep = rk.build_family("separable", (2, 2), 2, m=2)
+    bell = rk.pure_state([1, 0, 0, 1], (2, 2))
+    with pytest.raises(WitnessEncodingError):
+        rk.encode(sep, [WitnessComponent(1.0, bell)])
 
 
 def test_factorize_fully_product():

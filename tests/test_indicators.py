@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import resourcekit as rk
-from resourcekit.errors import KOutOfRange
+from resourcekit.errors import KOutOfRange, WitnessEncodingError
 from resourcekit.feasible import decode_mixture
 from resourcekit.indicators import closed_form_witness, max_affinity
 
@@ -58,6 +58,24 @@ def test_optimizer_matches_closed_form_without_injection():
         assert res.affinity == pytest.approx(cf, abs=1e-6)
 
 
+def test_closed_form_inside_frank_wolfe_bracket():
+    # the independent oracle certifies [lb, ub] around the order-2 maximum
+    for d in (2, 3, 4):
+        for i, alpha in enumerate((0.3, 0.5, 0.7, 0.5)):
+            rho = rk.random_mixed([d], d, seed=[22, d, i])
+            lb, ub = max_affinity_support(rho.data, alpha, 1)
+            cf = 1.0 - rk.closed_form_k2(rho, alpha)[0]
+            assert lb - 1e-9 <= cf <= ub + 1e-9
+
+
+def test_max_affinity_rejects_witness_that_fits_no_slot():
+    rho = rk.random_mixed([3], 3, seed=23)
+    fam = rk.build_family("multilevel", (3,), 1, m=1)
+    with pytest.raises(WitnessEncodingError):
+        max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
+                     init_witnesses=[closed_form_witness(rho, 0.5)])
+
+
 def test_max_affinity_monotone_in_restarts():
     rho = rk.random_mixed([3], 3, seed=30)
     fam = rk.build_family("multilevel", (3,), 2, m=3)
@@ -84,6 +102,22 @@ def test_multilevel_coherence_k2_matches_closed_form():
                                              restarts=1, max_iter=150)
             cf_plain, _ = rk.closed_form_k2(rho, alpha)
             assert result.value == pytest.approx(cf_plain, abs=1e-6)
+
+
+def test_multilevel_coherence_k2_witness_carries_closed_form():
+    # the closed-form value always comes with the witness that attains it,
+    # whatever the slot count or optimizer options
+    rho = rk.random_mixed([3], 3, seed=1)
+    cf_plain, cf_avg = rk.closed_form_k2(rho, 0.5)
+    for m in (1, 2, None):
+        plain = rk.multilevel_coherence(rho, 2, 0.5, seed=2, m=m)
+        avg = rk.multilevel_coherence(rho, 2, 0.5, "avg", seed=2, m=m,
+                                      restarts=1, max_iter=50)
+        for res in (plain, avg):
+            assert rk.check_witness(res, rho)
+            assert (res.restarts, res.iterations, res.spread) == (0, 0, 0.0)
+        assert plain.value == cf_plain
+        assert avg.value == pytest.approx(cf_avg, abs=1e-12)
 
 
 def test_multilevel_coherence_plus_anchor():
