@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_opts:
             p.add_argument("--restarts", type=int, default=8)
             p.add_argument("--max-iter", type=int, default=400)
-            p.add_argument("--tol", type=float, default=1e-10)
 
     p_aff = sub.add_parser("affinity", help="affinity between two state files")
     p_aff.add_argument("--rho", required=True)
@@ -119,8 +118,7 @@ def _cmd_indicator(args) -> int:
     rho = load_state(args.state)
     specs = [(args.label, k) for k in args.k]
     results = indicator_suite(rho, args.alpha, specs, seed=args.seed,
-                              restarts=args.restarts, max_iter=args.max_iter,
-                              tol=args.tol)
+                              restarts=args.restarts, max_iter=args.max_iter)
     text = results_to_csv(results) if args.format == "csv" else results_to_json(results) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -164,8 +162,7 @@ def _cmd_embed(args) -> int:
     for k in args.k:
         for a in args.alpha:
             rows = theorem3_check(rho, k, a, seed=args.seed,
-                                  restarts=args.restarts, max_iter=args.max_iter,
-                                  tol=args.tol)
+                                  restarts=args.restarts, max_iter=args.max_iter)
             reports[f"k={k},alpha={a!r}"] = json.loads(transport_report_json(rows))
     text = json.dumps({"depths": depth_rows, "transport": reports}) + "\n"
     _emit(text, args.out)

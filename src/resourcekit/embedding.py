@@ -1,11 +1,11 @@
 """Coherence-to-correlation embedding.
 
-A d-level system is joined by d ancilla qubits; a permutation unitary flips
-ancilla qubit i exactly on basis level i, so each level acquires its own
-flag.  The embedding converts basis-support structure into tensor-product
-structure: a pure state occupying r levels embeds into a state whose finest
-factorization has one entangled block of r+1 subsystems plus d-r untouched
-ancillas.  Consequences checked here:
+A d-level system is joined by d ancilla qubits under one flag rule: on
+basis level i, flip ancilla qubit i.  The flag unitary and both state maps
+are read off that permutation.  The embedding converts basis-support
+structure into tensor-product structure: a pure state occupying r levels
+embeds into a state whose finest factorization has one entangled block of
+r+1 subsystems plus d-r untouched ancillas.  Consequences checked here:
 
 * rank/depth correspondence for pure states (separability depth d-r+1 and
   entanglement depth r+1 for r >= 2; fully product for r = 1);
@@ -25,6 +25,7 @@ from .errors import DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOf
 from .feasible import (
     WitnessComponent,
     _coarsens,
+    _effective_support,
     build_family,
     coherent_rank_pure,
     factorize_pure,
@@ -49,55 +50,51 @@ class EmbeddingMap:
         return self.d * 2 ** self.d
 
 
-def build_embedding(d: int) -> EmbeddingMap:
-    """Dense flag unitary: on level i, flip ancilla qubit i.
+def _flagged(d: int, level, ancillas):
+    """The flag rule: basis index of |level> (x) |ancillas> after ancilla
+    qubit ``level`` is flipped (big-endian qubit order).  Vectorizes over
+    integer arrays."""
+    return level * 2 ** d + (ancillas ^ (1 << (d - 1 - level)))
 
-    Each block is a bit flip, so the unitary is a real 0/1 permutation
-    matrix and its own inverse.
+
+def build_embedding(d: int) -> EmbeddingMap:
+    """Flag unitary: the permutation matrix of the flag rule.
+
+    The rule flips one bit, so the unitary is a real 0/1 permutation matrix
+    and its own inverse.
     """
     if not MIN_D <= d <= MAX_D:
         raise DTooLarge(f"embedding supports {MIN_D} <= d <= {MAX_D}, got {d}")
-    anc = 2 ** d
-    u = np.zeros((d * anc, d * anc))
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for i in range(d):
-        block = np.array([[1.0]])
-        for j in range(d):
-            block = np.kron(block, sx if j == i else np.eye(2))
-        u[i * anc:(i + 1) * anc, i * anc:(i + 1) * anc] = block
+    n = d * 2 ** d
+    level, ancillas = np.divmod(np.arange(n), 2 ** d)
+    u = np.zeros((n, n))
+    u[_flagged(d, level, ancillas), np.arange(n)] = 1.0
     u.setflags(write=False)
     return EmbeddingMap(d, u, (d,) + (2,) * d)
-
-
-def _flag_index(emb: EmbeddingMap, level: int) -> int:
-    """Ancilla basis index with qubit `level` set (big-endian qubit order)."""
-    return 1 << (emb.d - 1 - level)
 
 
 def embed_pure(emb: EmbeddingMap, psi: PureState) -> PureState:
     """|i> -> |i> (x) |0..010..0> with the 1 on ancilla qubit i."""
     if psi.d != emb.d:
         raise DimensionMismatch(f"state dimension {psi.d} != embedding dimension {emb.d}")
-    anc = 2 ** emb.d
-    out = np.zeros(emb.d * anc, dtype=complex)
-    for i, c in enumerate(psi.amps):
-        out[i * anc + _flag_index(emb, i)] = c
+    out = np.zeros(emb.total_dim, dtype=complex)
+    out[_flagged(emb.d, np.arange(emb.d), 0)] = psi.amps
     return pure_state(out, emb.dims)
 
 
 def embed_state(emb: EmbeddingMap, rho: DensityMatrix) -> DensityMatrix:
-    """Conjugate rho (x) |0><0|^d by the flag unitary; trace preserved.
+    """rho (x) |0><0|^d conjugated by the flag unitary; trace preserved.
 
-    Embedding both arguments preserves their affinity (unitary invariance
-    plus multiplicativity with the pure ancilla), so witnesses embed the
-    same way as states.
+    The unitary is a permutation, so the conjugation scatters rho onto the
+    flagged indices.  Embedding both arguments preserves their affinity
+    (unitary invariance plus multiplicativity with the pure ancilla), so
+    witnesses embed the same way as states.
     """
     if rho.d != emb.d:
         raise DimensionMismatch(f"state dimension {rho.d} != embedding dimension {emb.d}")
-    anc = 2 ** emb.d
-    padded = np.zeros((emb.d * anc, emb.d * anc), dtype=complex)
-    padded[::anc, ::anc] = rho.data  # ancillas in |0..0> occupy stride-anc slots
-    out = emb.unitary @ padded @ emb.unitary.T
+    idx = _flagged(emb.d, np.arange(emb.d), 0)  # source levels, ancillas in |0..0>
+    out = np.zeros((emb.total_dim, emb.total_dim), dtype=complex)
+    out[np.ix_(idx, idx)] = rho.data
     return _trusted(out, emb.dims)
 
 
@@ -116,8 +113,7 @@ def map_components(emb: EmbeddingMap, components):
     for comp in components:
         support = comp.structure
         if support is None:
-            mags = np.abs(comp.state.amps)
-            support = tuple(np.flatnonzero(mags > 1e-14 * mags.max()).tolist())
+            support = _effective_support(comp.state)
         out.append(WitnessComponent(comp.weight, embed_pure(emb, comp.state),
                                     _embedded_partition(emb, support)))
     return out
@@ -177,8 +173,7 @@ def _check_mapped_feasibility(mapped, sep_k: int, prod_k: int) -> None:
 
 
 def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
-                   restarts: int = 2, max_iter: int = 200,
-                   tol: float = 1e-10) -> list[TransportRow]:
+                   restarts: int = 2, max_iter: int = 200) -> list[TransportRow]:
     """Transport an order-k coherence witness through the embedding and
     certify the four induced correlation bounds on the embedded state.
 
@@ -194,7 +189,7 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     if not 2 <= k <= d:
         raise KOutOfRange(f"need 2 <= k <= {d}, got {k}")
     emb = build_embedding(d)
-    opts = {"restarts": restarts, "max_iter": max_iter, "tol": tol}
+    opts = {"restarts": restarts, "max_iter": max_iter}
     coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed,
                                m=len(structure_pool("multilevel", rho.dims, k - 1)),
                                **opts)
@@ -212,11 +207,10 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
                                     init_witnesses=[mapped], **opts))
     sep_res, prod_res = results
 
-    coh_plain = 1.0 - coh.best_affinity
-    coh_avg = _variant_value(coh.best_affinity, alpha, "avg")
     rows = []
-    for variant, coh_val in (("plain", coh_plain), ("avg", coh_avg)):
+    for variant in ("plain", "avg"):
         suffix = "" if variant == "plain" else "_avg"
+        coh_val = _variant_value(coh.best_affinity, alpha, variant)
         rows.append(_row(f"nonseparability{suffix}[k={sep_k}]",
                          f"coherence{suffix}[k={k}]",
                          _variant_value(sep_res.affinity, alpha, variant), coh_val))

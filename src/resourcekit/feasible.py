@@ -24,7 +24,6 @@ part) are read off.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import log, prod
 from typing import NamedTuple
@@ -37,7 +36,7 @@ from .errors import (
     NTooLarge,
     WitnessEncodingError,
 )
-from .states import DensityMatrix, PureState, _ptrace_raw, _trusted, pure_state
+from .states import DensityMatrix, PureState, _trusted, pure_state
 
 MAX_SUBSYSTEMS = 6
 FACTOR_PURITY_TOL = 1e-9     # reduced-state purity threshold for a split
@@ -444,24 +443,3 @@ def is_feasible_pure(kind: str, k: int, psi: PureState, tol: float = 1e-9) -> bo
         return fac.entanglement_depth <= k
     raise ValueError(f"unknown family kind {kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# JSON descriptor so optimizer runs are reproducible.
-# ---------------------------------------------------------------------------
-
-def family_to_json(family: FeasibleFamily) -> str:
-    structure = [list(s) if family.kind == "multilevel" else [list(p) for p in s]
-                 for s in family.structures]
-    return json.dumps({"kind": family.kind, "k": family.k,
-                       "dims": list(family.dims), "m": family.m,
-                       "structure": structure})
-
-
-def family_from_json(text: str) -> FeasibleFamily:
-    doc = json.loads(text)
-    family = build_family(doc["kind"], doc["dims"], doc["k"], doc["m"])
-    rebuilt = [list(s) if family.kind == "multilevel" else [list(p) for p in s]
-               for s in family.structures]
-    if rebuilt != doc["structure"]:
-        raise ValueError("descriptor structure does not match cyclic assignment")
-    return family

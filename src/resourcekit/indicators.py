@@ -8,6 +8,10 @@ family's parameter vector; because every decoded point is a family member,
 any optimizer output certifies an upper bound on the indicator, with the
 decoded mixture as the witness.
 
+At order k, coherence is scored against multilevel(k-1), nonseparability
+against separable(k) and entanglement against producible(k-1) mixtures; one
+table holds this for the solvers and for :func:`check_witness`.
+
 Order k=2 of the coherence indicators is solved by its exact closed form
 alone: over diagonal states the optimum weights are proportional to the
 (1/alpha)-th power of the diagonal of rho^alpha (a Lagrange/Hoelder
@@ -24,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .affinity import _affinity_raw, _check_alpha, alpha_affinity
+from .affinity import _check_alpha, alpha_affinity
 from .errors import DimensionMismatch, KOutOfRange
 from .feasible import (
     FeasibleFamily,
@@ -40,11 +44,16 @@ from .states import DensityMatrix, _frac_power_raw, _trusted, basis_pure
 
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 2000
-DEFAULT_TOL = 1e-10
+_SIMPLEX_TOL = 1e-10  # Nelder-Mead xatol and fatol
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
           "entanglement", "entanglement_avg")
+
+# Indicator base -> (family kind, family order minus indicator order k).
+_FAMILY_OF = {"coherence": ("multilevel", -1),
+              "nonseparability": ("separable", 0),
+              "entanglement": ("producible", -1)}
 
 
 class Diagnostics(NamedTuple):
@@ -57,7 +66,6 @@ class MaxAffinityResult(NamedTuple):
     affinity: float
     witness: DensityMatrix
     components: tuple[WitnessComponent, ...]
-    theta: np.ndarray
     diagnostics: Diagnostics
 
 
@@ -76,8 +84,7 @@ def _as_components(witness):
 
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                  seed, restarts: int = DEFAULT_RESTARTS,
-                 max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                 init_witnesses=()) -> MaxAffinityResult:
+                 max_iter: int = DEFAULT_MAX_ITER, init_witnesses=()) -> MaxAffinityResult:
     """Best affinity between rho and the family found by multi-start search.
 
     Starting points are the encoded initial witnesses followed by seeded
@@ -114,7 +121,8 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
             return objective(theta0), 0, theta0
         res = minimize(objective, theta0, method="Nelder-Mead",
                        options={"maxiter": max_iter, "maxfev": 8 * max_iter,
-                                "xatol": tol, "fatol": tol, "adaptive": True})
+                                "xatol": _SIMPLEX_TOL, "fatol": _SIMPLEX_TOL,
+                                "adaptive": True})
         return float(res.fun), int(res.nit), res.x
 
     outcomes = [run(t) for t in starts]
@@ -131,7 +139,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
             f"witness affinity {recomputed} drifted from optimum {best_aff}")
     diag = Diagnostics(len(starts), sum(o[1] for o in outcomes),
                        float((-funs).max() - (-funs).min()))
-    return MaxAffinityResult(float(best_aff), witness, components, theta, diag)
+    return MaxAffinityResult(float(best_aff), witness, components, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +223,14 @@ def _result(label, k, alpha, variant, seed, affinity, witness, components,
                            spread=diag.spread)
 
 
+def _searched(rho, base, k, alpha, variant, seed, m, opts) -> IndicatorResult:
+    kind, shift = _FAMILY_OF[base]
+    family = build_family(kind, rho.dims, k + shift, m=m)
+    res = max_affinity(rho, family, alpha, seed=seed, **opts)
+    return _result(base, k, alpha, variant, seed, res.affinity, res.witness,
+                   res.components, res.diagnostics)
+
+
 def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
                          variant: str = "plain", *, seed, m=None,
                          **opts) -> IndicatorResult:
@@ -229,10 +245,7 @@ def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
         return _result("coherence", k, alpha, variant, seed, s ** float(alpha),
                        _trusted(np.diag(q), rho.dims),
                        closed_form_witness(rho, alpha), Diagnostics(0, 0, 0.0))
-    family = build_family("multilevel", rho.dims, k - 1, m=m)
-    res = max_affinity(rho, family, alpha, seed=seed, **opts)
-    return _result("coherence", k, alpha, variant, seed, res.affinity,
-                   res.witness, res.components, res.diagnostics)
+    return _searched(rho, "coherence", k, alpha, variant, seed, m, opts)
 
 
 def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float,
@@ -245,22 +258,12 @@ def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float
     indicator against (k-1)-producible mixtures (2 <= k <= n+1), nonzero
     only in the presence of k-partite entanglement.
     """
-    n = len(rho.dims)
-    if kind == "nonseparability":
-        if not 1 <= k <= n:
-            raise KOutOfRange(f"need 1 <= k <= {n}, got {k}")
-        family = build_family("separable", rho.dims, k, m=m)
-        label = "nonseparability"
-    elif kind == "entanglement":
-        if not 2 <= k <= n + 1:
-            raise KOutOfRange(f"need 2 <= k <= {n + 1}, got {k}")
-        family = build_family("producible", rho.dims, k - 1, m=m)
-        label = "entanglement"
-    else:
+    if kind not in ("nonseparability", "entanglement"):
         raise ValueError(f"kind must be 'nonseparability' or 'entanglement', got {kind!r}")
-    res = max_affinity(rho, family, alpha, seed=seed, **opts)
-    return _result(label, k, alpha, variant, seed, res.affinity, res.witness,
-                   res.components, res.diagnostics)
+    n, shift = len(rho.dims), _FAMILY_OF[kind][1]
+    if not 1 <= k + shift <= n:
+        raise KOutOfRange(f"need {1 - shift} <= k <= {n - shift}, got {k}")
+    return _searched(rho, kind, k, alpha, variant, seed, m, opts)
 
 
 def compute_indicator(rho: DensityMatrix, label: str, k: int, alpha: float,
@@ -307,12 +310,9 @@ def results_to_json(results) -> str:
 
 def check_witness(result: IndicatorResult, rho: DensityMatrix, tol: float = 1e-9) -> bool:
     """Revalidate a result: witness membership plus affinity recomputation."""
-    base = result.label.removesuffix("_avg")
-    kind, bound = {"coherence": ("multilevel", result.k - 1),
-                   "nonseparability": ("separable", result.k),
-                   "entanglement": ("producible", result.k - 1)}[base]
+    kind, shift = _FAMILY_OF[result.label.removesuffix("_avg")]
     for comp in result.components:
-        if comp.weight > 1e-9 and not is_feasible_pure(kind, bound, comp.state):
+        if comp.weight > 1e-9 and not is_feasible_pure(kind, result.k + shift, comp.state):
             return False
     return abs(alpha_affinity(rho, result.witness, result.alpha)
                - result.best_affinity) <= tol

@@ -50,7 +50,7 @@ from .feasible import (
     decode_mixture,
     structure_pool,
 )
-from .indicators import closed_form_k2, max_affinity
+from .indicators import _seed_key, _variant_value, closed_form_k2, max_affinity
 from .states import (
     PureState,
     _rng,
@@ -118,14 +118,17 @@ def _deficit(cert: InequalityCertificate) -> float:
 
 
 def summarize(certs):
-    """Per-label (count, worst deficit, tolerance, passed)."""
+    """Per-label (count, worst deficit, tolerance, passed).  A label with no
+    entry in TOLERANCES raises ValueError."""
     out = {}
     for c in certs:
         entry = out.setdefault(c.label, {"count": 0, "min_slack": np.inf})
         entry["count"] += 1
         entry["min_slack"] = min(entry["min_slack"], _deficit(c))
     for label, entry in out.items():
-        tol = TOLERANCES.get(label, 0.0)
+        if label not in TOLERANCES:
+            raise ValueError(f"certificate label {label!r} has no tolerance")
+        tol = TOLERANCES[label]
         entry["tol"] = tol
         entry["passed"] = entry["min_slack"] >= -tol
     return out
@@ -228,32 +231,57 @@ def run_appendix_b(seed, n_samples=None):
 
 
 # ---------------------------------------------------------------------------
-# Witness transport helpers shared by the theorem suites.
+# Witness transport shared by the theorem suites: each step (channel, local
+# unitary, selective outcome, tensor product) maps an explicit witness to a
+# feasible one for the image state, and ``_solve`` injects it into the second
+# optimization, so the claimed inequality holds by construction.
 # ---------------------------------------------------------------------------
 
-def _family(kind, dims, k, copies=1):
-    """Family with ``copies`` slots for every structure in its pool."""
-    return build_family(kind, dims, k, m=len(structure_pool(kind, dims, k)) * copies)
+def _solve(rho, kind, k, alpha, tags, copies=1, witness=None, **effort):
+    """Best affinity of rho against a family with ``copies`` slots for every
+    structure in its pool, seeded by ``tags``, starting from ``witness``."""
+    family = build_family(kind, rho.dims, k,
+                          m=len(structure_pool(kind, rho.dims, k)) * copies)
+    return max_affinity(rho, family, alpha, seed=_seed_key(tags),
+                        init_witnesses=() if witness is None else [witness], **effort)
 
 
-def _push_pure(op: np.ndarray, comp: WitnessComponent, structure) -> WitnessComponent | None:
-    amps = op @ comp.state.amps
-    nrm2 = float(np.real(np.vdot(amps, amps)))
-    if nrm2 <= 0.0:
-        return None
-    return WitnessComponent(comp.weight * nrm2,
-                            pure_state(amps, comp.state.dims), structure)
+def _pushed(op: np.ndarray, comps, keep_structure: bool):
+    """Unnormalized witness image under one Kraus operator."""
+    out = []
+    for c in comps:
+        amps = op @ c.state.amps
+        nrm2 = float(np.real(np.vdot(amps, amps)))
+        if nrm2 > 0.0:
+            out.append(WitnessComponent(c.weight * nrm2, pure_state(amps, c.state.dims),
+                                        c.structure if keep_structure else None))
+    return out
 
 
 def _apply_to_components(channel, comps, keep_structure: bool):
     """Unnormalized witness image under the full channel, component-wise."""
-    out = []
-    for k in channel.kraus:
-        for c in comps:
-            pushed = _push_pure(k, c, c.structure if keep_structure else None)
-            if pushed is not None:
-                out.append(pushed)
-    return out
+    return [c for op in channel.kraus for c in _pushed(op, comps, keep_structure)]
+
+
+def _selective_witnesses(channel, rho, comps, keep_structure: bool):
+    """Yield (p_i, rho_i, witness_i) for every outcome that both the state
+    and the witness reach; witness_i is the normalized pushed witness."""
+    for op in channel.kraus:
+        out = op @ rho.data @ op.conj().T
+        p = float(np.real(np.trace(out)))
+        if p <= OUTCOME_THRESHOLD:
+            continue
+        pushed = _pushed(op, comps, keep_structure)
+        q = sum(c.weight for c in pushed)
+        if q <= OUTCOME_THRESHOLD:
+            continue
+        yield p, validate(out / p, rho.dims), [
+            WitnessComponent(c.weight / q, c.state, c.structure) for c in pushed]
+
+
+def _rotated(u, comps):
+    return [WitnessComponent(c.weight, pure_state(u @ c.state.amps, c.state.dims),
+                             c.structure) for c in comps]
 
 
 def _scaled(comps, factor):
@@ -269,6 +297,17 @@ def _tensor_components(left, right, dims, join_structure):
                                         pure_state(amps, dims),
                                         join_structure(a.structure, b.structure)))
     return out
+
+
+def _values(affinity, alpha):
+    """(plain, avg) indicator values of a maximal affinity."""
+    return _variant_value(affinity, alpha, "plain"), _variant_value(affinity, alpha, "avg")
+
+
+def _subadditivity_certs(label, joint, left, right, alpha, seed):
+    """Tensor subadditivity of both variants, from (plain, avg) value pairs."""
+    return [_cert(label, joint[v], left[v] + right[v], alpha=alpha, seed=seed)
+            for v in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +349,9 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
 
         small1 = random_mixed((2 + i % 2,), 2 + i % 2, [seed, 2, i, 4])
         small2 = random_mixed((2 + (i + 1) % 2,), 2 + (i + 1) % 2, [seed, 2, i, 5])
-        prod_plain, prod_avg = closed_form_k2(tensor(small1, small2), alpha)
-        for variant, lhs in (("plain", prod_plain), ("avg", prod_avg)):
-            idx = 0 if variant == "plain" else 1
-            certs.append(_cert("order2-tensor-subadditivity", lhs,
-                               closed_form_k2(small1, alpha)[idx]
-                               + closed_form_k2(small2, alpha)[idx],
-                               alpha=alpha, seed=seed))
+        certs.extend(_subadditivity_certs(
+            "order2-tensor-subadditivity", closed_form_k2(tensor(small1, small2), alpha),
+            closed_form_k2(small1, alpha), closed_form_k2(small2, alpha), alpha, seed))
 
     certs.extend(_theorem1_constructive(seed, nc))
     return certs
@@ -331,18 +366,15 @@ def _theorem1_constructive(seed, nc):
         alpha = ALPHA_GRID[i % 3]
         rho1 = random_mixed((d,), d, [seed, 3, i, 0])
         rho2 = random_mixed((d,), d, [seed, 3, i, 1])
-        fam = _family("multilevel", (d,), k - 1)
-
-        r1 = max_affinity(rho1, fam, alpha, seed=_seed_int(seed, 3, i, 2), **opts)
-        r2 = max_affinity(rho2, fam, alpha, seed=_seed_int(seed, 3, i, 3), **opts)
+        r1 = _solve(rho1, "multilevel", k - 1, alpha, (seed, 3, i, 2), **opts)
+        r2 = _solve(rho2, "multilevel", k - 1, alpha, (seed, 3, i, 3), **opts)
 
         # convexity of the plain indicator via mixed witnesses
         lam = _rng([seed, 3, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
         mixed_wit = _scaled(r1.components, lam[0]) + _scaled(r2.components, lam[1])
-        fam_mix = _family("multilevel", (d,), k - 1, copies=2)
-        rm = max_affinity(mix, fam_mix, alpha, seed=_seed_int(seed, 3, i, 5),
-                          init_witnesses=[mixed_wit], **opts)
+        rm = _solve(mix, "multilevel", k - 1, alpha, (seed, 3, i, 5), copies=2,
+                    witness=mixed_wit, **opts)
         certs.append(_cert("order3-witness-convexity", 1.0 - rm.affinity,
                            lam[0] * (1.0 - r1.affinity) + lam[1] * (1.0 - r2.affinity),
                            alpha=alpha, seed=seed))
@@ -350,33 +382,20 @@ def _theorem1_constructive(seed, nc):
         # channel monotonicity and average monotonicity under monomial maps
         chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
         moved = _apply_to_components(chan, r1.components, keep_structure=False)
-        fam_out = _family("multilevel", (d,), k - 1, copies=len(moved))
-        ro = max_affinity(channel_apply(chan, rho1), fam_out, alpha,
-                          seed=_seed_int(seed, 3, i, 7),
-                          init_witnesses=[moved], restarts=1, max_iter=100)
+        ro = _solve(channel_apply(chan, rho1), "multilevel", k - 1, alpha, (seed, 3, i, 7),
+                    copies=len(moved), witness=moved, restarts=1, max_iter=100)
         certs.append(_cert("order3-witness-channel-monotonicity",
                            1.0 - ro.affinity, 1.0 - r1.affinity,
                            alpha=alpha, seed=seed))
 
         lhs = 0.0
-        for ki in chan.kraus:
-            m = ki @ rho1.data @ ki.conj().T
-            p = float(np.real(np.trace(m)))
-            if p <= OUTCOME_THRESHOLD:
-                continue
-            rho_i = validate(m / p, (d,))
-            pushed = [c for c in (_push_pure(ki, comp, None) for comp in r1.components)
-                      if c is not None]
-            q = sum(c.weight for c in pushed)
-            if q <= OUTCOME_THRESHOLD:
-                continue
-            wit_i = [WitnessComponent(c.weight / q, c.state, None) for c in pushed]
-            fam_i = _family("multilevel", (d,), k - 1, copies=len(wit_i))
-            ri = max_affinity(rho_i, fam_i, alpha, seed=_seed_int(seed, 3, i, 8),
-                              init_witnesses=[wit_i], restarts=1, max_iter=100)
-            lhs += p * (1.0 - ri.affinity ** (1.0 / alpha))
+        for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components,
+                                                  keep_structure=False):
+            ri = _solve(rho_i, "multilevel", k - 1, alpha, (seed, 3, i, 8),
+                        copies=len(wit), witness=wit, restarts=1, max_iter=100)
+            lhs += p * _variant_value(ri.affinity, alpha, "avg")
         certs.append(_cert("order3-witness-avg-monotonicity", lhs,
-                           1.0 - r1.affinity ** (1.0 / alpha),
+                           _variant_value(r1.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
 
         # tensor subadditivity: order (k-1)^2 + 1 on the 9-level product
@@ -384,24 +403,12 @@ def _theorem1_constructive(seed, nc):
         tens_wit = _tensor_components(
             r1.components, r2.components, joint.dims,
             lambda s1, s2: tuple(sorted(3 * a + b for a in s1 for b in s2)))
-        fam_t = _family("multilevel", joint.dims, (k - 1) ** 2)
-        rt = max_affinity(joint, fam_t, alpha, seed=_seed_int(seed, 3, i, 9),
-                          init_witnesses=[tens_wit], restarts=0, max_iter=0)
-        for variant in ("plain", "avg"):
-            if variant == "plain":
-                lhs, rhs = 1.0 - rt.affinity, (1.0 - r1.affinity) + (1.0 - r2.affinity)
-            else:
-                lhs = 1.0 - rt.affinity ** (1.0 / alpha)
-                rhs = (1.0 - r1.affinity ** (1.0 / alpha)) \
-                    + (1.0 - r2.affinity ** (1.0 / alpha))
-            certs.append(_cert("order3-witness-tensor-subadditivity", lhs, rhs,
-                               alpha=alpha, seed=seed))
+        rt = _solve(joint, "multilevel", (k - 1) ** 2, alpha, (seed, 3, i, 9),
+                    witness=tens_wit, restarts=0, max_iter=0)
+        certs.extend(_subadditivity_certs(
+            "order3-witness-tensor-subadditivity", _values(rt.affinity, alpha),
+            _values(r1.affinity, alpha), _values(r2.affinity, alpha), alpha, seed))
     return certs
-
-
-def _seed_int(seed, *tags):
-    mixed = np.random.SeedSequence([int(seed)] + [int(t) for t in tags])
-    return int(mixed.generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +422,21 @@ def _t2_config(i):
     return ALPHA_GRID[i % 3], dims, kind, famk
 
 
-def _t2_run(seed, tags, rho, dims, kind, famk, alpha, copies=2, **extra):
-    fam = _family(kind, dims, famk, copies=copies)
-    opts = {"restarts": 1, "max_iter": 200}
-    opts.update(extra)
-    return max_affinity(rho, fam, alpha, seed=_seed_int(seed, *tags), **opts)
-
-
 def run_theorem2(seed, n_samples=None):
     n = 30 if n_samples is None else int(n_samples)
     certs = []
+    opts = {"restarts": 1, "max_iter": 200}
 
     # members of each family score (numerically) zero
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        fam = _family(kind, dims, famk, copies=2)
+        fam = build_family(kind, dims, famk, m=2 * len(structure_pool(kind, dims, famk)))
         theta = _rng([seed, 4, 0, i]).standard_normal(fam.param_len)
         member_comps = decode_mixture(fam, theta)
         member = validate(sum(c.weight * c.state.projector().data
                               for c in member_comps), dims)
-        rz = max_affinity(member, fam, alpha, seed=_seed_int(seed, 4, 0, i),
-                          init_witnesses=[member_comps], restarts=1, max_iter=200)
+        rz = _solve(member, kind, famk, alpha, (seed, 4, 0, i), copies=2,
+                    witness=member_comps, **opts)
         certs.append(_cert("zero-on-members", 1.0 - rz.affinity, 0.0,
                            alpha=alpha, seed=seed))
 
@@ -443,20 +444,16 @@ def run_theorem2(seed, n_samples=None):
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
         rho = random_mixed(dims, prod(dims), [seed, 4, 1, i])
-        r1 = _t2_run(seed, (4, 1, i, 0), rho, dims, kind, famk, alpha)
+        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 0), copies=2, **opts)
         u_full = np.array([[1.0 + 0j]])
         for j in range(len(dims)):
             u_full = np.kron(u_full, random_unitary(2, [seed, 4, 1, i, j]))
         rho_u = validate(u_full @ rho.data @ u_full.conj().T, dims)
-        wit_u = [WitnessComponent(c.weight, pure_state(u_full @ c.state.amps, dims),
-                                  c.structure) for c in r1.components]
-        r2 = _t2_run(seed, (4, 1, i, 1), rho_u, dims, kind, famk, alpha,
-                     init_witnesses=[wit_u])
-        wit_back = [WitnessComponent(c.weight,
-                                     pure_state(u_full.conj().T @ c.state.amps, dims),
-                                     c.structure) for c in r2.components]
-        r3 = _t2_run(seed, (4, 1, i, 2), rho, dims, kind, famk, alpha,
-                     init_witnesses=[wit_back], restarts=0, max_iter=0)
+        r2 = _solve(rho_u, kind, famk, alpha, (seed, 4, 1, i, 1), copies=2,
+                    witness=_rotated(u_full, r1.components), **opts)
+        r3 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 2), copies=2,
+                    witness=_rotated(u_full.conj().T, r2.components),
+                    restarts=0, max_iter=0)
         certs.append(_cert("local-unitary-witness",
                            1.0 - max(r1.affinity, r3.affinity),
                            1.0 - r2.affinity, equality=True, alpha=alpha, seed=seed))
@@ -466,13 +463,13 @@ def run_theorem2(seed, n_samples=None):
         alpha, dims, kind, famk = _t2_config(i)
         rho_a = random_mixed(dims, prod(dims), [seed, 4, 2, i, 0])
         rho_b = random_mixed(dims, prod(dims), [seed, 4, 2, i, 1])
-        ra = _t2_run(seed, (4, 2, i, 2), rho_a, dims, kind, famk, alpha)
-        rb = _t2_run(seed, (4, 2, i, 3), rho_b, dims, kind, famk, alpha)
+        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 2, i, 2), copies=2, **opts)
+        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 2, i, 3), copies=2, **opts)
         lam = _rng([seed, 4, 2, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho_a.data + lam[1] * rho_b.data, dims)
-        rmix = _t2_run(seed, (4, 2, i, 5), mix, dims, kind, famk, alpha, copies=4,
-                       init_witnesses=[_scaled(ra.components, lam[0])
-                                       + _scaled(rb.components, lam[1])])
+        rmix = _solve(mix, kind, famk, alpha, (seed, 4, 2, i, 5), copies=4,
+                      witness=_scaled(ra.components, lam[0]) + _scaled(rb.components, lam[1]),
+                      **opts)
         certs.append(_cert("witness-mixing-convexity", 1.0 - rmix.affinity,
                            lam[0] * (1.0 - ra.affinity) + lam[1] * (1.0 - rb.affinity),
                            alpha=alpha, seed=seed))
@@ -481,34 +478,23 @@ def run_theorem2(seed, n_samples=None):
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
         rho = random_mixed(dims, prod(dims), [seed, 4, 3, i])
-        r1 = _t2_run(seed, (4, 3, i, 0), rho, dims, kind, famk, alpha)
+        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 3, i, 0), copies=2, **opts)
         locc = make_local_product([random_channel(2, 2, [seed, 4, 3, i, j])
                                    for j in range(len(dims))])
         moved = _apply_to_components(locc, r1.components, keep_structure=True)
-        rl = _t2_run(seed, (4, 3, i, 1), channel_apply(locc, rho), dims, kind, famk,
-                     alpha, copies=max(2, len(moved)), init_witnesses=[moved],
-                     restarts=0, max_iter=0)
+        rl = _solve(channel_apply(locc, rho), kind, famk, alpha, (seed, 4, 3, i, 1),
+                    copies=max(2, len(moved)), witness=moved, restarts=0, max_iter=0)
         certs.append(_cert("locc-monotonicity", 1.0 - rl.affinity,
                            1.0 - r1.affinity, alpha=alpha, seed=seed))
 
         lhs = 0.0
-        for ki in locc.kraus:
-            m = ki @ rho.data @ ki.conj().T
-            p = float(np.real(np.trace(m)))
-            if p <= OUTCOME_THRESHOLD:
-                continue
-            pushed = [c for c in (_push_pure(ki, comp, comp.structure)
-                                  for comp in r1.components) if c is not None]
-            q = sum(c.weight for c in pushed)
-            if q <= OUTCOME_THRESHOLD:
-                continue
-            wit = [WitnessComponent(c.weight / q, c.state, c.structure) for c in pushed]
-            ri = _t2_run(seed, (4, 3, i, 2), validate(m / p, dims), dims, kind, famk,
-                         alpha, copies=max(2, len(wit)), init_witnesses=[wit],
-                         restarts=0, max_iter=0)
-            lhs += p * (1.0 - ri.affinity ** (1.0 / alpha))
+        for p, rho_i, wit in _selective_witnesses(locc, rho, r1.components,
+                                                  keep_structure=True):
+            ri = _solve(rho_i, kind, famk, alpha, (seed, 4, 3, i, 2),
+                        copies=max(2, len(wit)), witness=wit, restarts=0, max_iter=0)
+            lhs += p * _variant_value(ri.affinity, alpha, "avg")
         certs.append(_cert("locc-avg-monotonicity", lhs,
-                           1.0 - r1.affinity ** (1.0 / alpha),
+                           _variant_value(r1.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
 
     # tensor subadditivity on two 2-qubit factors (4 qubits total)
@@ -518,34 +504,30 @@ def run_theorem2(seed, n_samples=None):
         kind, famk = ("separable", 2) if i % 2 == 0 else ("producible", 1)
         rho_a = random_mixed(dims, prod(dims), [seed, 4, 4, i, 0])
         rho_b = random_mixed(dims, prod(dims), [seed, 4, 4, i, 1])
-        ra = _t2_run(seed, (4, 4, i, 2), rho_a, dims, kind, famk, alpha)
-        rb = _t2_run(seed, (4, 4, i, 3), rho_b, dims, kind, famk, alpha)
+        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 4, i, 2), copies=2, **opts)
+        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 4, i, 3), copies=2, **opts)
         joint = tensor(rho_a, rho_b)
         tens_wit = _tensor_components(
             ra.components, rb.components, joint.dims,
             lambda s1, s2: _join_partitions(s1, s2, len(dims), famk, kind))
-        fam_j = _family(kind, joint.dims, famk, copies=len(tens_wit))
-        rj = max_affinity(joint, fam_j, alpha, seed=_seed_int(seed, 4, 4, i, 4),
-                          init_witnesses=[tens_wit], restarts=0, max_iter=0)
-        for variant_pow in (1.0, 1.0 / alpha):
-            certs.append(_cert("tensor-subadditivity",
-                               1.0 - rj.affinity ** variant_pow,
-                               (1.0 - ra.affinity ** variant_pow)
-                               + (1.0 - rb.affinity ** variant_pow),
-                               alpha=alpha, seed=seed))
+        rj = _solve(joint, kind, famk, alpha, (seed, 4, 4, i, 4), copies=len(tens_wit),
+                    witness=tens_wit, restarts=0, max_iter=0)
+        certs.extend(_subadditivity_certs(
+            "tensor-subadditivity", _values(rj.affinity, alpha),
+            _values(ra.affinity, alpha), _values(rb.affinity, alpha), alpha, seed))
 
     # nesting: a finer separability witness serves every coarser order
     for i in range(n):
         alpha = ALPHA_GRID[i % 3]
         dims = (2, 2, 2)
         rho = random_mixed(dims, prod(dims), [seed, 4, 5, i])
-        rf = _t2_run(seed, (4, 5, i, 0), rho, dims, "separable", 3, alpha)
-        rn = _t2_run(seed, (4, 5, i, 1), rho, dims, "separable", 2, alpha,
-                     copies=max(2, len(rf.components)),
-                     init_witnesses=[rf.components], restarts=0, max_iter=0)
+        rf = _solve(rho, "separable", 3, alpha, (seed, 4, 5, i, 0), copies=2, **opts)
+        rn = _solve(rho, "separable", 2, alpha, (seed, 4, 5, i, 1),
+                    copies=max(2, len(rf.components)), witness=rf.components,
+                    restarts=0, max_iter=0)
         certs.append(_cert("family-nesting",
-                           1.0 - rn.affinity ** (1.0 / alpha),
-                           1.0 - rf.affinity ** (1.0 / alpha),
+                           _variant_value(rn.affinity, alpha, "avg"),
+                           _variant_value(rf.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
     return certs
 
@@ -639,7 +621,7 @@ def run_theorem3(seed, n_samples=None):
             alpha = ALPHA_GRID[i % 3]
             rho = random_mixed((d,), d, [seed, 6, d, k, i])
             try:
-                rows = theorem3_check(rho, k, alpha, seed=_seed_int(seed, 6, d, k, i),
+                rows = theorem3_check(rho, k, alpha, seed=_seed_key([seed, 6, d, k, i]),
                                       restarts=1, max_iter=150)
             except FeasibilityCheckFailed:
                 certs.append(_cert("transport-witness-feasible", 0.0, 1.0,

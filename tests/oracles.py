@@ -50,8 +50,10 @@ def partial_transpose(data, dims, site):
 
 
 def _herm_power(m, t):
+    """m^t for a PSD matrix; eigenvalues below 64 eps of the largest are
+    eigensolver noise on a singular spectrum and count as exact zeros."""
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0.0, None) ** t
+    w = np.where(w > 64 * np.finfo(float).eps * w.max(), w, 0.0) ** t
     return (v * w) @ v.conj().T
 
 

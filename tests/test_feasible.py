@@ -204,12 +204,3 @@ def test_factorize_reconstruction_and_limits():
     fac = rk.factorize_pure(prod)
     rebuilt = np.kron(fac.factors[0].amps, fac.factors[1].amps)
     assert 1.0 - abs(np.vdot(rebuilt, prod.amps)) <= 1e-10
-
-
-def test_family_json_round_trip():
-    fam = rk.build_family("producible", (2, 2, 2), 2, m=5)
-    again = rk.family_from_json(rk.family_to_json(fam))
-    assert again.kind == fam.kind
-    assert again.k == fam.k
-    assert again.structures == fam.structures
-    assert again.param_len == fam.param_len

@@ -59,10 +59,14 @@ def test_optimizer_matches_closed_form_without_injection():
 
 
 def test_closed_form_inside_frank_wolfe_bracket():
-    # the independent oracle certifies [lb, ub] around the order-2 maximum
+    # the independent oracle certifies [lb, ub] around the order-2 maximum,
+    # on full-rank and on rank-deficient (singular) states
     for d in (2, 3, 4):
-        for i, alpha in enumerate((0.3, 0.5, 0.7, 0.5)):
-            rho = rk.random_mixed([d], d, seed=[22, d, i])
+        cases = [(rk.random_mixed([d], d, seed=[22, d, i]), alpha)
+                 for i, alpha in enumerate((0.3, 0.5, 0.7, 0.5))]
+        cases += [(rk.random_mixed([d], rank, seed=[22, d, rank]), alpha)
+                  for rank in range(1, d) for alpha in (0.3, 0.5, 0.7)]
+        for rho, alpha in cases:
             lb, ub = max_affinity_support(rho.data, alpha, 1)
             cf = 1.0 - rk.closed_form_k2(rho, alpha)[0]
             assert lb - 1e-9 <= cf <= ub + 1e-9

@@ -65,6 +65,14 @@ def test_equality_labels_use_absolute_slack():
     assert not all_passed([above])
 
 
+def test_summary_rejects_unknown_label():
+    made_up = InequalityCertificate("made-up-label", 0.0, 1.0, 1.0, False, 0.5, SEED)
+    with pytest.raises(ValueError, match="made-up-label"):
+        summarize([made_up])
+    with pytest.raises(ValueError):
+        all_passed([made_up])
+
+
 def test_every_emitted_label_has_a_tolerance():
     for name in SUITE_NAMES:
         n = 2 if name in ("theorem2", "theorem3") else 6
