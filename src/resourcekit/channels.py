@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -23,22 +22,12 @@ from .states import DensityMatrix, _rng, _trusted, random_unitary, validate
 COMPLETENESS_TOL = 1e-9
 OUTCOME_THRESHOLD = 1e-12
 
-TAGS = ("general", "unitary", "monomial_incoherent", "local_product")
-
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Ordered Kraus family with a completeness certificate.
-
-    ``site_factors`` is populated only for tag="local_product": one tuple of
-    per-site matrices per Kraus operator, whose Kronecker product equals the
-    operator.
-    """
+    """Ordered Kraus operators; the constructor that built them fixes the class."""
 
     kraus: tuple[np.ndarray, ...]
-    tag: str = "general"
-    site_dims: tuple[int, ...] | None = None
-    site_factors: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     @property
     def d_in(self) -> int:
@@ -61,12 +50,8 @@ def _completeness_defect(ops) -> float:
     return float(np.abs(acc - np.eye(d_in)).max())
 
 
-def _is_monomial(op: np.ndarray) -> bool:
-    return bool((np.count_nonzero(op, axis=0) <= 1).all())
-
-
-def kraus_channel(ops, tag="general", site_dims=None, site_factors=None) -> KrausChannel:
-    """Validate a Kraus family (completeness plus per-tag structure)."""
+def kraus_channel(ops) -> KrausChannel:
+    """Validate a Kraus family: non-empty, equal shapes, complete."""
     ops = tuple(np.ascontiguousarray(k, dtype=complex) for k in ops)
     if not ops:
         raise ChannelInvalid("empty Kraus list")
@@ -76,31 +61,9 @@ def kraus_channel(ops, tag="general", site_dims=None, site_factors=None) -> Krau
     defect = _completeness_defect(ops)
     if defect > COMPLETENESS_TOL:
         raise ChannelInvalid(f"sum K^dag K deviates from identity by {defect:.3e}")
-    if tag not in TAGS:
-        raise ChannelInvalid(f"unknown tag {tag!r}")
-    if tag == "unitary":
-        if len(ops) != 1:
-            raise ChannelInvalid("unitary tag requires a single Kraus operator")
-        u = ops[0]
-        if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > 1e-9:
-            raise ChannelInvalid("operator is not unitary")
-    if tag == "monomial_incoherent" and not all(_is_monomial(k) for k in ops):
-        raise ChannelInvalid("a Kraus operator has a column with two nonzeros")
-    if tag == "local_product":
-        if site_factors is None or site_dims is None:
-            raise ChannelInvalid("local_product tag requires site factors and dims")
-        site_dims = tuple(int(x) for x in site_dims)
-        site_factors = tuple(tuple(np.asarray(f, dtype=complex) for f in fs)
-                             for fs in site_factors)
-        for op, factors in zip(ops, site_factors):
-            acc = np.array([[1.0 + 0j]])
-            for f in factors:
-                acc = np.kron(acc, f)
-            if np.abs(acc - op).max() > 1e-10:
-                raise ChannelInvalid("stored factors do not reproduce a Kraus operator")
     for k in ops:
         k.setflags(write=False)
-    return KrausChannel(ops, tag, site_dims, site_factors)
+    return KrausChannel(ops)
 
 
 def _check_compat(channel: KrausChannel, rho: DensityMatrix) -> None:
@@ -138,11 +101,15 @@ def selective_apply(channel: KrausChannel, rho: DensityMatrix):
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return kraus_channel([np.eye(d, dtype=complex)], tag="unitary")
+    return kraus_channel([np.eye(d, dtype=complex)])
 
 
 def unitary_channel(u) -> KrausChannel:
-    return kraus_channel([np.asarray(u, dtype=complex)], tag="unitary")
+    """Single-operator channel; completeness makes a square operator unitary."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ChannelInvalid(f"unitary must be square, got shape {u.shape}")
+    return kraus_channel([u])
 
 
 def dephasing_channel(d: int) -> KrausChannel:
@@ -152,7 +119,7 @@ def dephasing_channel(d: int) -> KrausChannel:
         k = np.zeros((d, d), dtype=complex)
         k[i, i] = 1.0
         ops.append(k)
-    return kraus_channel(ops, tag="monomial_incoherent")
+    return kraus_channel(ops)
 
 
 def make_monomial_incoherent(d: int, outcomes: int, seed) -> KrausChannel:
@@ -180,7 +147,7 @@ def make_monomial_incoherent(d: int, outcomes: int, seed) -> KrausChannel:
         k = np.zeros((d, d), dtype=complex)
         k[perm, np.arange(d)] = row
         ops.append(k)
-    return kraus_channel(ops, tag="monomial_incoherent")
+    return kraus_channel(ops)
 
 
 def make_local_product(site_channels) -> KrausChannel:
@@ -188,21 +155,18 @@ def make_local_product(site_channels) -> KrausChannel:
 
     The joint Kraus index runs over the Cartesian product of the per-site
     outcome indices; each joint operator is the Kronecker product of its
-    per-site factors, which are stored on the result.
+    per-site operators.
     """
     site_channels = list(site_channels)
     if not site_channels:
         raise ChannelInvalid("need at least one site channel")
-    site_dims = tuple(ch.d_in for ch in site_channels)
-    ops, factor_lists = [], []
+    ops = []
     for combo in itertools.product(*(ch.kraus for ch in site_channels)):
         acc = np.array([[1.0 + 0j]])
         for f in combo:
             acc = np.kron(acc, f)
         ops.append(acc)
-        factor_lists.append(tuple(combo))
-    return kraus_channel(ops, tag="local_product",
-                         site_dims=site_dims, site_factors=tuple(factor_lists))
+    return kraus_channel(ops)
 
 
 def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
@@ -212,14 +176,14 @@ def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
     u = random_unitary(d * outcomes, seed)
     iso = u[:, :d]
     ops = [iso[i * d:(i + 1) * d, :] for i in range(outcomes)]
-    return kraus_channel(ops, tag="general")
+    return kraus_channel(ops)
 
 
 def random_projective(d: int, rank: int, seed) -> KrausChannel:
     """Two-outcome projective measurement onto a random rank-r subspace."""
     u = random_unitary(d, seed)
     p1 = u[:, :rank] @ u[:, :rank].conj().T
-    return kraus_channel([p1, np.eye(d) - p1], tag="general")
+    return kraus_channel([p1, np.eye(d) - p1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +199,11 @@ def _matrix_from_pairs(raw) -> np.ndarray:
 
 
 def channel_to_json(channel: KrausChannel) -> str:
-    doc = {"tag": channel.tag,
-           "kraus": [_matrix_to_pairs(k) for k in channel.kraus]}
-    if channel.site_dims is not None:
-        doc["site_dims"] = list(channel.site_dims)
-    if channel.site_factors is not None:
-        doc["site_factors"] = [[_matrix_to_pairs(f) for f in fs]
-                               for fs in channel.site_factors]
-    return json.dumps(doc)
+    return json.dumps({"kraus": [_matrix_to_pairs(k) for k in channel.kraus]})
 
 
 def channel_from_json(text: str) -> KrausChannel:
+    """Load a channel; keys other than ``kraus`` (older files also carry the
+    operation class and per-site factors) are ignored."""
     doc = json.loads(text)
-    ops = [_matrix_from_pairs(k) for k in doc["kraus"]]
-    factors = None
-    if "site_factors" in doc:
-        factors = [[_matrix_from_pairs(f) for f in fs] for fs in doc["site_factors"]]
-    return kraus_channel(ops, tag=doc.get("tag", "general"),
-                         site_dims=tuple(doc["site_dims"]) if "site_dims" in doc else None,
-                         site_factors=factors)
+    return kraus_channel([_matrix_from_pairs(k) for k in doc["kraus"]])

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .affinity import alpha_affinity, certificates_to_csv, _cert
+from .affinity import alpha_affinity, certificates_to_csv
 from .embedding import (
     build_embedding,
     depth_correspondence_pure,
@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a named certificate suite")
     p_ver.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     p_ver.add_argument("--n-samples", type=int, default=None)
-    p_ver.add_argument("--inject-failure", action="store_true",
-                       help=argparse.SUPPRESS)  # test hook: corrupt one certificate
     common(p_ver, with_opts=False)
 
     p_emb = sub.add_parser("embed", help="depth table and transported bounds")
@@ -126,8 +124,6 @@ def _cmd_indicator(args) -> int:
 
 def _cmd_verify(args) -> int:
     certs = run_suite(args.suite, args.seed, args.n_samples)
-    if args.inject_failure:
-        certs = list(certs) + [_cert("bounds", 1.0, 0.0, seed=args.seed)]
     if args.n_samples == 0:
         sys.stderr.write("warning: n-samples=0, the pass is vacuous\n")
     summary = summarize(certs)

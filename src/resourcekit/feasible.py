@@ -372,6 +372,8 @@ def _part_factors(family: FeasibleFamily, psi: PureState, slot) -> list[np.ndarr
 
 def _encode_component(family, psi, slot) -> np.ndarray:
     if family.kind == "multilevel":
+        if np.abs(np.delete(psi.amps, list(slot))).max(initial=0.0) > 1e-10:
+            raise WitnessEncodingError("component has amplitude outside the chosen slot")
         z = psi.amps[list(slot)]
         block = np.empty(2 * len(slot))
         block[0::2] = z.real - 1.0

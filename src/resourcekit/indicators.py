@@ -82,25 +82,34 @@ def _as_components(witness):
     return out
 
 
+def _seed_key(seed) -> int:
+    """Canonical integer form of a seed (scalars pass through unchanged)."""
+    if seed is None:
+        raise ValueError("seed is required")
+    if np.ndim(seed) == 0:
+        return int(seed)
+    return int(np.random.SeedSequence([int(s) for s in seed]).generate_state(1)[0])
+
+
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                  seed, restarts: int = DEFAULT_RESTARTS,
                  max_iter: int = DEFAULT_MAX_ITER, init_witnesses=()) -> MaxAffinityResult:
     """Best affinity between rho and the family found by multi-start search.
 
     Starting points are the encoded initial witnesses followed by seeded
-    random vectors; random start r depends only on (seed, r), so enlarging
-    ``restarts`` never discards earlier starts and the best value is
-    monotone in search effort.  ``max_iter=0`` evaluates the starts without
-    local polishing.  Starts run one after another and ties resolve to the
-    lowest start index, making the result deterministic per seed.  An
+    random vectors; random start r depends only on (_seed_key(seed), r), so
+    a sequence seed and the integer reported for it give the same starts,
+    and enlarging ``restarts`` never discards earlier starts and the best
+    value is monotone in search effort.  ``max_iter=0`` evaluates the starts
+    without local polishing.  Starts run one after another and ties resolve
+    to the lowest start index, making the result deterministic per seed.  An
     initial witness that fits no free family slot raises
     WitnessEncodingError (see :func:`encode`).
     """
     alpha = _check_alpha(alpha)
     if rho.d != family.d:
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
-    if seed is None:
-        raise ValueError("seed is required")
+    key = _seed_key(seed)
     rho_a = _frac_power_raw(rho.data, alpha)
     one_minus = 1.0 - alpha
 
@@ -108,10 +117,9 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
         s_pow = _frac_power_raw(_decode_raw(family, theta), one_minus)
         return -float(np.real(np.sum(rho_a * s_pow.T)))
 
-    seed_words = [int(s) for s in seed] if np.ndim(seed) else [int(seed)]
     starts = [encode(family, _as_components(w)) for w in init_witnesses]
     for r in range(restarts):
-        rng = np.random.default_rng(seed_words + [r])
+        rng = np.random.default_rng([key, r])
         starts.append(rng.standard_normal(family.param_len))
     if not starts:
         raise ValueError("need restarts > 0 or at least one initial witness")
@@ -167,11 +175,14 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     return 1.0 - s ** alpha, 1.0 - s
 
 
+def _diagonal_components(q: np.ndarray, dims) -> list[WitnessComponent]:
+    return [WitnessComponent(float(qi), basis_pure(dims, i), (i,))
+            for i, qi in enumerate(q) if qi > 0.0]
+
+
 def closed_form_witness(rho: DensityMatrix, alpha: float) -> list[WitnessComponent]:
     """The optimal diagonal mixture behind :func:`closed_form_k2`."""
-    q = _k2_weights(rho, _check_alpha(alpha))[0]
-    return [WitnessComponent(float(qi), basis_pure(rho.dims, i), (i,))
-            for i, qi in enumerate(q) if qi > 0.0]
+    return _diagonal_components(_k2_weights(rho, _check_alpha(alpha))[0], rho.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +212,6 @@ def _variant_value(affinity: float, alpha: float, variant: str) -> float:
     if variant == "avg":
         return 1.0 - affinity ** (1.0 / alpha)
     raise ValueError(f"variant must be 'plain' or 'avg', got {variant!r}")
-
-
-def _seed_key(seed) -> int:
-    """Canonical integer form of a seed (scalars pass through unchanged)."""
-    if seed is None:
-        raise ValueError("seed is required")
-    if np.ndim(seed) == 0:
-        return int(seed)
-    return int(np.random.SeedSequence([int(s) for s in seed]).generate_state(1)[0])
 
 
 def _result(label, k, alpha, variant, seed, affinity, witness, components,
@@ -244,7 +246,7 @@ def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
         q, s = _k2_weights(rho, _check_alpha(alpha))
         return _result("coherence", k, alpha, variant, seed, s ** float(alpha),
                        _trusted(np.diag(q), rho.dims),
-                       closed_form_witness(rho, alpha), Diagnostics(0, 0, 0.0))
+                       _diagonal_components(q, rho.dims), Diagnostics(0, 0, 0.0))
     return _searched(rho, "coherence", k, alpha, variant, seed, m, opts)
 
 
@@ -309,10 +311,15 @@ def results_to_json(results) -> str:
 
 
 def check_witness(result: IndicatorResult, rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    """Revalidate a result: witness membership plus affinity recomputation."""
+    """Revalidate a result: component membership, witness equal to the
+    component mixture, and affinity recomputation."""
     kind, shift = _FAMILY_OF[result.label.removesuffix("_avg")]
     for comp in result.components:
         if comp.weight > 1e-9 and not is_feasible_pure(kind, result.k + shift, comp.state):
             return False
+    mixture = sum(c.weight * np.outer(c.state.amps, c.state.amps.conj())
+                  for c in result.components)
+    if np.abs(mixture - result.witness.data).max() > tol:
+        return False
     return abs(alpha_affinity(rho, result.witness, result.alpha)
                - result.best_affinity) <= tol

@@ -204,7 +204,7 @@ def test_block_diagonal_qubit_dephasing_by_hand():
     rho, sig = _pair(27, d=2)
     k0 = np.diag([1.0, np.sqrt(0.3)]).astype(complex)
     k1 = np.diag([0.0, np.sqrt(0.7)]).astype(complex)
-    chan = rk.kraus_channel([k0, k1], tag="monomial_incoherent")
+    chan = rk.kraus_channel([k0, k1])
     cert = rk.block_diagonal_affinity(rho, sig, chan, 0.5)
 
     def herm_sqrt(m):

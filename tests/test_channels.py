@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,6 @@ def test_local_product_identity_and_unitaries():
     u2 = rk.unitary_channel(rk.random_unitary(2, seed=15))
     combo = rk.make_local_product([u1, u2])
     assert combo.outcomes == 1
-    assert combo.tag == "local_product"
 
 
 def test_local_product_dephasing_tensor_identity():
@@ -116,28 +117,49 @@ def test_kraus_validation_errors():
         rk.kraus_channel([np.eye(2) * 0.5])
     with pytest.raises(ChannelInvalid):
         rk.kraus_channel([])
+    # an isometry passes the completeness check but is not unitary
     with pytest.raises(ChannelInvalid):
-        rk.kraus_channel([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)], tag="unitary")
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        rk.unitary_channel(np.eye(3)[:, :2])
     with pytest.raises(ChannelInvalid):
-        rk.kraus_channel([hadamard], tag="monomial_incoherent")
+        rk.unitary_channel(np.diag([1.0, 0.5]))
     with pytest.raises(DimensionMismatch):
         rk.apply(rk.identity_channel(3), rk.random_mixed([2], 2, seed=20))
+
+
+def _monomial(chan):
+    return all((np.count_nonzero(k, axis=0) <= 1).all() for k in chan.kraus)
 
 
 def test_amplitude_damping_is_monomial():
     k0 = np.array([[1, 0], [0, np.sqrt(0.5)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
-    chan = rk.kraus_channel([k0, k1], tag="monomial_incoherent")
-    assert chan.tag == "monomial_incoherent"
+    chan = rk.kraus_channel([k0, k1])
+    assert _monomial(chan)
+
+
+def test_incoherent_constructors_are_monomial():
+    # the coherence suites rely on this by construction; nothing rechecks it
+    for d in (2, 3, 4):
+        assert _monomial(rk.dephasing_channel(d))
+        for outcomes in (1, 2, 3):
+            assert _monomial(rk.make_monomial_incoherent(d, outcomes, seed=[23, d, outcomes]))
+    assert not _monomial(rk.unitary_channel(np.array([[1, 1], [1, -1]]) / np.sqrt(2)))
 
 
 def test_channel_json_round_trip():
     chan = rk.make_local_product([rk.dephasing_channel(2), rk.identity_channel(2)])
     again = rk.channel_from_json(rk.channel_to_json(chan))
-    assert again.tag == "local_product"
     assert again.outcomes == chan.outcomes
     for a, b in zip(again.kraus, chan.kraus):
+        assert np.abs(a - b).max() == 0.0
+    # files that also carry a class tag and per-site factors still load
+    doc = json.loads(rk.channel_to_json(chan))
+    deph = json.loads(rk.channel_to_json(rk.dephasing_channel(2)))["kraus"]
+    ident = json.loads(rk.channel_to_json(rk.identity_channel(2)))["kraus"][0]
+    doc.update(tag="local_product", site_dims=[2, 2],
+               site_factors=[[k, ident] for k in deph])
+    loaded = rk.channel_from_json(json.dumps(doc))
+    for a, b in zip(loaded.kraus, chan.kraus):
         assert np.abs(a - b).max() == 0.0
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resourcekit as rk
+from resourcekit.affinity import _cert
 from resourcekit.cli import main
 
 
@@ -124,9 +125,12 @@ def test_verify_small_suite_passes(capsys):
     assert "pass" in capsys.readouterr().out
 
 
-def test_verify_inject_failure_exits_one(capsys):
+def test_verify_inject_failure_exits_one(capsys, monkeypatch):
+    failing = _cert("bounds", 1.0, 0.0, seed=11)
+    monkeypatch.setattr("resourcekit.cli.run_suite",
+                        lambda *args: list(rk.run_suite(*args)) + [failing])
     code = main(["verify", "--suite", "appendix-b", "--seed", "11",
-                 "--n-samples", "5", "--inject-failure"])
+                 "--n-samples", "5"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 

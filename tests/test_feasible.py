@@ -156,6 +156,17 @@ def test_encode_refuses_components_without_a_free_slot():
         rk.encode(sep, [WitnessComponent(1.0, bell)])
 
 
+def test_encode_refuses_amplitude_outside_declared_support():
+    # a declared support smaller than the state's must not truncate it to
+    # the slot; a slot that holds the whole state encodes it exactly
+    plus01 = WitnessComponent(1.0, rk.pure_state([1, 1, 0]), (0,))
+    with pytest.raises(WitnessEncodingError):
+        rk.encode(rk.build_family("multilevel", (3,), 1, m=3), [plus01])
+    fam = rk.build_family("multilevel", (3,), 2, m=3)
+    sigma = rk.decode(fam, rk.encode(fam, [plus01]))
+    assert np.abs(sigma.data - plus01.state.projector().data).max() <= 1e-12
+
+
 def test_factorize_fully_product():
     psi = rk.tensor_pure(rk.tensor_pure(rk.basis_pure([2], 0), rk.pure_state([1, 1])),
                          rk.basis_pure([2], 1))

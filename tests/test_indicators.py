@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,22 @@ def test_check_witness_revalidation():
     rho = rk.random_mixed([3], 3, seed=130)
     res = rk.multilevel_coherence(rho, 2, 0.5, seed=131, restarts=1, max_iter=150)
     assert rk.check_witness(res, rho)
+
+
+def test_check_witness_ties_witness_to_components():
+    # rho has affinity 1 with itself, but it is not the component mixture
+    rho = rk.random_mixed([3], 3, seed=132)
+    res = rk.multilevel_coherence(rho, 2, 0.5, seed=133)
+    forged = dataclasses.replace(res, witness=rho, best_affinity=1.0)
+    assert not rk.check_witness(forged, rho)
+
+
+def test_reported_seed_reproduces_the_run():
+    rho = rk.random_mixed([3], 3, seed=5)
+    opts = dict(restarts=2, max_iter=100)
+    first = rk.compute_indicator(rho, "coherence", 3, 0.5, seed=[1, 2], **opts)
+    again = rk.compute_indicator(rho, "coherence", 3, 0.5, seed=first.seed, **opts)
+    assert isinstance(first.seed, int)
+    assert again.seed == first.seed
+    assert again.value == first.value
+    assert again.witness.data.tobytes() == first.witness.data.tobytes()
