@@ -36,7 +36,8 @@ res3 = rk.multilevel_coherence(mx3, 3, 0.5, seed=12, m=6, restarts=8, max_iter=2
 print("\norder-3 bound                 :", res3.value)
 print("symmetric-optimum reference   :", 1 - (2 / 3) ** 0.5)
 print("witness component supports    :",
-      [c.structure for c in res3.components if c.weight > 1e-6])
+      [np.flatnonzero(np.abs(c.state.amps) > 1e-9).tolist()
+       for c in res3.components if c.weight > 1e-6])
 
 # Every reported value is an upper bound certified by its witness: the
 # affinity against the witness reproduces it on recomputation.
@@ -50,5 +51,5 @@ theta = np.random.default_rng(13).standard_normal(fam.param_len)
 member = rk.decode(fam, theta)
 res0 = rk.multilevel_coherence(member, 3, 0.5, seed=14, m=3, restarts=1,
                                max_iter=100,
-                               init_witnesses=[rk.decode_mixture(fam, theta)])
+                               witness=rk.decode_mixture(fam, theta))
 print("order-3 bound on a two-level mixture:", res0.value)

@@ -20,11 +20,11 @@ print("witness weights            :", [round(c.weight, 4) for c in res.component
 
 # A product state scores zero against every family.
 prod = rk.tensor_pure(rk.random_pure([2], seed=22), rk.random_pure([2], seed=23))
-wit = [(1.0, prod, ((0,), (1,)))]
+wit = [(1.0, prod)]
 for kind, k in (("nonseparability", 2), ("entanglement", 2)):
     r = rk.multipartite_correlation(prod.projector(), kind, k, 0.5, seed=24,
                                     m=4, restarts=1, max_iter=100,
-                                    init_witnesses=[wit])
+                                    witness=wit)
     print(f"product state, {kind}[k={k}] :", r.value)
 
 # GHZ on three qubits: separable mixtures of any refinement keep a gap.

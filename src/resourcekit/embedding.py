@@ -108,36 +108,21 @@ def _embedded_partition(emb: EmbeddingMap, support) -> tuple[tuple[int, ...], ..
 
 
 def map_components(emb: EmbeddingMap, components):
-    """Embed mixture components, attaching their structural partitions."""
-    out = []
-    for comp in components:
-        support = comp.structure
-        if support is None:
-            support = _effective_support(comp.state)
-        out.append(WitnessComponent(comp.weight, embed_pure(emb, comp.state),
-                                    _embedded_partition(emb, support)))
-    return out
+    """Embed the pure state of every (weight, pure state) component."""
+    return [WitnessComponent(w, embed_pure(emb, psi)) for w, psi in components]
 
 
 def depth_correspondence_pure(emb: EmbeddingMap, psi: PureState, tol: float = 1e-9) -> dict:
     """Rank of the source state and both depths of its embedding.
 
-    Asserts the correspondence: rank r >= 2 gives separability depth
-    d - r + 1 and entanglement depth r + 1; rank 1 gives a fully product
-    embedding (depths d + 1 and 1).
+    Only measures; the claimed correspondence (rank r >= 2 gives
+    separability depth d - r + 1 and entanglement depth r + 1, rank 1 a
+    fully product embedding with depths d + 1 and 1) is certified by the
+    embedding suite.
     """
-    rank = coherent_rank_pure(psi, tol)
     fac = factorize_pure(embed_pure(emb, psi))
-    sep, ent = fac.separability_depth, fac.entanglement_depth
-    if rank == 1:
-        expected = (emb.d + 1, 1)
-    else:
-        expected = (emb.d - rank + 1, rank + 1)
-    if (sep, ent) != expected:
-        raise ArithmeticError(
-            f"depth correspondence violated: rank {rank} gave depths {(sep, ent)}, "
-            f"expected {expected}")
-    return {"rank": rank, "sep_depth": sep, "ent_depth": ent}
+    return {"rank": coherent_rank_pure(psi, tol),
+            "sep_depth": fac.separability_depth, "ent_depth": fac.entanglement_depth}
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +138,21 @@ class TransportRow:
     slack: float
 
 
-def _check_mapped_feasibility(mapped, sep_k: int, prod_k: int) -> None:
+def _check_mapped_feasibility(emb, sources, mapped, sep_k: int, prod_k: int) -> None:
     """Re-derive each mapped component's factorization and verify it against
-    the structural partition; failures raise rather than being dropped.
+    the partition predicted from its source's support; failures raise
+    rather than being dropped.
 
-    The recomputed factorization may be finer than the structural one (a
+    The recomputed factorization may be finer than the predicted one (a
     support amplitude can be numerically zero); it must never be coarser.
     """
-    for comp in mapped:
+    for src, comp in zip(sources, mapped):
         fac = factorize_pure(comp.state)
-        if not _coarsens(comp.structure, fac.parts):
+        predicted = _embedded_partition(emb, _effective_support(src.state))
+        if not _coarsens(predicted, fac.parts):
             raise FeasibilityCheckFailed(
                 f"mapped component factorizes as {fac.parts}, which does not "
-                f"refine the structural partition {comp.structure}")
+                f"refine the predicted partition {predicted}")
         if fac.separability_depth < sep_k or fac.entanglement_depth > prod_k:
             raise FeasibilityCheckFailed(
                 f"mapped component depths {(fac.separability_depth, fac.entanglement_depth)} "
@@ -177,9 +164,12 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     """Transport an order-k coherence witness through the embedding and
     certify the four induced correlation bounds on the embedded state.
 
-    The coherence run uses one family slot per support subset so mapped
-    components occupy distinct structural partitions.  Each correlation
-    optimization is seeded with the mapped witness; since the injected
+    The coherence run uses one family slot per support subset, and each
+    correlation family one slot per partition in its pool.  Each mapped
+    component's partition is predicted from its source's support and
+    checked against its recomputed factorization.  Each correlation
+    optimization is seeded with the mapped witness, whose components
+    ``encode`` places by their factorization; since the injected
     point is feasible and reproduces the coherence affinity exactly, every
     resulting bound must come out at or below the coherence bound.
     """
@@ -196,7 +186,7 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     mapped = map_components(emb, coh.components)
     sep_k = d - k + 2
     prod_k = k
-    _check_mapped_feasibility(mapped, sep_k, prod_k)
+    _check_mapped_feasibility(emb, coh.components, mapped, sep_k, prod_k)
     rho2 = embed_state(emb, rho)
 
     results = []
@@ -204,7 +194,7 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
         family = build_family(kind, emb.dims, fam_k,
                               m=len(structure_pool(kind, emb.dims, fam_k)))
         results.append(max_affinity(rho2, family, alpha, seed=seed,
-                                    init_witnesses=[mapped], **opts))
+                                    witness=mapped, **opts))
     sep_res, prod_res = results
 
     rows = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import log, prod
 from typing import NamedTuple
 
@@ -117,10 +118,7 @@ class Factorization(NamedTuple):
 def _assemble_product(dims, parts, factor_amps) -> np.ndarray:
     """Tensor per-part amplitude vectors and reorder to the global layout."""
     order = [i for part in parts for i in part]
-    vec = np.array([1.0 + 0j])
-    for amps in factor_amps:
-        vec = np.kron(vec, amps)
-    shaped = vec.reshape([dims[i] for i in order])
+    shaped = reduce(np.multiply.outer, factor_amps).reshape([dims[i] for i in order])
     return shaped.transpose(np.argsort(order)).reshape(-1)
 
 
@@ -194,15 +192,14 @@ def factorize_pure(psi: PureState, tol: float = FACTOR_PURITY_TOL) -> Factorizat
 # ---------------------------------------------------------------------------
 
 class WitnessComponent(NamedTuple):
-    """One pure term of a feasible mixture, with its structural certificate.
+    """One pure term of a feasible mixture: a weight and a pure state.
 
-    ``structure`` is a support tuple for multilevel families, a partition for
-    the correlation families, or None when unknown (encode then infers it).
+    Its structure (support or factorization) is not stored; :func:`encode`
+    reads it off the state.
     """
 
     weight: float
     state: PureState
-    structure: object = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +329,7 @@ def decode_mixture(family: FeasibleFamily, theta) -> list[WitnessComponent]:
     out = []
     for w, structure, (lo, hi) in zip(weights, family.structures, family.blocks):
         amps = _component_amps(family, structure, theta[lo:hi])
-        out.append(WitnessComponent(float(w), pure_state(amps, family.dims), structure))
+        out.append(WitnessComponent(float(w), pure_state(amps, family.dims)))
     return out
 
 
@@ -372,8 +369,6 @@ def _part_factors(family: FeasibleFamily, psi: PureState, slot) -> list[np.ndarr
 
 def _encode_component(family, psi, slot) -> np.ndarray:
     if family.kind == "multilevel":
-        if np.abs(np.delete(psi.amps, list(slot))).max(initial=0.0) > 1e-10:
-            raise WitnessEncodingError("component has amplitude outside the chosen slot")
         z = psi.amps[list(slot)]
         block = np.empty(2 * len(slot))
         block[0::2] = z.real - 1.0
@@ -392,12 +387,11 @@ def _encode_component(family, psi, slot) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _component_structure(family: FeasibleFamily, comp: WitnessComponent):
-    if comp.structure is not None:
-        return comp.structure
+def _component_structure(family: FeasibleFamily, psi: PureState):
+    """The support (multilevel) or finest factorization of a component."""
     if family.kind == "multilevel":
-        return _effective_support(comp.state)
-    return factorize_pure(comp.state).parts
+        return _effective_support(psi)
+    return factorize_pure(psi).parts
 
 
 def _slot_compatible(family: FeasibleFamily, slot, structure) -> bool:
@@ -407,19 +401,24 @@ def _slot_compatible(family: FeasibleFamily, slot, structure) -> bool:
 
 
 def encode(family: FeasibleFamily, components) -> np.ndarray:
-    """Parameters that decode to exactly the given mixture.
+    """Parameters that decode to exactly the given mixture of
+    ``(weight, pure state)`` pairs.
 
-    Each component takes the first free slot whose structure admits it.
-    Unused slots carry ~1e-18 weight, which only *adds* support and so can
-    only improve any affinity evaluated against the result.  A component
-    that fits no free slot raises WitnessEncodingError: the mixture is
-    never altered to fit, so an injected witness reproduces its affinity.
+    Each component's structure is read off its state: its support
+    (amplitudes above 1e-14 of the largest; smaller ones are dropped) for
+    multilevel families, its finest factorization for the correlation
+    families.  The component takes the first free slot whose structure
+    admits that one.  Unused slots carry ~1e-18 weight, which only *adds*
+    support and so can only improve any affinity evaluated against the
+    result.  A component that fits no free slot raises
+    WitnessEncodingError: the mixture is never altered to fit, so an
+    injected witness reproduces its affinity.
     """
     theta = np.zeros(family.param_len)
     logits = np.full(family.m, UNUSED_SLOT_LOGIT)
     used = [False] * family.m
-    for comp in components:
-        structure = _component_structure(family, comp)
+    for weight, psi in components:
+        structure = _component_structure(family, psi)
         slot_idx = next((i for i, slot in enumerate(family.structures)
                          if not used[i] and _slot_compatible(family, slot, structure)),
                         None)
@@ -428,8 +427,8 @@ def encode(family: FeasibleFamily, components) -> np.ndarray:
                 f"no free slot matches component structure {structure}")
         used[slot_idx] = True
         lo, hi = family.blocks[slot_idx]
-        theta[lo:hi] = _encode_component(family, comp.state, family.structures[slot_idx])
-        logits[slot_idx] = log(max(comp.weight, 1e-300))
+        theta[lo:hi] = _encode_component(family, psi, family.structures[slot_idx])
+        logits[slot_idx] = log(max(weight, 1e-300))
     theta[:family.m] = logits
     return theta
 

@@ -69,19 +69,6 @@ class MaxAffinityResult(NamedTuple):
     diagnostics: Diagnostics
 
 
-def _as_components(witness):
-    """Normalize an initial witness to a list of weighted pure components."""
-    out = []
-    for item in witness:
-        if isinstance(item, WitnessComponent):
-            out.append(item)
-        else:
-            w, psi = item[0], item[1]
-            structure = item[2] if len(item) > 2 else None
-            out.append(WitnessComponent(float(w), psi, structure))
-    return out
-
-
 def _seed_key(seed) -> int:
     """Canonical integer form of a seed (scalars pass through unchanged)."""
     if seed is None:
@@ -93,20 +80,23 @@ def _seed_key(seed) -> int:
 
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                  seed, restarts: int = DEFAULT_RESTARTS,
-                 max_iter: int = DEFAULT_MAX_ITER, init_witnesses=()) -> MaxAffinityResult:
+                 max_iter: int = DEFAULT_MAX_ITER, witness=None) -> MaxAffinityResult:
     """Best affinity between rho and the family found by multi-start search.
 
-    Starting points are the encoded initial witnesses followed by seeded
-    random vectors; random start r depends only on (_seed_key(seed), r), so
-    a sequence seed and the integer reported for it give the same starts,
-    and enlarging ``restarts`` never discards earlier starts and the best
-    value is monotone in search effort.  ``max_iter=0`` evaluates the starts
+    Starting points are the encoded ``witness`` (a list of (weight, pure
+    state) pairs), if given, followed by seeded random vectors; random
+    start r depends only on (_seed_key(seed), r), so a sequence seed and
+    the integer reported for it give the same starts, and enlarging
+    ``restarts`` never discards earlier starts and the best value is
+    monotone in search effort.  ``max_iter=0`` evaluates the starts
     without local polishing.  Starts run one after another and ties resolve
-    to the lowest start index, making the result deterministic per seed.  An
-    initial witness that fits no free family slot raises
-    WitnessEncodingError (see :func:`encode`).
+    to the lowest start index, making the result deterministic per seed.  A
+    witness that fits no free family slot raises WitnessEncodingError (see
+    :func:`encode`); negative ``restarts`` or ``max_iter`` raise ValueError.
     """
     alpha = _check_alpha(alpha)
+    if restarts < 0 or max_iter < 0:
+        raise ValueError(f"restarts and max_iter must be >= 0, got {restarts}, {max_iter}")
     if rho.d != family.d:
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
     key = _seed_key(seed)
@@ -117,12 +107,12 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
         s_pow = _frac_power_raw(_decode_raw(family, theta), one_minus)
         return -float(np.real(np.sum(rho_a * s_pow.T)))
 
-    starts = [encode(family, _as_components(w)) for w in init_witnesses]
+    starts = [] if witness is None else [encode(family, witness)]
     for r in range(restarts):
         rng = np.random.default_rng([key, r])
         starts.append(rng.standard_normal(family.param_len))
     if not starts:
-        raise ValueError("need restarts > 0 or at least one initial witness")
+        raise ValueError("need restarts > 0 or a witness")
 
     def run(theta0):
         if max_iter == 0:
@@ -139,15 +129,15 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     best = int(np.argmin(funs))
     best_aff = min(max(-funs[best], 0.0), 1.0)
     theta = np.asarray(outcomes[best][2], dtype=float)
-    witness = decode(family, theta)
+    member = decode(family, theta)
     components = tuple(decode_mixture(family, theta))
-    recomputed = alpha_affinity(rho, witness, alpha)
+    recomputed = alpha_affinity(rho, member, alpha)
     if abs(recomputed - best_aff) > 1e-9:
         raise ArithmeticError(
             f"witness affinity {recomputed} drifted from optimum {best_aff}")
     diag = Diagnostics(len(starts), sum(o[1] for o in outcomes),
                        float((-funs).max() - (-funs).min()))
-    return MaxAffinityResult(float(best_aff), witness, components, diag)
+    return MaxAffinityResult(float(best_aff), member, components, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +166,7 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
 
 
 def _diagonal_components(q: np.ndarray, dims) -> list[WitnessComponent]:
-    return [WitnessComponent(float(qi), basis_pure(dims, i), (i,))
+    return [WitnessComponent(float(qi), basis_pure(dims, i))
             for i, qi in enumerate(q) if qi > 0.0]
 
 

@@ -242,28 +242,26 @@ def _solve(rho, kind, k, alpha, tags, copies=1, witness=None, **effort):
     structure in its pool, seeded by ``tags``, starting from ``witness``."""
     family = build_family(kind, rho.dims, k,
                           m=len(structure_pool(kind, rho.dims, k)) * copies)
-    return max_affinity(rho, family, alpha, seed=_seed_key(tags),
-                        init_witnesses=() if witness is None else [witness], **effort)
+    return max_affinity(rho, family, alpha, seed=_seed_key(tags), witness=witness, **effort)
 
 
-def _pushed(op: np.ndarray, comps, keep_structure: bool):
+def _pushed(op: np.ndarray, comps):
     """Unnormalized witness image under one Kraus operator."""
     out = []
-    for c in comps:
-        amps = op @ c.state.amps
+    for w, psi in comps:
+        amps = op @ psi.amps
         nrm2 = float(np.real(np.vdot(amps, amps)))
         if nrm2 > 0.0:
-            out.append(WitnessComponent(c.weight * nrm2, pure_state(amps, c.state.dims),
-                                        c.structure if keep_structure else None))
+            out.append(WitnessComponent(w * nrm2, pure_state(amps, psi.dims)))
     return out
 
 
-def _apply_to_components(channel, comps, keep_structure: bool):
+def _apply_to_components(channel, comps):
     """Unnormalized witness image under the full channel, component-wise."""
-    return [c for op in channel.kraus for c in _pushed(op, comps, keep_structure)]
+    return [c for op in channel.kraus for c in _pushed(op, comps)]
 
 
-def _selective_witnesses(channel, rho, comps, keep_structure: bool):
+def _selective_witnesses(channel, rho, comps):
     """Yield (p_i, rho_i, witness_i) for every outcome that both the state
     and the witness reach; witness_i is the normalized pushed witness."""
     for op in channel.kraus:
@@ -271,32 +269,25 @@ def _selective_witnesses(channel, rho, comps, keep_structure: bool):
         p = float(np.real(np.trace(out)))
         if p <= OUTCOME_THRESHOLD:
             continue
-        pushed = _pushed(op, comps, keep_structure)
-        q = sum(c.weight for c in pushed)
+        pushed = _pushed(op, comps)
+        q = sum(w for w, _ in pushed)
         if q <= OUTCOME_THRESHOLD:
             continue
-        yield p, validate(out / p, rho.dims), [
-            WitnessComponent(c.weight / q, c.state, c.structure) for c in pushed]
+        yield p, validate(out / p, rho.dims), [WitnessComponent(w / q, psi)
+                                               for w, psi in pushed]
 
 
 def _rotated(u, comps):
-    return [WitnessComponent(c.weight, pure_state(u @ c.state.amps, c.state.dims),
-                             c.structure) for c in comps]
+    return [WitnessComponent(w, pure_state(u @ psi.amps, psi.dims)) for w, psi in comps]
 
 
 def _scaled(comps, factor):
-    return [WitnessComponent(c.weight * factor, c.state, c.structure) for c in comps]
+    return [WitnessComponent(w * factor, psi) for w, psi in comps]
 
 
-def _tensor_components(left, right, dims, join_structure):
-    out = []
-    for a in left:
-        for b in right:
-            amps = np.kron(a.state.amps, b.state.amps)
-            out.append(WitnessComponent(a.weight * b.weight,
-                                        pure_state(amps, dims),
-                                        join_structure(a.structure, b.structure)))
-    return out
+def _tensor_components(left, right, dims):
+    return [WitnessComponent(wa * wb, pure_state(np.kron(a.amps, b.amps), dims))
+            for wa, a in left for wb, b in right]
 
 
 def _values(affinity, alpha):
@@ -381,7 +372,7 @@ def _theorem1_constructive(seed, nc):
 
         # channel monotonicity and average monotonicity under monomial maps
         chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
-        moved = _apply_to_components(chan, r1.components, keep_structure=False)
+        moved = _apply_to_components(chan, r1.components)
         ro = _solve(channel_apply(chan, rho1), "multilevel", k - 1, alpha, (seed, 3, i, 7),
                     copies=len(moved), witness=moved, restarts=1, max_iter=100)
         certs.append(_cert("order3-witness-channel-monotonicity",
@@ -389,8 +380,7 @@ def _theorem1_constructive(seed, nc):
                            alpha=alpha, seed=seed))
 
         lhs = 0.0
-        for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components,
-                                                  keep_structure=False):
+        for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components):
             ri = _solve(rho_i, "multilevel", k - 1, alpha, (seed, 3, i, 8),
                         copies=len(wit), witness=wit, restarts=1, max_iter=100)
             lhs += p * _variant_value(ri.affinity, alpha, "avg")
@@ -400,9 +390,7 @@ def _theorem1_constructive(seed, nc):
 
         # tensor subadditivity: order (k-1)^2 + 1 on the 9-level product
         joint = tensor(rho1, rho2)
-        tens_wit = _tensor_components(
-            r1.components, r2.components, joint.dims,
-            lambda s1, s2: tuple(sorted(3 * a + b for a in s1 for b in s2)))
+        tens_wit = _tensor_components(r1.components, r2.components, joint.dims)
         rt = _solve(joint, "multilevel", (k - 1) ** 2, alpha, (seed, 3, i, 9),
                     witness=tens_wit, restarts=0, max_iter=0)
         certs.extend(_subadditivity_certs(
@@ -481,15 +469,14 @@ def run_theorem2(seed, n_samples=None):
         r1 = _solve(rho, kind, famk, alpha, (seed, 4, 3, i, 0), copies=2, **opts)
         locc = make_local_product([random_channel(2, 2, [seed, 4, 3, i, j])
                                    for j in range(len(dims))])
-        moved = _apply_to_components(locc, r1.components, keep_structure=True)
+        moved = _apply_to_components(locc, r1.components)
         rl = _solve(channel_apply(locc, rho), kind, famk, alpha, (seed, 4, 3, i, 1),
                     copies=max(2, len(moved)), witness=moved, restarts=0, max_iter=0)
         certs.append(_cert("locc-monotonicity", 1.0 - rl.affinity,
                            1.0 - r1.affinity, alpha=alpha, seed=seed))
 
         lhs = 0.0
-        for p, rho_i, wit in _selective_witnesses(locc, rho, r1.components,
-                                                  keep_structure=True):
+        for p, rho_i, wit in _selective_witnesses(locc, rho, r1.components):
             ri = _solve(rho_i, kind, famk, alpha, (seed, 4, 3, i, 2),
                         copies=max(2, len(wit)), witness=wit, restarts=0, max_iter=0)
             lhs += p * _variant_value(ri.affinity, alpha, "avg")
@@ -507,9 +494,7 @@ def run_theorem2(seed, n_samples=None):
         ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 4, i, 2), copies=2, **opts)
         rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 4, i, 3), copies=2, **opts)
         joint = tensor(rho_a, rho_b)
-        tens_wit = _tensor_components(
-            ra.components, rb.components, joint.dims,
-            lambda s1, s2: _join_partitions(s1, s2, len(dims), famk, kind))
+        tens_wit = _tensor_components(ra.components, rb.components, joint.dims)
         rj = _solve(joint, kind, famk, alpha, (seed, 4, 4, i, 4), copies=len(tens_wit),
                     witness=tens_wit, restarts=0, max_iter=0)
         certs.extend(_subadditivity_certs(
@@ -530,20 +515,6 @@ def run_theorem2(seed, n_samples=None):
                            _variant_value(rf.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
     return certs
-
-
-def _join_partitions(s1, s2, shift, famk, kind):
-    """Join two component partitions across a tensor product, then merge
-    parts down to exactly famk parts for separable families."""
-    parts = [tuple(p) for p in s1] + [tuple(q + shift for q in p) for p in s2]
-    parts.sort(key=min)
-    if kind == "separable":
-        while len(parts) > famk:
-            a = parts.pop()
-            b = parts.pop()
-            parts.append(tuple(sorted(a + b)))
-            parts.sort(key=min)
-    return tuple(sorted(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +618,8 @@ SUITES = {
 
 
 def run_suite(name, seed, n_samples=None):
+    if n_samples is not None and n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     if name == "all":
         certs = []
         for sub in SUITE_NAMES:

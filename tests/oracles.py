@@ -75,17 +75,27 @@ def _grad(rho_a, sigma, alpha):
     return v @ (g * m) @ v.conj().T
 
 
+_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def _line_search(rho_a, sigma, atom, alpha):
+    """Golden-section search for the best step in [0, 1]; the objective is
+    concave along the segment, and each step costs one new evaluation."""
+    def f(g):
+        return np.real(np.trace(rho_a @ _herm_power((1 - g) * sigma + g * atom, 1 - alpha)))
+
     lo, hi = 0.0, 1.0
+    g1, g2 = hi - _INV_GOLDEN, lo + _INV_GOLDEN
+    f1, f2 = f(g1), f(g2)
     for _ in range(40):
-        g1 = lo + (hi - lo) / 3
-        g2 = hi - (hi - lo) / 3
-        f1 = np.real(np.trace(rho_a @ _herm_power((1 - g1) * sigma + g1 * atom, 1 - alpha)))
-        f2 = np.real(np.trace(rho_a @ _herm_power((1 - g2) * sigma + g2 * atom, 1 - alpha)))
         if f1 < f2:
-            lo = g1
+            lo, g1, f1 = g1, g2, f2
+            g2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = f(g2)
         else:
-            hi = g2
+            hi, g2, f2 = g2, g1, f1
+            g1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = f(g1)
     return (lo + hi) / 2
 
 

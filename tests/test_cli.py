@@ -142,6 +142,21 @@ def test_verify_zero_samples_vacuous_pass(capsys):
     assert "vacuous" in capsys.readouterr().err
 
 
+def test_verify_negative_samples_exits_two(capsys):
+    assert main(["verify", "--suite", "affinity-props", "--seed", "1",
+                 "--n-samples", "-3"]) == 2
+    assert "n_samples" in capsys.readouterr().err
+
+
+def test_indicator_negative_effort_exits_two(tmp_path, capsys):
+    path = tmp_path / "qutrit.json"
+    rk.save_state(rk.random_mixed([3], 3, seed=11), path)
+    assert main(["indicator", "--state", str(path), "--label", "coherence",
+                 "--k", "3", "--alpha", "0.5", "--seed", "3",
+                 "--restarts", "1", "--max-iter", "-5"]) == 2
+    assert "max_iter" in capsys.readouterr().err
+
+
 def test_verify_writes_csv(tmp_path, capsys):
     out = tmp_path / "certs.csv"
     assert main(["verify", "--suite", "affinity-props", "--seed", "11",

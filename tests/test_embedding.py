@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resourcekit as rk
-from resourcekit.embedding import embed_pure, map_components, theorem3_check
+from resourcekit.embedding import _embedded_partition, embed_pure, map_components, theorem3_check
 from resourcekit.errors import DTooLarge, KOutOfRange
 from resourcekit.feasible import factorize_pure
 
@@ -114,18 +114,17 @@ def test_depth_correspondence_sampled():
             if np.abs(amps[support]).min() < 0.05:
                 continue
             info = rk.depth_correspondence_pure(emb, rk.pure_state(amps))
-            assert info["rank"] == rank
+            expected = (d + 1, 1) if rank == 1 else (d - rank + 1, rank + 1)
+            assert (info["rank"], info["sep_depth"], info["ent_depth"]) == (rank, *expected)
 
 
 def test_mapped_components_are_structurally_product():
     emb = rk.build_embedding(3)
-    comps = [(0.5, rk.pure_state([1, 1, 0]), (0, 1)),
-             (0.5, rk.pure_state([0, 1, 1]), (1, 2))]
-    from resourcekit.feasible import WitnessComponent
-    mapped = map_components(emb, [WitnessComponent(*c) for c in comps])
-    for comp in mapped:
+    comps = [(0.5, rk.pure_state([1, 1, 0])), (0.5, rk.pure_state([0, 1, 1]))]
+    mapped = map_components(emb, comps)
+    for support, comp in zip(((0, 1), (1, 2)), mapped):
         fac = factorize_pure(comp.state)
-        assert fac.parts == comp.structure
+        assert fac.parts == _embedded_partition(emb, support)
         assert fac.separability_depth == 2  # d - |support| + 1 = 3 - 2 + 1
         assert fac.entanglement_depth == 3  # |support| + 1
 

@@ -74,9 +74,9 @@ def test_decode_zero_theta_gives_maximally_mixed():
 def test_decode_components_respect_support():
     fam = rk.build_family("multilevel", (4,), 2, m=8)
     theta = np.random.default_rng(1).standard_normal(fam.param_len)
-    for comp in decode_mixture(fam, theta):
+    for comp, support in zip(decode_mixture(fam, theta), fam.structures):
         assert rk.coherent_rank_pure(comp.state) <= 2
-        assert set(np.flatnonzero(np.abs(comp.state.amps) > 0)) <= set(comp.structure)
+        assert set(np.flatnonzero(np.abs(comp.state.amps) > 0)) <= set(support)
 
 
 def test_decode_separable_members_are_ppt():
@@ -147,24 +147,37 @@ def test_encode_refuses_components_without_a_free_slot():
     # the mixture is never altered to fit: too few slots, or a component
     # whose structure no slot admits, raises
     fam = rk.build_family("multilevel", (3,), 1, m=2)
-    comps = [(1 / 3, rk.basis_pure([3], i), (i,)) for i in range(3)]
+    comps = [(1 / 3, rk.basis_pure([3], i)) for i in range(3)]
     with pytest.raises(WitnessEncodingError):
-        rk.encode(fam, [WitnessComponent(*c) for c in comps])
+        rk.encode(fam, comps)
     sep = rk.build_family("separable", (2, 2), 2, m=2)
     bell = rk.pure_state([1, 0, 0, 1], (2, 2))
     with pytest.raises(WitnessEncodingError):
         rk.encode(sep, [WitnessComponent(1.0, bell)])
 
 
-def test_encode_refuses_amplitude_outside_declared_support():
-    # a declared support smaller than the state's must not truncate it to
-    # the slot; a slot that holds the whole state encodes it exactly
-    plus01 = WitnessComponent(1.0, rk.pure_state([1, 1, 0]), (0,))
+def test_encode_refuses_amplitude_outside_every_slot():
+    # a state whose support no slot holds must not be truncated to a slot;
+    # a slot that holds the whole state encodes it exactly
+    plus01 = WitnessComponent(1.0, rk.pure_state([1, 1, 0]))
     with pytest.raises(WitnessEncodingError):
         rk.encode(rk.build_family("multilevel", (3,), 1, m=3), [plus01])
     fam = rk.build_family("multilevel", (3,), 2, m=3)
     sigma = rk.decode(fam, rk.encode(fam, [plus01]))
     assert np.abs(sigma.data - plus01.state.projector().data).max() <= 1e-12
+
+
+def test_encode_reads_factorization_off_the_state():
+    # a fully product component refines every two-part slot and encodes
+    # exactly; a GHZ component factorizes into no slot and is refused
+    fam = rk.build_family("separable", (2, 2, 2), 2, m=3)
+    psi = rk.tensor_pure(rk.tensor_pure(rk.random_pure([2], seed=1), rk.random_pure([2], seed=2)),
+                         rk.random_pure([2], seed=3))
+    sigma = rk.decode(fam, rk.encode(fam, [(1.0, psi)]))
+    assert np.abs(sigma.data - psi.projector().data).max() <= 1e-12
+    ghz = rk.pure_state([1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2))
+    with pytest.raises(WitnessEncodingError):
+        rk.encode(fam, [(1.0, ghz)])
 
 
 def test_factorize_fully_product():

@@ -46,7 +46,7 @@ def test_max_affinity_reaches_family_members():
     comps = decode_mixture(fam, theta)
     rho = rk.decode(fam, theta)
     res = max_affinity(rho, fam, 0.5, seed=1, restarts=1, max_iter=100,
-                       init_witnesses=[comps])
+                       witness=comps)
     assert res.affinity >= 1.0 - 1e-6
 
 
@@ -79,7 +79,7 @@ def test_max_affinity_rejects_witness_that_fits_no_slot():
     fam = rk.build_family("multilevel", (3,), 1, m=1)
     with pytest.raises(WitnessEncodingError):
         max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
-                     init_witnesses=[closed_form_witness(rho, 0.5)])
+                     witness=closed_form_witness(rho, 0.5))
 
 
 def test_max_affinity_monotone_in_restarts():
@@ -158,7 +158,7 @@ def test_multilevel_coherence_zero_on_low_rank_mixtures():
     comps = decode_mixture(fam, theta)
     rho = rk.decode(fam, theta)
     res = rk.multilevel_coherence(rho, 3, 0.5, seed=5, m=3, restarts=1,
-                                  max_iter=100, init_witnesses=[comps])
+                                  max_iter=100, witness=comps)
     assert res.value <= 1e-6
 
 
@@ -173,12 +173,12 @@ def test_multilevel_coherence_k_range():
 def test_correlation_zero_on_product_state():
     psi = rk.tensor_pure(rk.random_pure([2], seed=60), rk.random_pure([2], seed=61))
     rho = psi.projector()
-    wit = [(1.0, psi, ((0,), (1,)))]
+    wit = [(1.0, psi)]
     for kind, k in (("nonseparability", 1), ("nonseparability", 2),
                     ("entanglement", 2), ("entanglement", 3)):
         res = rk.multipartite_correlation(rho, kind, k, 0.5, seed=62, m=4,
                                           restarts=1, max_iter=100,
-                                          init_witnesses=[wit])
+                                          witness=wit)
         assert res.value <= 1e-6
 
 
@@ -229,7 +229,7 @@ def test_injected_witness_upper_bounds_value():
     theta = np.random.default_rng(101).standard_normal(fam.param_len)
     sigma0 = rk.decode(fam, theta)
     res = rk.multilevel_coherence(rho, 2, 0.5, seed=102, m=3, restarts=1,
-                                  max_iter=200, init_witnesses=[decode_mixture(fam, theta)])
+                                  max_iter=200, witness=decode_mixture(fam, theta))
     assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
 
 

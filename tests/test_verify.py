@@ -92,3 +92,17 @@ def test_suites_are_deterministic():
     a = certificates_to_csv(run_suite("appendix-b", SEED, 10))
     b = certificates_to_csv(run_suite("appendix-b", SEED, 10))
     assert a == b
+
+
+def test_depth_violation_fails_a_certificate(monkeypatch):
+    # a factorization that merges every part breaks the depth correspondence;
+    # the suite must report failing certificates, not raise
+    from resourcekit.feasible import Factorization
+
+    def merged(psi, tol=None):
+        return Factorization((tuple(range(len(psi.dims))),), (psi,))
+
+    monkeypatch.setattr("resourcekit.embedding.factorize_pure", merged)
+    certs = run_suite("embedding", 1, 2)
+    assert all_passed(certs) is False
+    assert not summarize(certs)["depth-separability"]["passed"]
