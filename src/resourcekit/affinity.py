@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import OUTCOME_THRESHOLD, KrausChannel, _check_compat
+from .channels import OUTCOME_THRESHOLD, KrausChannel, _check_compat, _conjugates
 from .errors import (
     AlphaOutOfRange,
     BadExponent,
@@ -134,12 +134,8 @@ def power_mean_bound(x, qvec, t: float, alpha=None, seed=None) -> InequalityCert
 
 def _selective_parts(channel: KrausChannel, rho, sigma):
     """Per-outcome unnormalized conjugates and their traces, for both states."""
-    parts = []
-    for k in channel.kraus:
-        r = k @ rho.data @ k.conj().T
-        s = k @ sigma.data @ k.conj().T
-        parts.append((float(np.real(np.trace(r))), r, float(np.real(np.trace(s))), s))
-    return parts
+    return [(p, r, q, s) for (p, r), (q, s) in zip(_conjugates(channel, rho.data),
+                                                  _conjugates(channel, sigma.data))]
 
 
 def _check_pair(channel, rho, sigma):

@@ -13,11 +13,20 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ChannelInvalid, DimensionMismatch
-from .states import DensityMatrix, _rng, _trusted, random_unitary, validate
+from .states import (
+    DensityMatrix,
+    _matrix_from_pairs,
+    _matrix_to_pairs,
+    _rng,
+    _trusted,
+    random_unitary,
+    validate,
+)
 
 COMPLETENESS_TOL = 1e-9
 OUTCOME_THRESHOLD = 1e-12
@@ -72,12 +81,19 @@ def _check_compat(channel: KrausChannel, rho: DensityMatrix) -> None:
             f"channel acts on dimension {channel.d_in}, state has {rho.d}")
 
 
+def _conjugates(channel: KrausChannel, data: np.ndarray):
+    """(trace, K data K^dag) for each Kraus operator K, in order."""
+    for k in channel.kraus:
+        out = k @ data @ k.conj().T
+        yield float(np.real(np.trace(out))), out
+
+
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective application sum_i K_i rho K_i^dag, revalidated."""
     _check_compat(channel, rho)
     out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-    for k in channel.kraus:
-        out += k @ rho.data @ k.conj().T
+    for _, part in _conjugates(channel, rho.data):
+        out += part
     dims = rho.dims if channel.d_out == rho.d else (channel.d_out,)
     return validate(out, dims)
 
@@ -90,14 +106,8 @@ def selective_apply(channel: KrausChannel, rho: DensityMatrix):
     """
     _check_compat(channel, rho)
     dims = rho.dims if channel.d_out == rho.d else (channel.d_out,)
-    results = []
-    for k in channel.kraus:
-        out = k @ rho.data @ k.conj().T
-        p = float(np.real(np.trace(out)))
-        if p <= OUTCOME_THRESHOLD:
-            continue
-        results.append((p, _trusted(out / p, dims)))
-    return results
+    return [(p, _trusted(out / p, dims)) for p, out in _conjugates(channel, rho.data)
+            if p > OUTCOME_THRESHOLD]
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -160,13 +170,8 @@ def make_local_product(site_channels) -> KrausChannel:
     site_channels = list(site_channels)
     if not site_channels:
         raise ChannelInvalid("need at least one site channel")
-    ops = []
-    for combo in itertools.product(*(ch.kraus for ch in site_channels)):
-        acc = np.array([[1.0 + 0j]])
-        for f in combo:
-            acc = np.kron(acc, f)
-        ops.append(acc)
-    return kraus_channel(ops)
+    return kraus_channel([reduce(np.kron, combo)
+                          for combo in itertools.product(*(ch.kraus for ch in site_channels))])
 
 
 def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
@@ -189,14 +194,6 @@ def random_projective(d: int, rank: int, seed) -> KrausChannel:
 # ---------------------------------------------------------------------------
 # JSON interchange, mirroring the state format.
 # ---------------------------------------------------------------------------
-
-def _matrix_to_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _matrix_from_pairs(raw) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in raw])
-
 
 def channel_to_json(channel: KrausChannel) -> str:
     return json.dumps({"kraus": [_matrix_to_pairs(k) for k in channel.kraus]})

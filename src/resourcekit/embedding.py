@@ -112,8 +112,9 @@ def map_components(emb: EmbeddingMap, components):
     return [WitnessComponent(w, embed_pure(emb, psi)) for w, psi in components]
 
 
-def depth_correspondence_pure(emb: EmbeddingMap, psi: PureState, tol: float = 1e-9) -> dict:
-    """Rank of the source state and both depths of its embedding.
+def depth_correspondence_pure(emb: EmbeddingMap, psi: PureState) -> dict:
+    """Rank of the source state and both depths of its embedding, read off
+    the structures (support, finest factorization) ``is_feasible_pure`` uses.
 
     Only measures; the claimed correspondence (rank r >= 2 gives
     separability depth d - r + 1 and entanglement depth r + 1, rank 1 a
@@ -121,7 +122,7 @@ def depth_correspondence_pure(emb: EmbeddingMap, psi: PureState, tol: float = 1e
     embedding suite.
     """
     fac = factorize_pure(embed_pure(emb, psi))
-    return {"rank": coherent_rank_pure(psi, tol),
+    return {"rank": coherent_rank_pure(psi),
             "sep_depth": fac.separability_depth, "ent_depth": fac.entanglement_depth}
 
 

@@ -96,10 +96,14 @@ def enumerate_partitions(n: int, *, exactly_k_parts=None, max_part_size=None) ->
 # Pure-state structure.
 # ---------------------------------------------------------------------------
 
-def coherent_rank_pure(psi: PureState, tol: float = 1e-9) -> int:
-    """Number of amplitudes above tol relative to the largest one."""
+def _effective_support(psi: PureState) -> tuple[int, ...]:
     mags = np.abs(psi.amps)
-    return int((mags > tol * mags.max()).sum())
+    return tuple(np.flatnonzero(mags > 1e-14 * mags.max()).tolist())
+
+
+def coherent_rank_pure(psi: PureState) -> int:
+    """Support size that places the state in a multilevel family (is_feasible_pure)."""
+    return len(_effective_support(psi))
 
 
 class Factorization(NamedTuple):
@@ -284,6 +288,14 @@ def _offset_amps(x: np.ndarray) -> np.ndarray:
     return z / norm
 
 
+def _offset_block(z: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_offset_amps` on unit vectors."""
+    block = np.empty(2 * len(z))
+    block[0::2] = z.real - 1.0
+    block[1::2] = z.imag
+    return block
+
+
 def _component_amps(family: FeasibleFamily, structure, block: np.ndarray) -> np.ndarray:
     if family.kind == "multilevel":
         vec = np.zeros(family.d, dtype=complex)
@@ -337,11 +349,6 @@ def decode_mixture(family: FeasibleFamily, theta) -> list[WitnessComponent]:
 # Witness encoding: represent an explicit mixture as family parameters.
 # ---------------------------------------------------------------------------
 
-def _effective_support(psi: PureState) -> tuple[int, ...]:
-    mags = np.abs(psi.amps)
-    return tuple(np.flatnonzero(mags > 1e-14 * mags.max()).tolist())
-
-
 def _coarsens(slot_partition, fine_partition) -> bool:
     """True iff every slot part is a union of fine parts."""
     fine = [set(p) for p in fine_partition]
@@ -358,44 +365,25 @@ def _coarsens(slot_partition, fine_partition) -> bool:
     return True
 
 
-def _part_factors(family: FeasibleFamily, psi: PureState, slot) -> list[np.ndarray]:
-    """Per-part factors of a state known to be product across ``slot``."""
-    factors = []
-    for part in slot:
-        red = _reduced(psi.amps, list(family.dims), part)
-        factors.append(_top_eigvec(red))
-    return factors
-
-
 def _encode_component(family, psi, slot) -> np.ndarray:
     if family.kind == "multilevel":
-        z = psi.amps[list(slot)]
-        block = np.empty(2 * len(slot))
-        block[0::2] = z.real - 1.0
-        block[1::2] = z.imag
-        return block
-    factors = _part_factors(family, psi, slot)
+        return _offset_block(psi.amps[list(slot)])
+    factors = [_top_eigvec(_reduced(psi.amps, list(family.dims), part)) for part in slot]
     rebuilt = _assemble_product(family.dims, slot, factors)
     if 1.0 - abs(np.vdot(rebuilt, psi.amps)) > 1e-10:
         raise WitnessEncodingError("component is not product across the chosen slot")
-    pieces = []
-    for f in factors:
-        block = np.empty(2 * len(f))
-        block[0::2] = f.real - 1.0
-        block[1::2] = f.imag
-        pieces.append(block)
-    return np.concatenate(pieces)
+    return np.concatenate([_offset_block(f) for f in factors])
 
 
-def _component_structure(family: FeasibleFamily, psi: PureState):
+def _structure(kind: str, psi: PureState):
     """The support (multilevel) or finest factorization of a component."""
-    if family.kind == "multilevel":
+    if kind == "multilevel":
         return _effective_support(psi)
     return factorize_pure(psi).parts
 
 
-def _slot_compatible(family: FeasibleFamily, slot, structure) -> bool:
-    if family.kind == "multilevel":
+def _slot_compatible(kind: str, slot, structure) -> bool:
+    if kind == "multilevel":
         return set(structure) <= set(slot)
     return _coarsens(slot, structure)
 
@@ -404,11 +392,11 @@ def encode(family: FeasibleFamily, components) -> np.ndarray:
     """Parameters that decode to exactly the given mixture of
     ``(weight, pure state)`` pairs.
 
-    Each component's structure is read off its state: its support
-    (amplitudes above 1e-14 of the largest; smaller ones are dropped) for
-    multilevel families, its finest factorization for the correlation
-    families.  The component takes the first free slot whose structure
-    admits that one.  Unused slots carry ~1e-18 weight, which only *adds*
+    Each component is placed by the membership rule of
+    :func:`is_feasible_pure`: its structure (support above 1e-14 of the
+    largest amplitude, smaller amplitudes dropped, or finest factorization)
+    must fit a slot's structure, and the component takes the first *free*
+    such slot.  Unused slots carry ~1e-18 weight, which only *adds*
     support and so can only improve any affinity evaluated against the
     result.  A component that fits no free slot raises
     WitnessEncodingError: the mixture is never altered to fit, so an
@@ -418,9 +406,9 @@ def encode(family: FeasibleFamily, components) -> np.ndarray:
     logits = np.full(family.m, UNUSED_SLOT_LOGIT)
     used = [False] * family.m
     for weight, psi in components:
-        structure = _component_structure(family, psi)
+        structure = _structure(family.kind, psi)
         slot_idx = next((i for i, slot in enumerate(family.structures)
-                         if not used[i] and _slot_compatible(family, slot, structure)),
+                         if not used[i] and _slot_compatible(family.kind, slot, structure)),
                         None)
         if slot_idx is None:
             raise WitnessEncodingError(
@@ -433,14 +421,11 @@ def encode(family: FeasibleFamily, components) -> np.ndarray:
     return theta
 
 
-def is_feasible_pure(kind: str, k: int, psi: PureState, tol: float = 1e-9) -> bool:
-    """Does the pure state satisfy the component constraint of a family kind?"""
-    if kind == "multilevel":
-        return coherent_rank_pure(psi, tol) <= k
-    fac = factorize_pure(psi, tol)
-    if kind == "separable":
-        return fac.separability_depth >= k
-    if kind == "producible":
-        return fac.entanglement_depth <= k
-    raise ValueError(f"unknown family kind {kind!r}")
-
+def is_feasible_pure(kind: str, k: int, psi: PureState) -> bool:
+    """The one membership rule: a component belongs to a family iff its structure
+    (support or finest factorization) fits a structure of the family's pool.
+    :func:`encode` places by it and ``check_witness`` checks by it.  An order
+    outside the family's range raises EmptySet."""
+    pool = structure_pool(kind, psi.dims, k)
+    structure = _structure(kind, psi)
+    return any(_slot_compatible(kind, slot, structure) for slot in pool)

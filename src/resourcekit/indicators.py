@@ -45,6 +45,7 @@ from .states import DensityMatrix, _frac_power_raw, _trusted, basis_pure
 DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 2000
 _SIMPLEX_TOL = 1e-10  # Nelder-Mead xatol and fatol
+_WITNESS_TOL = 1e-9   # check_witness: mixture and affinity agreement
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
@@ -78,6 +79,11 @@ def _seed_key(seed) -> int:
     return int(np.random.SeedSequence([int(s) for s in seed]).generate_state(1)[0])
 
 
+def _check_effort(restarts: int, max_iter: int) -> None:
+    if restarts < 0 or max_iter < 0:
+        raise ValueError(f"restarts and max_iter must be >= 0, got {restarts}, {max_iter}")
+
+
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                  seed, restarts: int = DEFAULT_RESTARTS,
                  max_iter: int = DEFAULT_MAX_ITER, witness=None) -> MaxAffinityResult:
@@ -95,8 +101,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     :func:`encode`); negative ``restarts`` or ``max_iter`` raise ValueError.
     """
     alpha = _check_alpha(alpha)
-    if restarts < 0 or max_iter < 0:
-        raise ValueError(f"restarts and max_iter must be >= 0, got {restarts}, {max_iter}")
+    _check_effort(restarts, max_iter)
     if rho.d != family.d:
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
     key = _seed_key(seed)
@@ -229,10 +234,11 @@ def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
     """Upper bound on the order-k coherence indicator (support size < k
     witnesses).  Order 2 is exact: the closed-form affinity with the
     closed-form witness, found without search, so ``m`` and the optimizer
-    options go unused there."""
+    options go unused there (negative effort still raises ValueError)."""
     if not 2 <= k <= rho.d:
         raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
     if k == 2:
+        _check_effort(opts.get("restarts", 0), opts.get("max_iter", 0))
         q, s = _k2_weights(rho, _check_alpha(alpha))
         return _result("coherence", k, alpha, variant, seed, s ** float(alpha),
                        _trusted(np.diag(q), rho.dims),
@@ -300,16 +306,16 @@ def results_to_json(results) -> str:
     return json.dumps({"results": rows})
 
 
-def check_witness(result: IndicatorResult, rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    """Revalidate a result: component membership, witness equal to the
-    component mixture, and affinity recomputation."""
+def check_witness(result: IndicatorResult, rho: DensityMatrix) -> bool:
+    """Revalidate a result: every component, however light, passes
+    :func:`is_feasible_pure` (the rule :func:`encode` places by), the witness
+    equals the component mixture and the affinity recomputes, both within 1e-9."""
     kind, shift = _FAMILY_OF[result.label.removesuffix("_avg")]
-    for comp in result.components:
-        if comp.weight > 1e-9 and not is_feasible_pure(kind, result.k + shift, comp.state):
-            return False
+    if not all(is_feasible_pure(kind, result.k + shift, c.state) for c in result.components):
+        return False
     mixture = sum(c.weight * np.outer(c.state.amps, c.state.amps.conj())
                   for c in result.components)
-    if np.abs(mixture - result.witness.data).max() > tol:
+    if np.abs(mixture - result.witness.data).max() > _WITNESS_TOL:
         return False
     return abs(alpha_affinity(rho, result.witness, result.alpha)
-               - result.best_affinity) <= tol
+               - result.best_affinity) <= _WITNESS_TOL

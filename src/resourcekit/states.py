@@ -280,16 +280,21 @@ def random_unitary(d: int, seed) -> np.ndarray:
 # row-major; files whose matrix fails validate() are refused.
 # ---------------------------------------------------------------------------
 
+def _matrix_to_pairs(m: np.ndarray):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _matrix_from_pairs(raw) -> np.ndarray:
+    return np.array([[complex(re, im) for re, im in row] for row in raw])
+
+
 def state_to_json(rho: DensityMatrix) -> str:
-    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in rho.data]
-    return json.dumps({"dims": list(rho.dims), "matrix": matrix})
+    return json.dumps({"dims": list(rho.dims), "matrix": _matrix_to_pairs(rho.data)})
 
 
 def state_from_json(text: str) -> DensityMatrix:
     doc = json.loads(text)
-    raw = doc["matrix"]
-    arr = np.array([[complex(re, im) for re, im in row] for row in raw])
-    return validate(arr, doc["dims"])
+    return validate(_matrix_from_pairs(doc["matrix"]), doc["dims"])
 
 
 def save_state(rho: DensityMatrix, path) -> None:

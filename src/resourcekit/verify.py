@@ -12,6 +12,7 @@ counterexample and never an optimizer artifact.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -30,6 +31,7 @@ from .affinity import (
 )
 from .channels import (
     OUTCOME_THRESHOLD,
+    _conjugates,
     apply as channel_apply,
     make_local_product,
     make_monomial_incoherent,
@@ -264,9 +266,7 @@ def _apply_to_components(channel, comps):
 def _selective_witnesses(channel, rho, comps):
     """Yield (p_i, rho_i, witness_i) for every outcome that both the state
     and the witness reach; witness_i is the normalized pushed witness."""
-    for op in channel.kraus:
-        out = op @ rho.data @ op.conj().T
-        p = float(np.real(np.trace(out)))
+    for op, (p, out) in zip(channel.kraus, _conjugates(channel, rho.data)):
         if p <= OUTCOME_THRESHOLD:
             continue
         pushed = _pushed(op, comps)
@@ -433,9 +433,8 @@ def run_theorem2(seed, n_samples=None):
         alpha, dims, kind, famk = _t2_config(i)
         rho = random_mixed(dims, prod(dims), [seed, 4, 1, i])
         r1 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 0), copies=2, **opts)
-        u_full = np.array([[1.0 + 0j]])
-        for j in range(len(dims)):
-            u_full = np.kron(u_full, random_unitary(2, [seed, 4, 1, i, j]))
+        u_full = reduce(np.kron, [random_unitary(2, [seed, 4, 1, i, j])
+                                  for j in range(len(dims))])
         rho_u = validate(u_full @ rho.data @ u_full.conj().T, dims)
         r2 = _solve(rho_u, kind, famk, alpha, (seed, 4, 1, i, 1), copies=2,
                     witness=_rotated(u_full, r1.components), **opts)

@@ -4,7 +4,7 @@ Everything here works on raw numpy arrays and deliberately shares no code
 with the library paths it checks: partial traces by explicit index loops,
 restricted-set affinity maxima by Frank-Wolfe ascent with an exact linear
 subproblem and a duality-gap certificate, and product-state maxima by
-alternating eigenvector iterations.
+alternating eigenvector iterations, whose bracket is not certified.
 """
 
 import itertools
@@ -140,10 +140,12 @@ def _product_atom(grad, dims, seed=0, n_starts=8, sweeps=40):
 
 def frank_wolfe_max(rho_data, alpha, atom_oracle, iters=2000, gap_stop=2e-6):
     """Maximize Tr(rho^alpha sigma^(1-alpha)) over the convex hull of the
-    oracle's atoms; returns (achieved value, certified upper bound).
+    oracle's atoms; returns (achieved value, upper bound).
 
     The affinity is concave in sigma, so the linearization gap at each
-    iterate upper-bounds the distance to the optimum.
+    iterate upper-bounds the distance to the optimum -- provided the atom
+    oracle returns the exact linear maximum.  The upper bound is therefore
+    certified only with an exact oracle (``_support_atom``).
     """
     d = rho_data.shape[0]
     rho_a = _herm_power(rho_data, alpha)
@@ -171,19 +173,27 @@ def max_affinity_support(rho_data, alpha, k, iters=2000, gap_stop=2e-6):
 
 
 def max_affinity_product(rho_data, alpha, dims, iters=400, gap_stop=2e-4):
+    """Frank-Wolfe over two-party product states with the alternating
+    oracle ``_product_atom``, which can undershoot the linear maximum, so
+    the returned upper bound is not certified.  On the isotropic two-qubit
+    state with fidelity 0.9 to (|00> + |11>)/sqrt(2), at alpha = 0.5, the
+    bracket is [0.8937734, 0.8940455], below the exact maximum 0.8944272."""
     return frank_wolfe_max(rho_data, alpha,
                            lambda g: _product_atom(g, dims), iters, gap_stop)
 
 
 # Frozen anchor optima, derived before the library existed and re-derivable
-# with the certified searches above (see the slow oracle tests):
+# with the searches above (see the slow oracle tests):
 #
 # * uniform-amplitude qutrit against mixtures of two-level pure states:
 #   the symmetric boundary mixture (identity + all-ones)/6 is optimal, with
-#   affinity (2/3)^(1-alpha); Frank-Wolfe brackets at alpha 0.3/0.5/0.7:
-#   [0.7528798, 0.7529226], [0.8164664, 0.8165268], [0.8854373, 0.8854977].
+#   affinity (2/3)^(1-alpha); certified Frank-Wolfe brackets at alpha
+#   0.3/0.5/0.7: [0.7528798, 0.7529226], [0.8164664, 0.8165268],
+#   [0.8854373, 0.8854977].
 # * two-qubit Bell state against separable states at alpha = 1/2: the
-#   symmetric-state family caps at 2^(-1/2); bracket [0.7069391, 0.7071747].
+#   symmetric-state family caps at 2^(-1/2).  The product-oracle bracket
+#   [0.7069391, 0.7071747] agrees but is not certified (see
+#   max_affinity_product).
 
 def qutrit_two_level_max(alpha):
     return (2.0 / 3.0) ** (1.0 - alpha)

@@ -149,12 +149,14 @@ def test_verify_negative_samples_exits_two(capsys):
 
 
 def test_indicator_negative_effort_exits_two(tmp_path, capsys):
+    # order 2 is solved in closed form, yet its effort is validated alike
     path = tmp_path / "qutrit.json"
     rk.save_state(rk.random_mixed([3], 3, seed=11), path)
-    assert main(["indicator", "--state", str(path), "--label", "coherence",
-                 "--k", "3", "--alpha", "0.5", "--seed", "3",
-                 "--restarts", "1", "--max-iter", "-5"]) == 2
-    assert "max_iter" in capsys.readouterr().err
+    for k, restarts in (("3", "1"), ("2", "-4")):
+        assert main(["indicator", "--state", str(path), "--label", "coherence",
+                     "--k", k, "--alpha", "0.5", "--seed", "3",
+                     "--restarts", restarts, "--max-iter", "-5"]) == 2
+        assert "max_iter" in capsys.readouterr().err
 
 
 def test_verify_writes_csv(tmp_path, capsys):

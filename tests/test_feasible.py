@@ -1,10 +1,16 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resourcekit as rk
 from resourcekit.errors import BadLength, EmptySet, NTooLarge, WitnessEncodingError
 from resourcekit.feasible import (
+    KINDS,
     WitnessComponent,
+    _assemble_product,
     decode_mixture,
     is_feasible_pure,
     structure_pool,
@@ -228,3 +234,44 @@ def test_factorize_reconstruction_and_limits():
     fac = rk.factorize_pure(prod)
     rebuilt = np.kron(fac.factors[0].amps, fac.factors[1].amps)
     assert 1.0 - abs(np.vdot(rebuilt, prod.amps)) <= 1e-10
+
+
+@st.composite
+def _components(draw):
+    """(kind, k, state): exact products of random factors for the
+    correlation kinds; for multilevel, sparse vectors whose nonzero
+    amplitudes are at least 1e-12 or at most 1e-15 of the largest."""
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "multilevel":
+        dims = draw(st.sampled_from([(4,), (6,), (2, 2)]))
+        d = prod(dims)
+        exps = draw(st.lists(st.one_of(st.none(), st.floats(-12, 0), st.floats(-20, -15)),
+                             min_size=d, max_size=d))
+        mags = np.array([0.0 if e is None else 10.0 ** e for e in exps])
+        mags[draw(st.integers(0, d - 1))] = 1.0
+        phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, d)
+        return kind, draw(st.integers(1, d)), rk.pure_state(mags * np.exp(1j * phases), dims)
+    dims = draw(st.sampled_from([(2, 2), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]))
+    n = len(dims)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    parts = [tuple(i for i in range(n) if labels[i] == lab) for lab in sorted(set(labels))]
+    factors = [rk.random_pure([dims[i] for i in part], seed=[seed, j]).amps
+               for j, part in enumerate(parts)]
+    psi = rk.pure_state(_assemble_product(dims, parts, factors), dims)
+    return kind, draw(st.integers(1, n)), psi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_components())
+def test_membership_is_encodability(case):
+    # is_feasible_pure accepts exactly the components encode can place in a
+    # family with one slot per pool structure
+    kind, k, psi = case
+    family = rk.build_family(kind, psi.dims, k, m=len(structure_pool(kind, psi.dims, k)))
+    try:
+        rk.encode(family, [(1.0, psi)])
+        placed = True
+    except WitnessEncodingError:
+        placed = False
+    assert is_feasible_pure(kind, k, psi) == placed

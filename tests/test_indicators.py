@@ -183,7 +183,8 @@ def test_correlation_zero_on_product_state():
 
 
 def test_bell_nonseparability_anchor():
-    # certified by symmetric-state analysis and the Frank-Wolfe bracket
+    # from symmetric-state analysis; the product-oracle Frank-Wolfe bracket
+    # agrees but is not certified (tests/oracles.py, max_affinity_product)
     bell = rk.pure_state([1, 0, 0, 1], (2, 2)).projector()
     res = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5,
                                       seed=70, m=2, restarts=8, max_iter=2000)
@@ -277,6 +278,41 @@ def test_check_witness_ties_witness_to_components():
     res = rk.multilevel_coherence(rho, 2, 0.5, seed=133)
     forged = dataclasses.replace(res, witness=rho, best_affinity=1.0)
     assert not rk.check_witness(forged, rho)
+
+
+def _with_components(res, rho, comps):
+    """The result re-pointed at new components, with a matching witness and
+    best affinity, so that only component membership can fail."""
+    comps = tuple(rk.WitnessComponent(w, psi) for w, psi in comps)
+    witness = rk.validate(sum(w * psi.projector().data for w, psi in comps), rho.dims)
+    return dataclasses.replace(res, components=comps, witness=witness,
+                               best_affinity=rk.alpha_affinity(rho, witness, res.alpha))
+
+
+def test_check_witness_counts_every_amplitude_encode_counts():
+    # a 1e-12 amplitude on a third level puts a component outside
+    # multilevel(2) for encode, and so for check_witness
+    rho = rk.random_mixed([3], 3, seed=134)
+    res = rk.multilevel_coherence(rho, 3, 0.5, seed=135, restarts=1, max_iter=50)
+    assert rk.check_witness(res, rho)
+    w, psi = res.components[0]
+    amps = psi.amps.copy()
+    amps[np.flatnonzero(amps == 0)[0]] = 1e-12 * np.abs(amps).max()
+    tilted = rk.pure_state(amps, psi.dims)
+    assert rk.coherent_rank_pure(tilted) == 3
+    with pytest.raises(WitnessEncodingError):
+        rk.encode(rk.build_family("multilevel", (3,), 2, m=3), [(1.0, tilted)])
+    forged = _with_components(res, rho, [(w, tilted)] + list(res.components[1:]))
+    assert not rk.check_witness(forged, rho)
+
+
+def test_check_witness_checks_light_components():
+    rho = rk.random_mixed([3], 3, seed=136)
+    res = rk.multilevel_coherence(rho, 3, 0.5, seed=137, restarts=1, max_iter=50)
+    light = 1e-10
+    comps = [(w * (1.0 - light), psi) for w, psi in res.components]
+    comps.append((light, rk.pure_state([1, 1, 1])))
+    assert not rk.check_witness(_with_components(res, rho, comps), rho)
 
 
 def test_reported_seed_reproduces_the_run():
