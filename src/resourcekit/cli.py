@@ -10,7 +10,7 @@ codes: 0 success / all checks passed, 1 verification failure, 2 input
 error.  ``affinity`` and ``indicator`` write CSV or JSON (``--format``);
 ``verify`` prints a summary and writes certificate CSV, ``embed`` writes
 JSON.  Order-2 coherence rows are the exact closed form, found without
-search (restarts 0, spread 0).
+search (restarts 0, spread 0); higher orders ignore ``--restarts`` (1).
 """
 
 from __future__ import annotations

@@ -165,8 +165,8 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     """Transport an order-k coherence witness through the embedding and
     certify the four induced correlation bounds on the embedded state.
 
-    The coherence run uses one family slot per support subset, and each
-    correlation family one slot per partition in its pool.  Each mapped
+    Each correlation family has one slot per partition in its pool, enough
+    for the coherence witness (one widest component per support, first).  Each mapped
     component's partition is predicted from its source's support and
     checked against its recomputed factorization.  Each correlation
     optimization is seeded with the mapped witness, whose components
@@ -181,9 +181,7 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
         raise KOutOfRange(f"need 2 <= k <= {d}, got {k}")
     emb = build_embedding(d)
     opts = {"restarts": restarts, "max_iter": max_iter}
-    coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed,
-                               m=len(structure_pool("multilevel", rho.dims, k - 1)),
-                               **opts)
+    coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed, **opts)
     mapped = map_components(emb, coh.components)
     sep_k = d - k + 2
     prod_k = k

@@ -240,8 +240,8 @@ def run_appendix_b(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 
 def _solve(rho, kind, k, alpha, tags, copies=1, witness=None, **effort):
-    """Best affinity of rho against a family with ``copies`` slots for every
-    structure in its pool, seeded by ``tags``, starting from ``witness``."""
+    """Best affinity of rho against a family with ``copies`` slots (used by
+    correlation families) per pool structure, seeded by ``tags``, from ``witness``."""
     family = build_family(kind, rho.dims, k,
                           m=len(structure_pool(kind, rho.dims, k)) * copies)
     return max_affinity(rho, family, alpha, seed=_seed_key(tags), witness=witness, **effort)
@@ -364,7 +364,7 @@ def _theorem1_constructive(seed, nc):
         lam = _rng([seed, 3, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
         mixed_wit = _scaled(r1.components, lam[0]) + _scaled(r2.components, lam[1])
-        rm = _solve(mix, "multilevel", k - 1, alpha, (seed, 3, i, 5), copies=2,
+        rm = _solve(mix, "multilevel", k - 1, alpha, (seed, 3, i, 5),
                     witness=mixed_wit, **opts)
         certs.append(_cert("order3-witness-convexity", 1.0 - rm.affinity,
                            lam[0] * (1.0 - r1.affinity) + lam[1] * (1.0 - r2.affinity),
@@ -374,7 +374,7 @@ def _theorem1_constructive(seed, nc):
         chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
         moved = _apply_to_components(chan, r1.components)
         ro = _solve(channel_apply(chan, rho1), "multilevel", k - 1, alpha, (seed, 3, i, 7),
-                    copies=len(moved), witness=moved, restarts=1, max_iter=100)
+                    witness=moved, restarts=1, max_iter=100)
         certs.append(_cert("order3-witness-channel-monotonicity",
                            1.0 - ro.affinity, 1.0 - r1.affinity,
                            alpha=alpha, seed=seed))
@@ -382,7 +382,7 @@ def _theorem1_constructive(seed, nc):
         lhs = 0.0
         for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components):
             ri = _solve(rho_i, "multilevel", k - 1, alpha, (seed, 3, i, 8),
-                        copies=len(wit), witness=wit, restarts=1, max_iter=100)
+                        witness=wit, restarts=1, max_iter=100)
             lhs += p * _variant_value(ri.affinity, alpha, "avg")
         certs.append(_cert("order3-witness-avg-monotonicity", lhs,
                            _variant_value(r1.affinity, alpha, "avg"),

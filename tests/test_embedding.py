@@ -175,3 +175,25 @@ def test_transport_report_json():
     assert len(doc["rows"]) == 4
     row = doc["rows"][0]
     assert set(row) == {"lhs_label", "rhs_label", "lhs", "rhs", "slack"}
+
+
+def test_theorem3_coherence_witness_fits_one_slot_per_partition(monkeypatch):
+    # the order-3 qutrit witness holds at most one two-level component per
+    # support (pivoted-Cholesky readout), listed first, so the transported
+    # components fit one slot per partition: 7 separable, 14 producible
+    import resourcekit.embedding as embedding
+    sizes = set()
+    original = embedding.build_family
+
+    def recording(kind, dims, k, m=None):
+        sizes.add((kind, k, m))
+        return original(kind, dims, k, m=m)
+
+    monkeypatch.setattr(embedding, "build_family", recording)
+    for i in range(20):
+        rho = rk.random_mixed([3], 3, seed=[16, i])
+        rows = theorem3_check(rho, 3, ALPHAS[i % 3], seed=[17, i], restarts=0, max_iter=40)
+        assert len(rows) == 4
+        for row in rows:
+            assert row.slack >= -1e-8
+    assert sizes == {("separable", 2, 7), ("producible", 3, 14)}

@@ -6,7 +6,7 @@ import pytest
 import resourcekit as rk
 from resourcekit.errors import KOutOfRange, WitnessEncodingError
 from resourcekit.feasible import decode_mixture
-from resourcekit.indicators import closed_form_witness, max_affinity
+from resourcekit.indicators import max_affinity
 
 from oracles import (
     BELL_SEPARABLE_MAX_HALF,
@@ -75,11 +75,19 @@ def test_closed_form_inside_frank_wolfe_bracket():
 
 
 def test_max_affinity_rejects_witness_that_fits_no_slot():
+    # multilevel: a component on more levels than the family allows
     rho = rk.random_mixed([3], 3, seed=23)
-    fam = rk.build_family("multilevel", (3,), 1, m=1)
+    fam = rk.build_family("multilevel", (3,), 1)
     with pytest.raises(WitnessEncodingError):
         max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
-                     witness=closed_form_witness(rho, 0.5))
+                     witness=[(1.0, rk.pure_state([1, 1, 0]))])
+    # correlation: more product components than the family has free slots
+    rho = rk.random_mixed([2, 2], 4, seed=25)
+    fam = rk.build_family("separable", (2, 2), 2, m=1)
+    with pytest.raises(WitnessEncodingError):
+        max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
+                     witness=[(0.5, rk.basis_pure((2, 2), 0)),
+                              (0.5, rk.basis_pure((2, 2), 3))])
 
 
 def test_max_affinity_monotone_in_restarts():
@@ -112,16 +120,16 @@ def test_multilevel_coherence_k2_matches_closed_form():
 
 def test_multilevel_coherence_k2_witness_carries_closed_form():
     # the closed-form value always comes with the witness that attains it,
-    # whatever the slot count or optimizer options
+    # whatever the optimizer options
     rho = rk.random_mixed([3], 3, seed=1)
     cf_plain, cf_avg = rk.closed_form_k2(rho, 0.5)
-    for m in (1, 2, None):
-        plain = rk.multilevel_coherence(rho, 2, 0.5, seed=2, m=m)
-        avg = rk.multilevel_coherence(rho, 2, 0.5, "avg", seed=2, m=m,
-                                      restarts=1, max_iter=50)
+    for opts in ({}, {"restarts": 1, "max_iter": 50}, {"restarts": 0, "max_iter": 0}):
+        plain = rk.multilevel_coherence(rho, 2, 0.5, seed=2, **opts)
+        avg = rk.multilevel_coherence(rho, 2, 0.5, "avg", seed=2, **opts)
         for res in (plain, avg):
             assert rk.check_witness(res, rho)
             assert (res.restarts, res.iterations, res.spread) == (0, 0, 0.0)
+            assert res.affinity_upper == res.best_affinity
         assert plain.value == cf_plain
         assert avg.value == pytest.approx(cf_avg, abs=1e-12)
 
@@ -140,9 +148,58 @@ def test_multilevel_coherence_qutrit_order3_anchor():
     # (2/3)^(1-alpha); certified by the Frank-Wolfe bracket in oracles.py
     mx3 = rk.pure_state([1, 1, 1]).projector()
     for alpha in ALPHAS:
-        res = rk.multilevel_coherence(mx3, 3, alpha, seed=11, m=6,
-                                      restarts=10, max_iter=2500)
-        assert res.value == pytest.approx(1.0 - qutrit_two_level_max(alpha), abs=2e-3)
+        res = rk.multilevel_coherence(mx3, 3, alpha, seed=11)
+        assert res.value == pytest.approx(1.0 - qutrit_two_level_max(alpha), abs=1e-9)
+
+
+def _noisy_plus(d, fidelity):
+    plus = np.ones((d, d)) / d
+    return rk.validate(fidelity * plus + (1 - fidelity) * (np.eye(d) - plus) / (d - 1), [d])
+
+
+def test_multilevel_coherence_exact_on_noisy_plus_states():
+    # Basis permutations fix rho and the family, so by concavity some optimum
+    # is permutation invariant: a mixture of |+_d> and its complement, with
+    # fidelity to |+_d> at most (k-1)/d in multilevel(k-1).  Hence
+    # max A = F^a f^(1-a) + (1-F)^a (1-f)^(1-a) with f = min(F, (k-1)/d).
+    for d in range(3, 7):
+        for k in range(3, d + 1):
+            for alpha in ALPHAS:
+                for fid in (1.0, 0.9, 0.6, 0.3, 1.0 / d):
+                    f = min(fid, (k - 1) / d)
+                    exact = (fid ** alpha * f ** (1 - alpha)
+                             + (1 - fid) ** alpha * (1 - f) ** (1 - alpha))
+                    res = rk.multilevel_coherence(_noisy_plus(d, fid), k, alpha, seed=1)
+                    assert abs(res.best_affinity - exact) <= 1e-9
+                    assert res.best_affinity - 1e-12 <= exact <= res.affinity_upper + 1e-12
+
+
+def test_multilevel_coherence_singular_optimum():
+    # two three-level states mix into a rank-2 ququart inside multilevel(3):
+    # the optimum is rho itself, where the gradient of sigma^(1-alpha) blows up
+    rng = np.random.default_rng(7)
+    comps = []
+    for weight, levels in ((0.6, [0, 1, 2]), (0.4, [1, 2, 3])):
+        amps = np.zeros(4, dtype=complex)
+        amps[levels] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        comps.append((weight, rk.pure_state(amps)))
+    rho = rk.validate(sum(w * psi.projector().data for w, psi in comps), [4])
+    for alpha in ALPHAS:
+        res = rk.multilevel_coherence(rho, 4, alpha, seed=1)
+        assert res.best_affinity >= 1.0 - 1e-9
+        assert rk.check_witness(res, rho)
+
+
+def test_multilevel_coherence_agrees_with_oracle_both_sides():
+    # each side's lower end stays below the other side's upper end
+    cases = ((3, 3, 0.3), (3, 3, 0.5), (3, 3, 0.7), (4, 3, 0.3), (4, 4, 0.5), (4, 3, 0.7))
+    for i, (d, k, alpha) in enumerate(cases):
+        rho = rk.random_mixed([d], d, seed=[140, i])
+        lb, ub = max_affinity_support(rho.data, alpha, k - 1, iters=300)
+        res = rk.multilevel_coherence(rho, k, alpha, seed=[141, i])
+        assert lb - 1e-9 <= res.affinity_upper
+        assert res.best_affinity <= ub + 1e-9
+        assert res.best_affinity <= res.affinity_upper
 
 
 @pytest.mark.slow
@@ -157,7 +214,7 @@ def test_multilevel_coherence_zero_on_low_rank_mixtures():
     theta = np.random.default_rng(3).standard_normal(fam.param_len)
     comps = decode_mixture(fam, theta)
     rho = rk.decode(fam, theta)
-    res = rk.multilevel_coherence(rho, 3, 0.5, seed=5, m=3, restarts=1,
+    res = rk.multilevel_coherence(rho, 3, 0.5, seed=5, restarts=1,
                                   max_iter=100, witness=comps)
     assert res.value <= 1e-6
 
@@ -229,7 +286,7 @@ def test_injected_witness_upper_bounds_value():
     fam = rk.build_family("multilevel", (3,), 1, m=3)
     theta = np.random.default_rng(101).standard_normal(fam.param_len)
     sigma0 = rk.decode(fam, theta)
-    res = rk.multilevel_coherence(rho, 2, 0.5, seed=102, m=3, restarts=1,
+    res = rk.multilevel_coherence(rho, 2, 0.5, seed=102, restarts=1,
                                   max_iter=200, witness=decode_mixture(fam, theta))
     assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
 
