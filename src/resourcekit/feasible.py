@@ -139,7 +139,7 @@ def _top_eigvec(mat: np.ndarray) -> np.ndarray:
     return v[:, -1]
 
 
-def _split_recursive(amps, dims, labels, tol):
+def _split_recursive(amps, dims, labels):
     """Finest factorization of a pure state given as (amps, local dims)."""
     n = len(dims)
     if n == 1:
@@ -148,7 +148,7 @@ def _split_recursive(amps, dims, labels, tol):
         for subset in itertools.combinations(range(n), size):
             red = _reduced(amps, dims, subset)
             purity = float((np.abs(red) ** 2).sum())  # Tr(red^2) for Hermitian red
-            if purity >= 1.0 - tol:
+            if purity >= 1.0 - FACTOR_PURITY_TOL:
                 phi = _top_eigvec(red)
                 comp = [i for i in range(n) if i not in subset]
                 shaped = amps.reshape(dims)
@@ -158,27 +158,27 @@ def _split_recursive(amps, dims, labels, tol):
                 rest = rest.reshape(-1)
                 rest = rest / np.linalg.norm(rest)
                 left = _split_recursive(phi, [dims[i] for i in subset],
-                                        [labels[i] for i in subset], tol)
+                                        [labels[i] for i in subset])
                 right = _split_recursive(rest, [dims[i] for i in comp],
-                                         [labels[i] for i in comp], tol)
+                                         [labels[i] for i in comp])
                 return left + right
     return [(labels, amps)]
 
 
-def factorize_pure(psi: PureState, tol: float = FACTOR_PURITY_TOL) -> Factorization:
+def factorize_pure(psi: PureState) -> Factorization:
     """Finest tensor factorization found by recursive bipartition search.
 
     A subset of subsystems splits off iff its reduced state has purity at
-    least 1 - tol.  The tensor product of the returned factors reproduces
-    the input up to global phase, with fidelity gap below 1e-8 (guaranteed
-    whenever splits happen well clear of the threshold, which holds for
-    eigensolver noise ~1e-12 on one side and physical entanglement on the
-    other).
+    least 1 - FACTOR_PURITY_TOL.  The tensor product of the returned factors
+    reproduces the input up to global phase, with fidelity gap below 1e-8
+    (guaranteed whenever splits happen well clear of the threshold, which
+    holds for eigensolver noise ~1e-12 on one side and physical entanglement
+    on the other).
     """
     n = len(psi.dims)
     if n > MAX_SUBSYSTEMS:
         raise NTooLarge(f"factorization capped at n={MAX_SUBSYSTEMS}, got {n}")
-    pieces = _split_recursive(psi.amps, list(psi.dims), list(range(n)), tol)
+    pieces = _split_recursive(psi.amps, list(psi.dims), list(range(n)))
     pieces.sort(key=lambda item: min(item[0]))
     parts = tuple(tuple(labels) for labels, _ in pieces)
     factors = tuple(pure_state(amps, tuple(psi.dims[i] for i in labels))

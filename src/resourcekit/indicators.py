@@ -14,8 +14,8 @@ At order k, coherence is scored against multilevel(k-1), nonseparability
 against separable(k) and entanglement against producible(k-1) mixtures; one
 table holds this for the solvers and for :func:`check_witness`.
 
-Order k=2 of the coherence indicators is solved by its exact closed form
-alone: over diagonal states the optimum weights are proportional to the
+Order-2 coherence (multilevel(1)) is its exact closed form on every path:
+over diagonal states the optimum weights are proportional to the
 (1/alpha)-th power of the diagonal of rho^alpha (a Lagrange/Hoelder
 stationarity argument), giving max affinity (sum_i a_i^(1/alpha))^alpha,
 and the optimal diagonal mixture is the witness.  No search runs there.
@@ -89,19 +89,14 @@ def _seed_key(seed) -> int:
     return int(np.random.SeedSequence([int(s) for s in seed]).generate_state(1)[0])
 
 
-def _check_effort(restarts: int, max_iter: int) -> None:
-    if restarts < 0 or max_iter < 0:
-        raise ValueError(f"restarts and max_iter must be >= 0, got {restarts}, {max_iter}")
-
-
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
                  seed, restarts: int = DEFAULT_RESTARTS,
                  max_iter: int = DEFAULT_MAX_ITER, witness=None) -> MaxAffinityResult:
     """Best affinity between rho and the family, with the witness attaining it.
 
-    Multilevel families: one monotone ascent on the convex hull from the
-    ``witness`` (a list of (weight, pure state) pairs) or I/d, with a
-    certified bound on the maximum in ``upper`` (:func:`_hull_max`).
+    Multilevel families: the closed form at k=1 (:func:`_diagonal_max`),
+    else one monotone ascent on the convex hull from the ``witness`` (a list
+    of (weight, pure state) pairs) or I/d; both certify ``upper``.
     Correlation families: Nelder-Mead from the encoded ``witness`` and
     ``restarts`` random vectors; start r depends only on (_seed_key(seed),
     r), and ties resolve to the lowest start, so the best value is
@@ -110,12 +105,15 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     WitnessEncodingError; negative effort raises ValueError.
     """
     alpha = _check_alpha(alpha)
-    _check_effort(restarts, max_iter)
+    if restarts < 0 or max_iter < 0:
+        raise ValueError(f"restarts and max_iter must be >= 0, got {restarts}, {max_iter}")
     if rho.d != family.d:
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
     key = _seed_key(seed)
     rho_a = _frac_power_raw(rho.data, alpha)
     one_minus = 1.0 - alpha
+    if family.kind == "multilevel" and family.k == 1:
+        return _diagonal_max(rho, rho_a, alpha, witness)
     if family.kind == "multilevel":
         return _hull_max(rho, rho_a, alpha, family.k, witness, max_iter)
 
@@ -300,10 +298,10 @@ def _hull_max(rho, rho_a, alpha, k, witness, max_iter) -> MaxAffinityResult:
 # Closed form for coherence order 2 (diagonal witnesses).
 # ---------------------------------------------------------------------------
 
-def _k2_weights(rho: DensityMatrix, alpha: float) -> tuple[np.ndarray, float]:
+def _k2_weights(rho_a: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Optimal order-2 diagonal weights q and s = sum_i a_i^(1/alpha), with
-    a_i the diagonal of rho^alpha: q_i = a_i^(1/alpha) / s."""
-    a = np.clip(np.real(np.diag(_frac_power_raw(rho.data, alpha))), 0.0, None)
+    a_i the diagonal of rho^alpha (given as ``rho_a``): q_i = a_i^(1/alpha) / s."""
+    a = np.clip(np.real(np.diag(rho_a)), 0.0, None)
     q = a ** (1.0 / alpha)
     s = float(q.sum())
     return q / s, s
@@ -317,18 +315,25 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     (sum_i a_i^(1/alpha))^alpha.
     """
     alpha = _check_alpha(alpha)
-    s = _k2_weights(rho, alpha)[1]
+    s = _k2_weights(_frac_power_raw(rho.data, alpha), alpha)[1]
     return 1.0 - s ** alpha, 1.0 - s
+
+
+def _diagonal_max(rho, rho_a, alpha, witness) -> MaxAffinityResult:
+    """The multilevel(1) maximum, the closed form, which needs no start: a
+    ``witness`` is only checked; a component on two or more levels raises."""
+    if not all(is_feasible_pure("multilevel", 1, psi) for _, psi in witness or ()):
+        raise WitnessEncodingError("a witness component exceeds 1 level")
+    q, s = _k2_weights(rho_a, alpha)
+    affinity = s ** alpha
+    return MaxAffinityResult(affinity, _trusted(np.diag(q), rho.dims),
+                             tuple(_diagonal_components(q, rho.dims)),
+                             Diagnostics(0, 0, 0.0), affinity)
 
 
 def _diagonal_components(q: np.ndarray, dims) -> list[WitnessComponent]:
     return [WitnessComponent(float(qi), basis_pure(dims, i))
             for i, qi in enumerate(q) if qi > 0.0]
-
-
-def closed_form_witness(rho: DensityMatrix, alpha: float) -> list[WitnessComponent]:
-    """The optimal diagonal mixture behind :func:`closed_form_k2`."""
-    return _diagonal_components(_k2_weights(rho, _check_alpha(alpha))[0], rho.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +384,13 @@ def _searched(rho, base, k, alpha, variant, seed, opts, m=None) -> IndicatorResu
 
 def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
                          variant: str = "plain", *, seed, **opts) -> IndicatorResult:
-    """Order-k coherence indicator (support size < k witnesses).  Order 2 is
-    the exact closed form with its witness, found without search.  Higher
-    orders are solved on the convex hull (:func:`max_affinity`), where
-    ``restarts`` goes unused; ``affinity_upper`` is certified (1.0 when the
-    witness is too close to singular).  Negative effort raises ValueError."""
+    """Order-k coherence indicator (support size < k witnesses), from
+    :func:`max_affinity`: order 2 is the exact closed form, higher orders are
+    solved on the convex hull; ``restarts`` goes unused.  ``affinity_upper``
+    is certified (1.0 when the witness is too close to singular).  Negative
+    effort raises ValueError."""
     if not 2 <= k <= rho.d:
         raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
-    if k == 2:
-        _check_effort(opts.get("restarts", 0), opts.get("max_iter", 0))
-        q, s = _k2_weights(rho, _check_alpha(alpha))
-        affinity = s ** float(alpha)
-        return _result("coherence", k, alpha, variant, seed, MaxAffinityResult(
-            affinity, _trusted(np.diag(q), rho.dims), _diagonal_components(q, rho.dims),
-            Diagnostics(0, 0, 0.0), affinity))
     return _searched(rho, "coherence", k, alpha, variant, seed, opts)
 
 

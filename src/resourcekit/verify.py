@@ -4,10 +4,10 @@ Each suite samples seeded instances, evaluates both sides of every claimed
 inequality (or equality), and returns the raw certificates; ``summarize``
 applies the tolerance policy.  All comparisons between two optimized
 quantities are stated constructively through transported witnesses, because
-optimizer outputs are one-sided bounds: injecting a mapped witness into the
-second optimization makes the claimed inequality hold by construction
-whenever the mapping is sound, so a violated certificate is a genuine
-counterexample and never an optimizer artifact.
+optimizer outputs are one-sided bounds: scoring the mapped witness on the
+second side makes the claimed inequality hold by construction whenever the
+mapping is sound, so a violated certificate is a genuine counterexample and
+never an optimizer artifact.
 """
 
 from __future__ import annotations
@@ -45,17 +45,19 @@ from .embedding import (
     embed_state,
     theorem3_check,
 )
-from .errors import FeasibilityCheckFailed
+from .errors import FeasibilityCheckFailed, WitnessEncodingError
 from .feasible import (
     WitnessComponent,
     build_family,
     decode_mixture,
+    is_feasible_pure,
     structure_pool,
 )
 from .indicators import _seed_key, _variant_value, closed_form_k2, max_affinity
 from .states import (
     PureState,
     _rng,
+    _trusted,
     pure_state,
     random_mixed,
     random_unitary,
@@ -94,8 +96,8 @@ TOLERANCES = {
     "order3-witness-avg-monotonicity": 1e-8,
     "order3-witness-channel-monotonicity": 1e-8,
     "order3-witness-tensor-subadditivity": 1e-8,
-    "zero-on-members": 1e-6,
-    "local-unitary-witness": 1e-6,
+    "zero-on-members": 1e-9,
+    "local-unitary-witness": 1e-9,
     "witness-mixing-convexity": 1e-8,
     "locc-avg-monotonicity": 1e-8,
     "locc-monotonicity": 1e-8,
@@ -235,16 +237,25 @@ def run_appendix_b(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 # Witness transport shared by the theorem suites: each step (channel, local
 # unitary, selective outcome, tensor product) maps an explicit witness to a
-# feasible one for the image state, and ``_solve`` injects it into the second
-# optimization, so the claimed inequality holds by construction.
+# feasible one for the image state, and ``_scored`` scores it there, so the
+# claimed inequality holds by construction.
 # ---------------------------------------------------------------------------
 
-def _solve(rho, kind, k, alpha, tags, copies=1, witness=None, **effort):
-    """Best affinity of rho against a family with ``copies`` slots (used by
-    correlation families) per pool structure, seeded by ``tags``, from ``witness``."""
-    family = build_family(kind, rho.dims, k,
-                          m=len(structure_pool(kind, rho.dims, k)) * copies)
-    return max_affinity(rho, family, alpha, seed=_seed_key(tags), witness=witness, **effort)
+def _solve(rho, kind, k, alpha, tags, **effort):
+    """Best affinity of rho against a family with two slots per pool
+    structure (used by correlation families), seeded by ``tags``."""
+    family = build_family(kind, rho.dims, k, m=2 * len(structure_pool(kind, rho.dims, k)))
+    return max_affinity(rho, family, alpha, seed=_seed_key(tags), **effort)
+
+
+def _scored(rho, kind, k, comps, alpha):
+    """Affinity of rho with the normalized mixture of ``comps``; a component
+    outside the family (:func:`is_feasible_pure`) raises WitnessEncodingError."""
+    if not all(is_feasible_pure(kind, k, psi) for _, psi in comps):
+        raise WitnessEncodingError(f"a transported component is outside {kind}({k})")
+    total = sum(w for w, _ in comps)
+    mixture = sum(w / total * np.outer(psi.amps, psi.amps.conj()) for w, psi in comps)
+    return alpha_affinity(rho, _trusted(mixture, rho.dims), alpha)
 
 
 def _pushed(op: np.ndarray, comps):
@@ -352,7 +363,7 @@ def _theorem1_constructive(seed, nc):
     """Order-3 checks on qutrits: every comparison transports the witness."""
     certs = []
     d, k = 3, 3
-    opts = {"restarts": 2, "max_iter": 300}
+    opts = {"max_iter": 300}
     for i in range(nc):
         alpha = ALPHA_GRID[i % 3]
         rho1 = random_mixed((d,), d, [seed, 3, i, 0])
@@ -364,26 +375,23 @@ def _theorem1_constructive(seed, nc):
         lam = _rng([seed, 3, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
         mixed_wit = _scaled(r1.components, lam[0]) + _scaled(r2.components, lam[1])
-        rm = _solve(mix, "multilevel", k - 1, alpha, (seed, 3, i, 5),
-                    witness=mixed_wit, **opts)
-        certs.append(_cert("order3-witness-convexity", 1.0 - rm.affinity,
+        rm = _scored(mix, "multilevel", k - 1, mixed_wit, alpha)
+        certs.append(_cert("order3-witness-convexity", 1.0 - rm,
                            lam[0] * (1.0 - r1.affinity) + lam[1] * (1.0 - r2.affinity),
                            alpha=alpha, seed=seed))
 
         # channel monotonicity and average monotonicity under monomial maps
         chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
         moved = _apply_to_components(chan, r1.components)
-        ro = _solve(channel_apply(chan, rho1), "multilevel", k - 1, alpha, (seed, 3, i, 7),
-                    witness=moved, restarts=1, max_iter=100)
+        ro = _scored(channel_apply(chan, rho1), "multilevel", k - 1, moved, alpha)
         certs.append(_cert("order3-witness-channel-monotonicity",
-                           1.0 - ro.affinity, 1.0 - r1.affinity,
+                           1.0 - ro, 1.0 - r1.affinity,
                            alpha=alpha, seed=seed))
 
         lhs = 0.0
         for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components):
-            ri = _solve(rho_i, "multilevel", k - 1, alpha, (seed, 3, i, 8),
-                        witness=wit, restarts=1, max_iter=100)
-            lhs += p * _variant_value(ri.affinity, alpha, "avg")
+            ri = _scored(rho_i, "multilevel", k - 1, wit, alpha)
+            lhs += p * _variant_value(ri, alpha, "avg")
         certs.append(_cert("order3-witness-avg-monotonicity", lhs,
                            _variant_value(r1.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
@@ -391,10 +399,9 @@ def _theorem1_constructive(seed, nc):
         # tensor subadditivity: order (k-1)^2 + 1 on the 9-level product
         joint = tensor(rho1, rho2)
         tens_wit = _tensor_components(r1.components, r2.components, joint.dims)
-        rt = _solve(joint, "multilevel", (k - 1) ** 2, alpha, (seed, 3, i, 9),
-                    witness=tens_wit, restarts=0, max_iter=0)
+        rt = _scored(joint, "multilevel", (k - 1) ** 2, tens_wit, alpha)
         certs.extend(_subadditivity_certs(
-            "order3-witness-tensor-subadditivity", _values(rt.affinity, alpha),
+            "order3-witness-tensor-subadditivity", _values(rt, alpha),
             _values(r1.affinity, alpha), _values(r2.affinity, alpha), alpha, seed))
     return certs
 
@@ -423,41 +430,34 @@ def run_theorem2(seed, n_samples=None):
         member_comps = decode_mixture(fam, theta)
         member = validate(sum(c.weight * c.state.projector().data
                               for c in member_comps), dims)
-        rz = _solve(member, kind, famk, alpha, (seed, 4, 0, i), copies=2,
-                    witness=member_comps, **opts)
-        certs.append(_cert("zero-on-members", 1.0 - rz.affinity, 0.0,
+        rz = _scored(member, kind, famk, member_comps, alpha)
+        certs.append(_cert("zero-on-members", 1.0 - rz, 0.0,
                            alpha=alpha, seed=seed))
 
-    # local-unitary covariance at the witness level, both directions
+    # local-unitary covariance at the witness level
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
         rho = random_mixed(dims, prod(dims), [seed, 4, 1, i])
-        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 0), copies=2, **opts)
+        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 0), **opts)
         u_full = reduce(np.kron, [random_unitary(2, [seed, 4, 1, i, j])
                                   for j in range(len(dims))])
         rho_u = validate(u_full @ rho.data @ u_full.conj().T, dims)
-        r2 = _solve(rho_u, kind, famk, alpha, (seed, 4, 1, i, 1), copies=2,
-                    witness=_rotated(u_full, r1.components), **opts)
-        r3 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 2), copies=2,
-                    witness=_rotated(u_full.conj().T, r2.components),
-                    restarts=0, max_iter=0)
-        certs.append(_cert("local-unitary-witness",
-                           1.0 - max(r1.affinity, r3.affinity),
-                           1.0 - r2.affinity, equality=True, alpha=alpha, seed=seed))
+        r2 = _scored(rho_u, kind, famk, _rotated(u_full, r1.components), alpha)
+        certs.append(_cert("local-unitary-witness", 1.0 - r1.affinity, 1.0 - r2,
+                           equality=True, alpha=alpha, seed=seed))
 
     # convexity of the plain indicators via witness mixing
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
         rho_a = random_mixed(dims, prod(dims), [seed, 4, 2, i, 0])
         rho_b = random_mixed(dims, prod(dims), [seed, 4, 2, i, 1])
-        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 2, i, 2), copies=2, **opts)
-        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 2, i, 3), copies=2, **opts)
+        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 2, i, 2), **opts)
+        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 2, i, 3), **opts)
         lam = _rng([seed, 4, 2, i, 4]).dirichlet(np.ones(2))
         mix = validate(lam[0] * rho_a.data + lam[1] * rho_b.data, dims)
-        rmix = _solve(mix, kind, famk, alpha, (seed, 4, 2, i, 5), copies=4,
-                      witness=_scaled(ra.components, lam[0]) + _scaled(rb.components, lam[1]),
-                      **opts)
-        certs.append(_cert("witness-mixing-convexity", 1.0 - rmix.affinity,
+        rmix = _scored(mix, kind, famk,
+                       _scaled(ra.components, lam[0]) + _scaled(rb.components, lam[1]), alpha)
+        certs.append(_cert("witness-mixing-convexity", 1.0 - rmix,
                            lam[0] * (1.0 - ra.affinity) + lam[1] * (1.0 - rb.affinity),
                            alpha=alpha, seed=seed))
 
@@ -465,20 +465,18 @@ def run_theorem2(seed, n_samples=None):
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
         rho = random_mixed(dims, prod(dims), [seed, 4, 3, i])
-        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 3, i, 0), copies=2, **opts)
+        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 3, i, 0), **opts)
         locc = make_local_product([random_channel(2, 2, [seed, 4, 3, i, j])
                                    for j in range(len(dims))])
         moved = _apply_to_components(locc, r1.components)
-        rl = _solve(channel_apply(locc, rho), kind, famk, alpha, (seed, 4, 3, i, 1),
-                    copies=max(2, len(moved)), witness=moved, restarts=0, max_iter=0)
-        certs.append(_cert("locc-monotonicity", 1.0 - rl.affinity,
+        rl = _scored(channel_apply(locc, rho), kind, famk, moved, alpha)
+        certs.append(_cert("locc-monotonicity", 1.0 - rl,
                            1.0 - r1.affinity, alpha=alpha, seed=seed))
 
         lhs = 0.0
         for p, rho_i, wit in _selective_witnesses(locc, rho, r1.components):
-            ri = _solve(rho_i, kind, famk, alpha, (seed, 4, 3, i, 2),
-                        copies=max(2, len(wit)), witness=wit, restarts=0, max_iter=0)
-            lhs += p * _variant_value(ri.affinity, alpha, "avg")
+            ri = _scored(rho_i, kind, famk, wit, alpha)
+            lhs += p * _variant_value(ri, alpha, "avg")
         certs.append(_cert("locc-avg-monotonicity", lhs,
                            _variant_value(r1.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
@@ -490,14 +488,13 @@ def run_theorem2(seed, n_samples=None):
         kind, famk = ("separable", 2) if i % 2 == 0 else ("producible", 1)
         rho_a = random_mixed(dims, prod(dims), [seed, 4, 4, i, 0])
         rho_b = random_mixed(dims, prod(dims), [seed, 4, 4, i, 1])
-        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 4, i, 2), copies=2, **opts)
-        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 4, i, 3), copies=2, **opts)
+        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 4, i, 2), **opts)
+        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 4, i, 3), **opts)
         joint = tensor(rho_a, rho_b)
         tens_wit = _tensor_components(ra.components, rb.components, joint.dims)
-        rj = _solve(joint, kind, famk, alpha, (seed, 4, 4, i, 4), copies=len(tens_wit),
-                    witness=tens_wit, restarts=0, max_iter=0)
+        rj = _scored(joint, kind, famk, tens_wit, alpha)
         certs.extend(_subadditivity_certs(
-            "tensor-subadditivity", _values(rj.affinity, alpha),
+            "tensor-subadditivity", _values(rj, alpha),
             _values(ra.affinity, alpha), _values(rb.affinity, alpha), alpha, seed))
 
     # nesting: a finer separability witness serves every coarser order
@@ -505,12 +502,10 @@ def run_theorem2(seed, n_samples=None):
         alpha = ALPHA_GRID[i % 3]
         dims = (2, 2, 2)
         rho = random_mixed(dims, prod(dims), [seed, 4, 5, i])
-        rf = _solve(rho, "separable", 3, alpha, (seed, 4, 5, i, 0), copies=2, **opts)
-        rn = _solve(rho, "separable", 2, alpha, (seed, 4, 5, i, 1),
-                    copies=max(2, len(rf.components)), witness=rf.components,
-                    restarts=0, max_iter=0)
+        rf = _solve(rho, "separable", 3, alpha, (seed, 4, 5, i, 0), **opts)
+        rn = _scored(rho, "separable", 2, rf.components, alpha)
         certs.append(_cert("family-nesting",
-                           _variant_value(rn.affinity, alpha, "avg"),
+                           _variant_value(rn, alpha, "avg"),
                            _variant_value(rf.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
     return certs

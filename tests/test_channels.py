@@ -108,7 +108,7 @@ def test_local_product_preserves_product_structure():
         spec = rk.spectral(post)
         psi = rk.PureState(post.dims, spec.eigenvectors[:, 0].copy())
         assert spec.eigenvalues[0] >= 1.0 - 1e-10
-        fac = factorize_pure(psi, tol=1e-8)
+        fac = factorize_pure(psi)
         assert fac.separability_depth == 2
 
 

@@ -51,7 +51,8 @@ def test_max_affinity_reaches_family_members():
 
 
 def test_optimizer_matches_closed_form_without_injection():
-    # independent check of the search itself: no closed-form start is given
+    # no search runs at support size 1: max_affinity answers it with the
+    # closed form, whatever the slot count m and the effort
     for d, m, i in ((2, 2, 0), (2, 4, 1), (3, 3, 2)):
         rho = rk.random_mixed([d], d, seed=[20, i])
         fam = rk.build_family("multilevel", (d,), 1, m=m)
@@ -91,8 +92,9 @@ def test_max_affinity_rejects_witness_that_fits_no_slot():
 
 
 def test_max_affinity_monotone_in_restarts():
-    rho = rk.random_mixed([3], 3, seed=30)
-    fam = rk.build_family("multilevel", (3,), 2, m=3)
+    # a Nelder-Mead family: the multilevel hull solve does not read restarts
+    rho = rk.random_mixed([2, 2], 4, seed=30)
+    fam = rk.build_family("separable", (2, 2), 2, m=2)
     few = max_affinity(rho, fam, 0.5, seed=31, restarts=2, max_iter=300)
     more = max_affinity(rho, fam, 0.5, seed=31, restarts=4, max_iter=300)
     assert more.affinity >= few.affinity - 1e-12
@@ -282,13 +284,33 @@ def test_plain_and_avg_variants_share_affinity():
 
 
 def test_injected_witness_upper_bounds_value():
+    # value <= 1 - A(rho, W) for an injected witness W, whichever solver
+    # answers: the closed form (k = 2), the hull (k = 3) or Nelder-Mead
     rho = rk.random_mixed([3], 3, seed=100)
-    fam = rk.build_family("multilevel", (3,), 1, m=3)
-    theta = np.random.default_rng(101).standard_normal(fam.param_len)
+    for k in (2, 3):
+        fam = rk.build_family("multilevel", (3,), k - 1, m=3)
+        theta = np.random.default_rng(101).standard_normal(fam.param_len)
+        sigma0 = rk.decode(fam, theta)
+        res = rk.multilevel_coherence(rho, k, 0.5, seed=102, restarts=1,
+                                      max_iter=200, witness=decode_mixture(fam, theta))
+        assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
+
+    rho = rk.random_mixed([2, 2], 4, seed=103)
+    fam = rk.build_family("separable", (2, 2), 2, m=2)
+    theta = np.random.default_rng(104).standard_normal(fam.param_len)
     sigma0 = rk.decode(fam, theta)
-    res = rk.multilevel_coherence(rho, 2, 0.5, seed=102, restarts=1,
-                                  max_iter=200, witness=decode_mixture(fam, theta))
+    res = rk.multipartite_correlation(rho, "nonseparability", 2, 0.5, seed=105, m=2,
+                                      restarts=1, max_iter=200,
+                                      witness=decode_mixture(fam, theta))
     assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
+
+
+def test_multilevel_coherence_k2_rejects_a_wider_witness():
+    # order 2 checks a witness like every other order, then needs no start
+    rho = rk.random_mixed([3], 3, seed=106)
+    with pytest.raises(WitnessEncodingError):
+        rk.multilevel_coherence(rho, 2, 0.5, seed=107,
+                                witness=[(1.0, rk.pure_state([1, 1, 0]))])
 
 
 def test_indicator_determinism_and_suite():

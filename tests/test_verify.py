@@ -94,12 +94,30 @@ def test_suites_are_deterministic():
     assert a == b
 
 
+def test_scored_rejects_a_component_outside_the_family():
+    # a transported witness is scored, never searched: an entangled component
+    # raises instead of being placed or projected
+    import numpy as np
+    from resourcekit.affinity import alpha_affinity
+    from resourcekit.errors import WitnessEncodingError
+    from resourcekit.states import basis_pure, pure_state, random_mixed
+    from resourcekit.verify import _scored
+
+    rho = random_mixed((2, 2), 4, [SEED, 1])
+    bell = pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
+    with pytest.raises(WitnessEncodingError):
+        _scored(rho, "separable", 2, [(0.5, basis_pure((2, 2), 0)), (0.5, bell)], 0.5)
+    product = basis_pure((2, 2), 1)
+    assert _scored(rho, "separable", 2, [(2.0, product)], 0.5) == pytest.approx(
+        alpha_affinity(rho, product.projector(), 0.5), abs=1e-12)
+
+
 def test_depth_violation_fails_a_certificate(monkeypatch):
     # a factorization that merges every part breaks the depth correspondence;
     # the suite must report failing certificates, not raise
     from resourcekit.feasible import Factorization
 
-    def merged(psi, tol=None):
+    def merged(psi):
         return Factorization((tuple(range(len(psi.dims))),), (psi,))
 
     monkeypatch.setattr("resourcekit.embedding.factorize_pure", merged)
