@@ -32,8 +32,8 @@ drift = abs(rk.alpha_affinity(rk.embed_state(emb, rho), rk.embed_state(emb, sig)
 print("\naffinity preservation drift:", drift)
 
 # Witness transport: the order-2 coherence bound of a qutrit upper-bounds
-# four correlation indicators of its embedding, certified by injecting the
-# mapped witness into each optimization.
+# four correlation indicators of its embedding, certified by scoring the
+# mapped witness on the embedded state (no correlation search runs).
 rows = rk.theorem3_check(rho, 2, 0.5, seed=33, restarts=1, max_iter=150)
 print("\ntransported bounds:")
 for row in rows:

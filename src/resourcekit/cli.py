@@ -11,6 +11,8 @@ error.  ``affinity`` and ``indicator`` write CSV or JSON (``--format``);
 ``verify`` prints a summary and writes certificate CSV, ``embed`` writes
 JSON.  Order-2 coherence rows are the exact closed form, found without
 search (restarts 0, spread 0); higher orders ignore ``--restarts`` (1).
+``embed`` scores the transported witness without a correlation search, so
+``--max-iter`` reaches only its coherence solve and ``--restarts`` none.
 """
 
 from __future__ import annotations

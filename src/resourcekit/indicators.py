@@ -456,6 +456,16 @@ def results_to_json(results) -> str:
     return json.dumps({"results": rows})
 
 
+def _scored(rho, kind, k, comps, alpha):
+    """Affinity of rho with the normalized mixture of ``comps``; a component
+    outside the family (:func:`is_feasible_pure`) raises WitnessEncodingError."""
+    if not all(is_feasible_pure(kind, k, psi) for _, psi in comps):
+        raise WitnessEncodingError(f"a transported component is outside {kind}({k})")
+    total = sum(w for w, _ in comps)
+    mixture = sum(w / total * np.outer(psi.amps, psi.amps.conj()) for w, psi in comps)
+    return alpha_affinity(rho, _trusted(mixture, rho.dims), alpha)
+
+
 def check_witness(result: IndicatorResult, rho: DensityMatrix) -> bool:
     """Revalidate a result: every component, however light, passes
     :func:`is_feasible_pure` (the rule :func:`encode` places by), the witness

@@ -50,14 +50,12 @@ from .feasible import (
     WitnessComponent,
     build_family,
     decode_mixture,
-    is_feasible_pure,
     structure_pool,
 )
-from .indicators import _seed_key, _variant_value, closed_form_k2, max_affinity
+from .indicators import _scored, _seed_key, _variant_value, closed_form_k2, max_affinity
 from .states import (
     PureState,
     _rng,
-    _trusted,
     pure_state,
     random_mixed,
     random_unitary,
@@ -109,10 +107,10 @@ TOLERANCES = {
     "affinity-preservation": 1e-9,
     "depth-separability": 1e-9,
     "depth-entanglement": 1e-9,
-    "transport-nonseparability": 1e-8,
-    "transport-nonseparability-avg": 1e-8,
-    "transport-entanglement": 1e-8,
-    "transport-entanglement-avg": 1e-8,
+    "transport-nonseparability": 1e-9,
+    "transport-nonseparability-avg": 1e-9,
+    "transport-entanglement": 1e-9,
+    "transport-entanglement-avg": 1e-9,
     "transport-witness-feasible": 0.0,
 }
 
@@ -246,16 +244,6 @@ def _solve(rho, kind, k, alpha, tags, **effort):
     structure (used by correlation families), seeded by ``tags``."""
     family = build_family(kind, rho.dims, k, m=2 * len(structure_pool(kind, rho.dims, k)))
     return max_affinity(rho, family, alpha, seed=_seed_key(tags), **effort)
-
-
-def _scored(rho, kind, k, comps, alpha):
-    """Affinity of rho with the normalized mixture of ``comps``; a component
-    outside the family (:func:`is_feasible_pure`) raises WitnessEncodingError."""
-    if not all(is_feasible_pure(kind, k, psi) for _, psi in comps):
-        raise WitnessEncodingError(f"a transported component is outside {kind}({k})")
-    total = sum(w for w, _ in comps)
-    mixture = sum(w / total * np.outer(psi.amps, psi.amps.conj()) for w, psi in comps)
-    return alpha_affinity(rho, _trusted(mixture, rho.dims), alpha)
 
 
 def _pushed(op: np.ndarray, comps):
@@ -588,7 +576,7 @@ def run_theorem3(seed, n_samples=None):
             try:
                 rows = theorem3_check(rho, k, alpha, seed=_seed_key([seed, 6, d, k, i]),
                                       restarts=1, max_iter=150)
-            except FeasibilityCheckFailed:
+            except (FeasibilityCheckFailed, WitnessEncodingError):
                 certs.append(_cert("transport-witness-feasible", 0.0, 1.0,
                                    equality=True, alpha=alpha, seed=seed))
                 continue
