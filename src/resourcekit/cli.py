@@ -10,7 +10,8 @@ codes: 0 success / all checks passed, 1 verification failure, 2 input
 error.  ``affinity`` and ``indicator`` write CSV or JSON (``--format``);
 ``verify`` prints a summary and writes certificate CSV, ``embed`` writes
 JSON.  Order-2 coherence rows are the exact closed form, found without
-search (restarts 0, spread 0); higher orders ignore ``--restarts`` (1).
+search (restarts 0, spread 0); every other row, coherence or correlation,
+is one hull solve that ignores ``--restarts`` (1, spread 0).
 ``embed`` scores the transported witness without a correlation search, so
 ``--max-iter`` reaches only its coherence solve and ``--restarts`` none.
 """

@@ -12,8 +12,8 @@ mixture of ``m`` structured pure components:
 A family decodes an unconstrained real parameter vector into a member
 state: mixture weights via softmax, component amplitudes via one complex
 number per basis slot (offset so the zero vector decodes to uniform
-amplitudes).  Membership therefore holds *by construction*, which is what
-turns optimizer outputs into certified upper bounds elsewhere.
+amplitudes), so membership holds *by construction*.  The solvers no longer
+use it; they read only a family's kind, order and dimensions.
 
 The module also provides set-partition enumeration, the coherence rank of
 pure states, and the finest tensor factorization of a pure state, from
@@ -259,7 +259,9 @@ def build_family(kind: str, dims, k: int, m: int | None = None) -> FeasibleFamil
 
     Components cycle through :func:`structure_pool`.  The default component
     count is the squared total dimension, a Caratheodory-motivated bound on
-    the number of extreme points a member can need.
+    the number of extreme points a member can need.  The solvers read only
+    kind, k and dims; the slots, ``param_len`` and ``blocks`` are read last
+    by ``verify.run_theorem2`` (zero-on-members) and perfbench/sweep.py.
     """
     dims = tuple(int(x) for x in dims)
     d = prod(dims)
@@ -316,7 +318,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _decode_raw(family: FeasibleFamily, theta: np.ndarray) -> np.ndarray:
-    """Member matrix without wrapping, for optimizer hot loops."""
+    """Member matrix without wrapping.  Its last readers are perfbench's
+    tracing.py (a traced layer) and sweep.py (the objective sweep)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (family.param_len,):
         raise BadLength(f"expected {family.param_len} parameters, got {theta.shape}")
@@ -400,7 +403,8 @@ def encode(family: FeasibleFamily, components) -> np.ndarray:
     support and so can only improve any affinity evaluated against the
     result.  A component that fits no free slot raises
     WitnessEncodingError: the mixture is never altered to fit, so an
-    injected witness reproduces its affinity.
+    injected witness reproduces its affinity.  No solve path encodes any
+    more; its last reader is perfbench/tracing.py (a traced layer).
     """
     theta = np.zeros(family.param_len)
     logits = np.full(family.m, UNUSED_SLOT_LOGIT)
@@ -421,11 +425,17 @@ def encode(family: FeasibleFamily, components) -> np.ndarray:
     return theta
 
 
+def _first_fit(kind: str, pool, psi: PureState):
+    """Index of the first structure in ``pool`` that the component's
+    structure fits, or None."""
+    structure = _structure(kind, psi)
+    return next((j for j, slot in enumerate(pool) if _slot_compatible(kind, slot, structure)),
+                None)
+
+
 def is_feasible_pure(kind: str, k: int, psi: PureState) -> bool:
     """The one membership rule: a component belongs to a family iff its structure
     (support or finest factorization) fits a structure of the family's pool.
-    :func:`encode` places by it and ``check_witness`` checks by it.  An order
-    outside the family's range raises EmptySet."""
-    pool = structure_pool(kind, psi.dims, k)
-    structure = _structure(kind, psi)
-    return any(_slot_compatible(kind, slot, structure) for slot in pool)
+    The hull solver places witness components by it and ``check_witness``
+    checks by it.  An order outside the family's range raises EmptySet."""
+    return _first_fit(kind, structure_pool(kind, psi.dims, k), psi) is not None

@@ -240,10 +240,10 @@ def run_appendix_b(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 
 def _solve(rho, kind, k, alpha, tags, **effort):
-    """Best affinity of rho against a family with two slots per pool
-    structure (used by correlation families), seeded by ``tags``."""
-    family = build_family(kind, rho.dims, k, m=2 * len(structure_pool(kind, rho.dims, k)))
-    return max_affinity(rho, family, alpha, seed=_seed_key(tags), **effort)
+    """Best affinity of rho against kind(k) on its convex hull, seeded by
+    ``tags`` (the correlation kinds draw their start from it)."""
+    return max_affinity(rho, build_family(kind, rho.dims, k), alpha,
+                        seed=_seed_key(tags), **effort)
 
 
 def _pushed(op: np.ndarray, comps):

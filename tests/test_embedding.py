@@ -187,21 +187,21 @@ def test_transport_report_json():
 
 
 def test_theorem3_scores_the_transported_witness_without_search(monkeypatch):
-    # no correlation family is searched: the only optimizer calls are the
-    # coherence hull's L-BFGS-B steps, and every slack is roundoff
+    # no correlation family is searched: every solve is the coherence one,
+    # and every slack is roundoff
     import resourcekit.indicators as indicators
-    methods = []
-    original = indicators.minimize
+    kinds = []
+    original = indicators.max_affinity
 
-    def recording(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return original(*args, **kwargs)
+    def recording(rho, family, *args, **kwargs):
+        kinds.append(family.kind)
+        return original(rho, family, *args, **kwargs)
 
-    monkeypatch.setattr(indicators, "minimize", recording)
+    monkeypatch.setattr(indicators, "max_affinity", recording)
     for i in range(20):
         rho = rk.random_mixed([3], 3, seed=[16, i])
         rows = theorem3_check(rho, 3, ALPHAS[i % 3], seed=[17, i])
         assert len(rows) == 4
         for row in rows:
             assert row.slack >= -1e-9
-    assert methods and "Nelder-Mead" not in methods
+    assert kinds and set(kinds) == {"multilevel"}

@@ -6,7 +6,7 @@ import pytest
 import resourcekit as rk
 from resourcekit.errors import KOutOfRange, WitnessEncodingError
 from resourcekit.feasible import decode_mixture
-from resourcekit.indicators import max_affinity
+from resourcekit.indicators import LABELS, max_affinity
 
 from oracles import (
     BELL_SEPARABLE_MAX_HALF,
@@ -82,22 +82,43 @@ def test_max_affinity_rejects_witness_that_fits_no_slot():
     with pytest.raises(WitnessEncodingError):
         max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
                      witness=[(1.0, rk.pure_state([1, 1, 0]))])
-    # correlation: more product components than the family has free slots
+    # correlation: a component that is not a product across any partition
     rho = rk.random_mixed([2, 2], 4, seed=25)
-    fam = rk.build_family("separable", (2, 2), 2, m=1)
+    fam = rk.build_family("separable", (2, 2), 2)
     with pytest.raises(WitnessEncodingError):
         max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
-                     witness=[(0.5, rk.basis_pure((2, 2), 0)),
-                              (0.5, rk.basis_pure((2, 2), 3))])
+                     witness=[(1.0, rk.pure_state([1, 0, 0, 1], (2, 2)))])
 
 
 def test_max_affinity_monotone_in_restarts():
-    # a Nelder-Mead family: the multilevel hull solve does not read restarts
+    # no family reads restarts, the correlation kinds (and their slot
+    # count m) included: the result is the same, witness and all
     rho = rk.random_mixed([2, 2], 4, seed=30)
-    fam = rk.build_family("separable", (2, 2), 2, m=2)
-    few = max_affinity(rho, fam, 0.5, seed=31, restarts=2, max_iter=300)
-    more = max_affinity(rho, fam, 0.5, seed=31, restarts=4, max_iter=300)
-    assert more.affinity >= few.affinity - 1e-12
+    results = [max_affinity(rho, rk.build_family("separable", (2, 2), 2, m=m), 0.5,
+                            seed=31, restarts=restarts, max_iter=300)
+               for restarts, m in ((0, 2), (2, 2), (4, 8))]
+    for res in results[1:]:
+        assert res.affinity == results[0].affinity
+        assert res.witness.data.tobytes() == results[0].witness.data.tobytes()
+        assert res.diagnostics == results[0].diagnostics
+
+
+def test_correlation_witness_start_reads_the_membership_rule():
+    # e2 = 3e-10 passes the factorization reader's purity threshold but not
+    # encode's fidelity check: the component is a product for
+    # is_feasible_pure, so the solve must start from it
+    e2 = 3e-10
+    psi = rk.pure_state([np.sqrt(1 - e2), 0, 0, np.sqrt(e2)], (2, 2))
+    assert rk.is_feasible_pure("separable", 2, psi)
+    rho = rk.random_mixed([2, 2], 4, seed=26)
+    fam = rk.build_family("separable", (2, 2), 2)
+    start = rk.alpha_affinity(rho, psi.projector(), 0.5)
+    for max_iter in (0, 100):
+        res = max_affinity(rho, fam, 0.5, seed=27, max_iter=max_iter, witness=[(1.0, psi)])
+        assert res.affinity >= start - 1e-9
+        as_result = rk.multipartite_correlation(rho, "nonseparability", 2, 0.5, seed=27,
+                                                max_iter=max_iter, witness=[(1.0, psi)])
+        assert rk.check_witness(as_result, rho)
 
 
 def test_max_affinity_witness_consistency():
@@ -247,17 +268,78 @@ def test_bell_nonseparability_anchor():
     bell = rk.pure_state([1, 0, 0, 1], (2, 2)).projector()
     res = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5,
                                       seed=70, m=2, restarts=8, max_iter=2000)
-    assert res.value == pytest.approx(1.0 - BELL_SEPARABLE_MAX_HALF, abs=2e-3)
-    assert res.value > 0.1
+    assert res.value == pytest.approx(1.0 - BELL_SEPARABLE_MAX_HALF, abs=1e-9)
+    assert res.affinity_upper == 1.0
+    assert rk.check_witness(res, bell)
 
 
 def test_bell_value_monotone_in_effort():
+    # more iterations from the same seeded start never lower the affinity
+    rho = rk.random_mixed([2, 2, 2], 8, seed=71)
+    values = [rk.multipartite_correlation(rho, "entanglement", 2, 0.5, seed=71,
+                                          max_iter=max_iter).best_affinity
+              for max_iter in (0, 5, 20, 200)]
+    assert values == sorted(values)
     bell = rk.pure_state([1, 0, 0, 1], (2, 2)).projector()
-    weak = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5,
-                                       seed=71, m=8, restarts=2, max_iter=400)
-    strong = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5,
-                                         seed=71, m=8, restarts=4, max_iter=400)
+    weak = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5, seed=71, max_iter=3)
+    strong = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5, seed=71,
+                                         max_iter=400)
     assert strong.value <= weak.value + 1e-12
+
+
+def _isotropic(d, fid):
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(phi, phi)
+    return rk.validate(fid * proj + (1 - fid) * (np.eye(d * d) - proj) / (d * d - 1), [d, d])
+
+
+def test_correlation_exact_on_isotropic_states():
+    # U (x) U* fixes rho and both families, so by concavity some optimum is
+    # isotropic, and an isotropic state is separable iff its fidelity to
+    # Phi+ is at most 1/d: max A = F^a f^(1-a) + (1-F)^a (1-f)^(1-a), with
+    # f = min(F, 1/d).  On two parties both labels solve separable(2).
+    for d in (2, 3):
+        for fid in (0.9, 0.7, 0.4):
+            f = min(fid, 1.0 / d)
+            rho = _isotropic(d, fid)
+            for alpha in ALPHAS:
+                exact = (fid ** alpha * f ** (1 - alpha)
+                         + (1 - fid) ** alpha * (1 - f) ** (1 - alpha))
+                for label in ("nonseparability", "entanglement"):
+                    res = rk.compute_indicator(rho, label, 2, alpha, seed=1, max_iter=200)
+                    assert abs(res.best_affinity - exact) <= 1e-9
+
+
+def test_correlation_beats_the_product_oracle_bracket():
+    # the oracle's upper end is not an upper bound: an explicit product
+    # mixture reaches above its 0.98312347 here
+    rho = rk.random_mixed([2, 2], 4, seed=[9, 0])
+    res = rk.compute_indicator(rho, "nonseparability", 2, 0.3, seed=1, restarts=1,
+                               max_iter=200)
+    assert res.best_affinity >= 0.98330
+    assert rk.check_witness(res, rho)
+
+
+def test_no_nelder_mead_anywhere(monkeypatch):
+    # every optimizer call of the correlation suite and of each correlation
+    # label is L-BFGS on the hull, with an uncertified upper end
+    from resourcekit import indicators
+    from resourcekit.verify import all_passed, run_suite
+    methods = []
+    original = indicators.minimize
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(indicators, "minimize", recording)
+    assert all_passed(run_suite("theorem2", 3, 4))
+    rho = rk.random_mixed([2, 2, 2], 8, seed=72)
+    for label in LABELS[2:]:
+        res = rk.compute_indicator(rho, label, 2, 0.5, seed=73, max_iter=100)
+        assert rk.check_witness(res, rho)
+        assert res.affinity_upper == 1.0
+    assert methods and set(methods) == {"L-BFGS-B"}
 
 
 def test_correlation_k_ranges():
@@ -285,7 +367,7 @@ def test_plain_and_avg_variants_share_affinity():
 
 def test_injected_witness_upper_bounds_value():
     # value <= 1 - A(rho, W) for an injected witness W, whichever solver
-    # answers: the closed form (k = 2), the hull (k = 3) or Nelder-Mead
+    # answers: the closed form (k = 2) or the hull (k = 3 and the correlations)
     rho = rk.random_mixed([3], 3, seed=100)
     for k in (2, 3):
         fam = rk.build_family("multilevel", (3,), k - 1, m=3)
