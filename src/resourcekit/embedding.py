@@ -22,9 +22,10 @@ import json
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOfRange
+from .errors import (DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOfRange,
+                     WitnessEncodingError)
 from .feasible import WitnessComponent, _coarsens, _effective_support, factorize_pure
-from .indicators import _scored, _variant_value, multilevel_coherence
+from .indicators import _mixed, _variant_value, multilevel_coherence
 from .states import DensityMatrix, PureState, _trusted, pure_state
 
 MIN_D, MAX_D = 2, 4
@@ -134,21 +135,22 @@ class TransportRow:
     slack: float
 
 
-def _check_mapped_feasibility(emb, sources, mapped) -> None:
+def _check_mapped_feasibility(emb, sources, mapped) -> list:
     """Re-derive each mapped component's factorization and verify it against
     the partition predicted from its source's support; failures raise
-    rather than being dropped.
+    rather than being dropped.  Returns the factorizations.
 
     The recomputed factorization may be finer than the predicted one (a
     support amplitude can be numerically zero); it must never be coarser.
     """
-    for src, comp in zip(sources, mapped):
-        fac = factorize_pure(comp.state)
+    factorizations = [factorize_pure(comp.state) for comp in mapped]
+    for src, fac in zip(sources, factorizations):
         predicted = _embedded_partition(emb, _effective_support(src.state))
         if not _coarsens(predicted, fac.parts):
             raise FeasibilityCheckFailed(
                 f"mapped component factorizes as {fac.parts}, which does not "
                 f"refine the predicted partition {predicted}")
+    return factorizations
 
 
 def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
@@ -158,9 +160,9 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
 
     Each mapped component's partition is predicted from its source's
     support and checked against its recomputed factorization
-    (FeasibilityCheckFailed).  The mapped witness is then scored on the
-    embedded state against separable(d - k + 2) and producible(k); a
-    component outside either family raises WitnessEncodingError.  No
+    (FeasibilityCheckFailed); membership in separable(d - k + 2) and
+    producible(k), read off it, fails with WitnessEncodingError.  The one
+    mapped mixture is then scored on the embedded state for both.  No
     correlation search runs: the mapped witness is feasible and, by
     affinity preservation, reproduces the coherence affinity, so every
     bound comes out at the coherence bound up to roundoff.  ``max_iter``
@@ -178,10 +180,13 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     mapped = map_components(emb, coh.components)
     sep_k = d - k + 2
     prod_k = k
-    _check_mapped_feasibility(emb, coh.components, mapped)
-    rho2 = embed_state(emb, rho)
-    sep_aff = _scored(rho2, "separable", sep_k, mapped, alpha)
-    prod_aff = _scored(rho2, "producible", prod_k, mapped, alpha)
+    # is_feasible_pure's rule on the factorizations: separable(K) takes K
+    # parts or more, producible(k) parts of at most k subsystems
+    for fac in _check_mapped_feasibility(emb, coh.components, mapped):
+        if fac.separability_depth < sep_k or fac.entanglement_depth > prod_k:
+            raise WitnessEncodingError(f"a transported component is outside separable"
+                                       f"({sep_k}) or producible({prod_k})")
+    aff = _mixed(embed_state(emb, rho), mapped, alpha)
 
     rows = []
     for variant in ("plain", "avg"):
@@ -189,10 +194,10 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
         coh_val = _variant_value(coh.best_affinity, alpha, variant)
         rows.append(_row(f"nonseparability{suffix}[k={sep_k}]",
                          f"coherence{suffix}[k={k}]",
-                         _variant_value(sep_aff, alpha, variant), coh_val))
+                         _variant_value(aff, alpha, variant), coh_val))
         rows.append(_row(f"entanglement{suffix}[k={k + 1}]",
                          f"coherence{suffix}[k={k}]",
-                         _variant_value(prod_aff, alpha, variant), coh_val))
+                         _variant_value(aff, alpha, variant), coh_val))
     return rows
 
 

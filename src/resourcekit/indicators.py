@@ -6,12 +6,12 @@ a feasible family (or 1 minus that maximum raised to 1/alpha for the
 operations).  Every reported affinity is attained by an explicit witness in
 the family, so it certifies an upper bound on the indicator.  Every family
 but multilevel(1) is solved on its convex hull by one solver
-(:func:`_hull_max`): L-BFGS on the factors of the witness components, with
-Frank-Wolfe steps that add the atom of a linear oracle.  Multilevel
+(:func:`_hull_max`): L-BFGS on the factors of the witness components, one
+flat complex vector that product families read through a gather table,
+with Frank-Wolfe steps that add the atom of a linear oracle.  Multilevel
 (coherence) families have an exact oracle and so also carry a certified
-upper bound on the affinity (``affinity_upper``); the correlation
-families' product oracle is a heuristic, and their ``affinity_upper`` is
-1.0.
+upper bound (``affinity_upper``); the correlation families' product
+oracle is a heuristic, and their ``affinity_upper`` is 1.0.
 
 At order k, coherence is scored against multilevel(k-1), nonseparability
 against separable(k) and entanglement against producible(k-1) mixtures; one
@@ -40,6 +40,7 @@ from .feasible import (
     FeasibleFamily,
     WitnessComponent,
     _decode_raw,  # unused here; its last reader is perfbench/sweep.py
+    _coarsens,
     _effective_support,
     _first_fit,
     _reduced,
@@ -61,6 +62,7 @@ _DROP_WEIGHT = 1e-15  # hull readout: components and pivots below this are round
 _ORACLE_STARTS = 4    # product oracle: seeded starts per partition
 _ORACLE_SWEEPS = 50   # product oracle: most alternating sweeps per start
 _ORACLE_TOL = 1e-12   # product oracle: a sweep gaining less, relative, ends it
+_ORACLE_SHARE = 1e-3  # product oracle: or one gaining less than this share of the gap
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
@@ -139,10 +141,13 @@ def _factor(x: np.ndarray) -> np.ndarray:
 def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
     """Divided differences (w_i^beta - w_j^beta) / (w_i - w_j) at positive w,
     written with expm1 so that nearly equal eigenvalues lose no digits."""
-    lr = np.log(w)[:, None] - np.log(w)[None, :]
-    safe = np.where(lr == 0.0, 1.0, lr)
-    ratio = np.where(lr == 0.0, beta, np.expm1(beta * safe) / np.expm1(safe))
-    return ratio * w[None, :] ** (beta - 1.0)
+    lw = np.log(w)
+    lr = lw[:, None] - lw
+    same = lr == 0.0
+    lr[same] = 1.0
+    ratio = np.expm1(beta * lr) / np.expm1(lr)
+    ratio[same] = beta
+    return ratio * w ** (beta - 1.0)
 
 
 def _cholesky_columns(x: np.ndarray):
@@ -160,52 +165,40 @@ def _cholesky_columns(x: np.ndarray):
         x[p, :] = x[:, p] = 0.0
 
 
-def _pack(xs):
-    return np.concatenate([x.ravel() for x in xs]).view(float)
-
-
-def _unpacker(xs):
-    """The inverse of :func:`_pack` for complex arrays shaped like xs."""
-    stops = np.cumsum([0] + [2 * x.size for x in xs])
-    spans = [(lo, hi, x.shape) for lo, hi, x in zip(stops, stops[1:], xs)]
-
-    def unpack(theta):
-        theta = np.ascontiguousarray(theta)
-        return [theta[lo:hi].view(complex).reshape(shape) for lo, hi, shape in spans]
-    return unpack
-
-
 class _Blocks:
     """multilevel(k): sigma = sum_S B_S B_S^dagger / N over the size-k
-    supports S, N = sum |B_S|^2.  Its oracle, an eigh per block, is exact."""
+    supports S, N = sum |B_S|^2, B = z.reshape(supports, k, k).  Its oracle,
+    an eigh per block, is exact."""
 
     certified = True
 
     def __init__(self, dims, k, witness):
         self.dims, self.d = dims, prod(dims)
         self.pool = pool = np.array(structure_pool("multilevel", dims, k))
+        self.shape = (len(pool), k, k)
         self.rows, self.cols = pool[:, :, None], pool[:, None, :]
         self.flat = (self.rows * self.d + self.cols).ravel()
         if not witness:     # I/d, as the identity on every block: no zero block
-            self.start = [np.tile(np.eye(k, dtype=complex), (len(pool), 1, 1))]
+            self.start = np.tile(np.eye(k, dtype=complex), (len(pool), 1, 1)).ravel(), None
             return
-        blocks = np.zeros((len(pool), k, k), dtype=complex)
+        blocks = np.zeros(self.shape, dtype=complex)
         for weight, psi in witness:     # each component in the first support holding it
             if (j := _first_fit("multilevel", pool, psi)) is None:
                 raise WitnessEncodingError(f"a witness component exceeds {k} levels")
             a = psi.amps[pool[j]]
             blocks[j] += weight * np.outer(a, a.conj())
-        self.start = [np.array([_factor(x) for x in blocks])]
+        self.start = np.array([_factor(x) for x in blocks]).ravel(), None
 
-    def map(self, xs):
-        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on the factors."""
-        b, d = xs[0], self.d
-        x = (b @ b.conj().transpose(0, 2, 1)).ravel()
-        m = np.bincount(self.flat, x.real, d * d) + 1j * np.bincount(self.flat, x.imag, d * d)
+    def map(self, x):
+        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z."""
+        b, d = x[0].reshape(self.shape), self.d
+        m = (b @ b.conj().transpose(0, 2, 1)).ravel()
+        m = np.bincount(self.flat, m.real, d * d) + 1j * np.bincount(self.flat, m.imag, d * d)
         return (m.reshape(d, d) / m[::d + 1].real.sum(),
-                lambda g, tr: [2.0 * (g[self.rows, self.cols] @ b - tr * b) / np.vdot(b, b).real])
+                lambda g, tr: (2.0 * (g[self.rows, self.cols] @ b - tr * b)
+                               / np.vdot(b, b).real).ravel())
 
-    def oracle(self, g):
+    def oracle(self, g, tr):
         """(top eigenvalue, its atom as a vector, where it goes) over the blocks."""
         lam, vec = np.linalg.eigh(g[self.rows, self.cols])
         j = int(np.argmax(lam[:, -1]))
@@ -213,16 +206,17 @@ class _Blocks:
         atom[self.pool[j]] = vec[j, :, -1]
         return lam[j, -1], atom, (j, vec[j, :, -1])
 
-    def add(self, xs, t, where):
-        (j, top), b = where, np.sqrt(1.0 - t) * xs[0] / np.sqrt(np.vdot(xs[0], xs[0]).real)
+    def add(self, x, t, where):
+        (j, top), b = where, np.sqrt(1.0 - t) * x[0].reshape(self.shape)
+        b /= np.sqrt(np.vdot(x[0], x[0]).real)
         b[j] = _factor(b[j] @ b[j].conj().T + t * np.outer(top, top.conj()))
-        return [b]
+        return b.ravel(), None
 
-    def components(self, xs):
+    def components(self, x):
         """Pivoted-Cholesky columns of each block, basis atoms merged, listed
         by decreasing support size."""
-        atoms, basis = [], np.zeros(self.d)
-        for support, bs in zip(self.pool, xs[0] / np.sqrt(np.vdot(xs[0], xs[0]).real)):
+        atoms, basis, b = [], np.zeros(self.d), x[0].reshape(self.shape)
+        for support, bs in zip(self.pool, b / np.sqrt(np.vdot(b, b).real)):
             for c in _cholesky_columns(bs @ bs.conj().T):
                 psi = pure_state(np.eye(self.d)[:, support] @ c, self.dims)
                 level = _effective_support(psi)
@@ -234,37 +228,42 @@ class _Blocks:
         return atoms + _diagonal_components(basis, self.dims)
 
 
-class _Partition:
-    """Product vectors over one partition, a row of factors per vector; the
-    einsum subscripts name subsystems, so no axis is ever transposed."""
+def _gathered(z: np.ndarray, idx: np.ndarray):
+    """Products psi (rows, d) of the entries that the table idx (rows, slots,
+    d) gathers from z with a trailing 1, and per slot the product of the
+    other slots' entries, from running products: no division, so that
+    exact-zero factor entries keep finite gradients."""
+    f = np.concatenate((z, [1.0]))[idx]
+    if f.shape[1] == 2:
+        return f[:, 0] * f[:, 1], f[:, ::-1]
+    rest, psi = np.ones_like(f), f[:, -1]
+    for s in range(1, f.shape[1]):           # forward: the slots before s
+        np.multiply(rest[:, s - 1], f[:, s - 1], out=rest[:, s])
+    for s in range(f.shape[1] - 2, -1, -1):  # backward: times the slots after s
+        rest[:, s] *= psi
+        psi = psi * f[:, s]
+    return psi, rest
 
-    def __init__(self, dims, partition):
+
+class _Partition:
+    """Product vectors over one partition, a row of factors per vector;
+    ``tmpl`` holds, per slot and amplitude, the row entry that multiplies
+    into it (-1 past the parts).  The oracle's einsum subscripts name
+    subsystems, so no axis is ever transposed."""
+
+    def __init__(self, dims, partition, slots):
         letters, batch = "abcdef"[:len(dims)], "z" if len(partition) > 1 else ""
-        self.dims, self.d, self.count = list(dims), prod(dims), len(partition)
-        self.shapes = [[dims[i] for i in part] for part in partition]
+        self.count, self.shapes = len(partition), [[dims[i] for i in part] for part in partition]
         self.sizes = [prod(shape) for shape in self.shapes]
-        stops = np.cumsum([0] + self.sizes)
-        self.slices, self.width = [slice(*s) for s in zip(stops, stops[1:])], int(stops[-1])
+        grid, offsets = np.indices(dims).reshape(len(dims), -1), np.cumsum([0] + self.sizes)
+        self.width, self.tmpl = int(offsets[-1]), np.full((slots, prod(dims)), -1)
+        for s, (part, shape) in enumerate(zip(partition, self.shapes)):
+            self.tmpl[s] = offsets[s] + np.ravel_multi_index(tuple(grid[list(part)]), shape)
         sub = ["z" + "".join(letters[i] for i in part) for part in partition]
         co = ["z" + s[1:].upper() for s in sub]
-        self.build = ",".join(sub) + "->z" + letters
-        self.pulls = [",".join(["z" + letters] + sub[:q] + sub[q + 1:]) + "->" + sub[q]
-                      for q in range(self.count)]
         self.forms = [",".join([letters + letters.upper()] + sub[:q] + co[:q] + sub[q + 1:]
                                + co[q + 1:]) + "->" + batch + sub[q][1:] + co[q][1:]
                       for q in range(self.count)]
-
-    def factors(self, x):
-        return [x[:, s].reshape([len(x)] + shape) for s, shape in zip(self.slices, self.shapes)]
-
-    def vectors(self, x):
-        return np.einsum(self.build, *self.factors(x)).reshape(len(x), self.d)
-
-    def pull(self, dpsi, x):
-        """d f / d conj(psi) of each row, contracted onto each of its factors."""
-        t, conj = dpsi.reshape([len(x)] + self.dims), self.factors(x.conj())
-        return np.concatenate([np.einsum(sub, t, *conj[:q], *conj[q + 1:]).reshape(len(x), size)
-                               for q, (sub, size) in enumerate(zip(self.pulls, self.sizes))], axis=1)
 
     def form(self, gt, phis, q):
         """<phi|G|phi> as a form on factor q, one matrix per start."""
@@ -277,45 +276,59 @@ class _Partition:
 class _Products:
     """separable(k) and producible(k): sigma = sum_j psi_j psi_j^dagger / N,
     N = sum |psi_j|^2, each psi_j a tensor product of unnormalized factors
-    over one partition of the pool.  The oracle, alternating maximization
-    over product vectors from a few seeded starts, is a heuristic: its gap
-    only decides when to stop."""
+    over one of the pool's coarsest partitions (a finer one's products are a
+    coarser one's).  The state is (z, layout): the rows of factors end to
+    end in one complex vector z, and the partition of each row.  The
+    oracle, alternating maximization over product vectors from a few seeded
+    starts, is a heuristic: its gap only decides when to stop."""
 
     certified = False
 
     def __init__(self, kind, dims, k, witness, key):
-        self.dims, self.d = dims, prod(dims)
-        self.pool = structure_pool(kind, dims, k)
-        self.parts = [_Partition(dims, partition) for partition in self.pool]
-        self.rng = np.random.default_rng([key, 1])
+        self.dims, self.d, self.layout = dims, prod(dims), None
+        pool, self.rng = structure_pool(kind, dims, k), np.random.default_rng([key, 1])
+        self.pool = [p for p in pool if not any(q != p and _coarsens(q, p) for q in pool)]
+        self.parts = [_Partition(dims, p, max(map(len, self.pool))) for p in self.pool]
         if not witness:     # d random components per partition: sigma starts full rank
-            rng = np.random.default_rng([key, 0])
-            self.start = [rng.standard_normal((self.d, 2 * p.width)).view(complex)
-                          for p in self.parts]
+            layout = tuple(np.repeat(range(len(self.pool)), self.d).tolist())
+            n = 2 * sum(self.parts[j].width for j in layout)
+            self.start = np.random.default_rng([key, 0]).standard_normal(n).view(complex), layout
             return
-        rows = [[] for _ in self.pool]
+        z, layout = [], []
         for weight, psi in witness:     # each component in the first partition it refines
             if (j := _first_fit(kind, self.pool, psi)) is None:
                 raise WitnessEncodingError(f"a witness component is outside {kind}({k})")
-            rows[j].append(np.concatenate([weight ** (0.5 / len(self.pool[j]))
-                                           * _top_eigvec(_reduced(psi.amps, dims, part))
-                                           for part in self.pool[j]]))
-        self.start = [np.array(r, dtype=complex).reshape(len(r), p.width)
-                      for r, p in zip(rows, self.parts)]
+            layout.append(j)
+            z += [weight ** (0.5 / len(self.pool[j])) * _top_eigvec(_reduced(psi.amps, dims, part))
+                  for part in self.pool[j]]
+        self.start = np.concatenate(z).astype(complex), tuple(layout)
 
-    def map(self, xs):
-        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on the factors,
-        from d f / d conj(psi_j) = (G - Tr(G sigma)) psi_j / N."""
-        psi = np.concatenate([p.vectors(x) for p, x in zip(self.parts, xs)])
-        n, stops = np.vdot(psi, psi).real, np.cumsum([0] + [len(x) for x in xs])
+    def _table(self, layout):
+        """Gather table (rows, slots, d) of the rows laid out as ``layout``."""
+        widths = np.array([self.parts[j].width for j in layout])
+        tmpl = np.array([self.parts[j].tmpl for j in layout])
+        return np.where(tmpl < 0, widths.sum(), (np.cumsum(widths) - widths)[:, None, None] + tmpl)
+
+    def map(self, x):
+        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z: d f / d
+        conj(psi_j) = (G - Tr(G sigma)) psi_j / N times each entry's cofactor."""
+        z, layout = x
+        if layout != self.layout:       # kept for the length of an L-BFGS run
+            self.layout, self.idx = layout, self._table(layout)
+            self.scatter = (2 * self.idx[..., None] + np.arange(2)).ravel()
+        psi, rest = _gathered(z, self.idx)
+        n = np.vdot(psi, psi).real
 
         def pullback(g, tr):
-            dpsi = 2.0 * (psi @ g.T - tr * psi) / n
-            return [p.pull(dpsi[a:b], x) for p, x, a, b in zip(self.parts, xs, stops, stops[1:])]
+            dpsi = (2.0 / n) * (psi @ g.T - tr * psi)
+            w = dpsi[:, None, :] * rest.conj()      # real, imaginary parts interleaved
+            return np.bincount(self.scatter, w.view(float).ravel(),
+                               2 * len(z) + 2)[:-2].view(complex)
         return psi.T @ psi.conj() / n, pullback
 
-    def oracle(self, g):
-        """(largest <phi|G|phi> found over product phi, phi, where it goes)."""
+    def oracle(self, g, tr):
+        """(largest <phi|G|phi> found over product phi, phi, where it goes); a
+        sweep gaining under _ORACLE_SHARE of the gap over ``tr`` ends it too."""
         best, gt = (-np.inf, None, None), g.reshape(self.dims * 2)
         for j, p in enumerate(self.parts):
             phis = [self.rng.standard_normal((_ORACLE_STARTS, 2 * s)).view(complex)
@@ -326,76 +339,81 @@ class _Products:
                     lam, vec = np.linalg.eigh(p.form(gt, phis, q))
                     phis[q] = vec[..., -1]
                 gain, value = lam[:, -1] - value, lam[:, -1]
-                if p.count == 1 or gain.max() <= _ORACLE_TOL * np.abs(value).max():
+                if p.count == 1 or gain.max() <= max(_ORACLE_TOL * np.abs(value).max(),
+                                                     _ORACLE_SHARE * (value.max() - tr)):
                     break
             z = int(np.argmax(value))
             if value[z] > best[0]:
                 row = np.concatenate([phi[z] for phi in phis])
-                best = (value[z], p.vectors(row[None])[0], (j, row))
+                best = (value[z], _gathered(row, self._table((j,)))[0][0], (j, row))
         return best
 
-    def _weights(self, xs):
-        return [np.sum(np.abs(p.vectors(x)) ** 2, axis=1) for p, x in zip(self.parts, xs)]
+    def _weights(self, x):
+        psi = _gathered(x[0], self._table(x[1]))[0]
+        return np.sum(np.abs(psi) ** 2, axis=1), psi
 
-    def add(self, xs, t, where):
+    def add(self, x, t, where):
         """Scale sigma by 1 - t, add the atom's row at weight t, and prune rows
         below _DROP_WEIGHT."""
-        (j, row), total = where, sum(w.sum() for w in self._weights(xs))
-        xs = [x * ((1.0 - t) / total) ** (0.5 / p.count) for p, x in zip(self.parts, xs)]
-        xs[j] = np.vstack([xs[j], t ** (0.5 / self.parts[j].count) * row])
-        return [x[w > _DROP_WEIGHT] for x, w in zip(xs, self._weights(xs))]
+        (z, layout), (j, row) = x, where
+        layout += (j,)
+        counts, widths = np.array([(self.parts[i].count, self.parts[i].width) for i in layout]).T
+        scale = np.append(np.full(len(x[1]), (1.0 - t) / self._weights(x)[0].sum()), t)
+        z = np.append(z, row) * np.repeat(scale ** (0.5 / counts), widths)
+        keep = self._weights((z, layout))[0] > _DROP_WEIGHT
+        return z[np.repeat(keep, widths)], tuple(np.compress(keep, layout).tolist())
 
-    def components(self, xs):
-        weights = self._weights(xs)
-        total = sum(w.sum() for w in weights)
+    def components(self, x):
+        weights, psi = self._weights(x)
+        total = weights.sum()
         return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), self.dims))
-                for p, x, ws in zip(self.parts, xs, weights)
-                for w, v in zip(ws, p.vectors(x)) if w / total > _DROP_WEIGHT]
+                for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]
 
 
 def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     """Maximize f(sigma) = Tr(rho^alpha sigma^beta), beta = 1 - alpha, over a
     family's convex hull, with L-BFGS on the factors that ``hull`` maps to
-    sigma (Burer-Monteiro).  f is concave, so with G its gradient, gap =
-    max over atoms of <atom|G|atom> - Tr(G sigma) bounds the distance to the
-    maximum when the hull's oracle is exact.  Where L-BFGS stalls (a zero
-    factor keeps a zero gradient, or too few components) a Frank-Wolfe step
-    adds the oracle's atom."""
+    sigma (Burer-Monteiro), viewing one complex vector z as floats; its
+    layout is fixed for an L-BFGS run.  f is concave, so with G its gradient,
+    gap = max over atoms of <atom|G|atom> - Tr(G sigma) bounds the distance
+    to the maximum when the hull's oracle is exact.  Where L-BFGS stalls (a
+    zero factor keeps a zero gradient, or too few components) a Frank-Wolfe
+    step adds the oracle's atom.  At the cap only a certified hull asks it."""
     beta = 1.0 - alpha
 
     def evaluate(s):
-        """f, G (Daleckii-Krein, eigenvalues floored) and eig(sigma), one eigh."""
+        """f, G (Daleckii-Krein, eigenvalues floored), Tr(G sigma) and
+        eig(sigma), one eigh."""
         w, v = np.linalg.eigh(s)
         r = v.conj().T @ rho_a @ v
-        f = float(np.clip(w, 0.0, None) ** beta @ np.real(np.diag(r)))
-        return f, v @ (_power_slopes(np.maximum(w, _EIG_FLOOR * w[-1]), beta) * r) @ v.conj().T, w
+        f = float(np.clip(w, 0.0, None) ** beta @ r.diagonal().real)
+        g = v @ (_power_slopes(np.maximum(w, _EIG_FLOOR * w[-1]), beta) * r) @ v.conj().T
+        return f, g, float(np.real(np.sum(g * s.T))), w
 
     def objective(theta):
-        s, pullback = hull.map(unpack(theta))
+        s, pullback = hull.map((theta.view(complex), layout))
         try:
-            f, g, _ = evaluate(s)
+            f, g, tr, _ = evaluate(s)
         except np.linalg.LinAlgError:
-            f = np.nan
-        if not np.isfinite(f) or not np.isfinite(g).all():
             return np.inf, np.zeros_like(theta)       # a rejected step
-        return -f, -_pack(pullback(g, np.real(np.sum(g * s.T))))
+        grad = pullback(g, tr).view(float)
+        if not np.isfinite(f) or not np.isfinite(grad).all():
+            return np.inf, np.zeros_like(theta)
+        return -f, -grad
 
-    def certify(x):
-        """f, sigma, its eigenvalues, the gap and the oracle's atom."""
-        f, g, w = evaluate(s := hull.map(x)[0])
-        lam, atom, where = hull.oracle(g)
-        return f, s, w, lam - np.real(np.sum(g * s.T)), atom, where
-
-    x, iterations = hull.start, 0
+    (z, layout), iterations, gap = hull.start, 0, np.inf
     while True:
         if iterations < max_iter:
-            unpack = _unpacker(x)
-            res = minimize(objective, _pack(x), jac=True, method="L-BFGS-B",
+            res = minimize(objective, z.view(float), jac=True, method="L-BFGS-B",
                            options={"maxiter": max_iter - iterations, "ftol": 1e-15,
                                     "gtol": 1e-12})
             iterations += int(res.nit)
-            x = unpack(res.x)
-        f, s, w, gap, atom, where = certify(x)
+            z = res.x.view(complex)
+        f, g, tr, w = evaluate(s := hull.map((z, layout))[0])
+        if iterations >= max_iter and not hull.certified:
+            break
+        lam, atom, where = hull.oracle(g, tr)
+        gap = lam - tr
         if gap <= _GAP_STOP or iterations >= max_iter:
             break
         # Frank-Wolfe step toward the atom; the line search runs over
@@ -407,12 +425,14 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
                                options={"xatol": 1e-2})
         if -line.fun - f <= _STALL:
             break
-        x = hull.add(x, float(np.exp(line.x)), where)
+        z, layout = hull.add((z, layout), float(np.exp(line.x)), where)
 
-    if evaluate(hull.map(hull.start)[0])[0] > f:    # keep the better end: the solve is monotone
-        x, (f, s, w, gap, _, _) = hull.start, certify(hull.start)
+    f0, g0, tr0, w0 = evaluate(hull.map(hull.start)[0])
+    if f0 > f:      # keep the better end: the solve is monotone
+        (z, layout), f, w = hull.start, f0, w0
+        gap = hull.oracle(g0, tr0)[0] - tr0 if hull.certified else np.inf
 
-    comps = tuple(hull.components(x))
+    comps = tuple(hull.components((z, layout)))
     member = _trusted(sum(c.weight * np.outer(c.state.amps, c.state.amps.conj())
                           for c in comps), hull.dims)
     affinity = alpha_affinity(rho, member, alpha)
@@ -594,6 +614,11 @@ def _scored(rho, kind, k, comps, alpha):
     outside the family (:func:`is_feasible_pure`) raises WitnessEncodingError."""
     if not all(is_feasible_pure(kind, k, psi) for _, psi in comps):
         raise WitnessEncodingError(f"a transported component is outside {kind}({k})")
+    return _mixed(rho, comps, alpha)
+
+
+def _mixed(rho, comps, alpha):
+    """Affinity of rho with the normalized mixture of ``comps``, unchecked."""
     total = sum(w for w, _ in comps)
     mixture = sum(w / total * np.outer(psi.amps, psi.amps.conj()) for w, psi in comps)
     return alpha_affinity(rho, _trusted(mixture, rho.dims), alpha)

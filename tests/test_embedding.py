@@ -205,3 +205,24 @@ def test_theorem3_scores_the_transported_witness_without_search(monkeypatch):
         for row in rows:
             assert row.slack >= -1e-9
     assert kinds and set(kinds) == {"multilevel"}
+
+
+def test_theorem3_factorizes_each_mapped_component_once(monkeypatch):
+    # one factorization per mapped component gives both its partition check
+    # and its membership in both families
+    import resourcekit.embedding as embedding
+    import resourcekit.feasible as feasible
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return factorize_pure(psi)
+
+    monkeypatch.setattr(embedding, "factorize_pure", counted)
+    monkeypatch.setattr(feasible, "factorize_pure", counted)
+    for k in (2, 3):
+        rho = rk.random_mixed([3], 3, seed=[18, k])
+        coh = rk.multilevel_coherence(rho, k, 0.5, seed=19, max_iter=200)
+        calls.clear()
+        theorem3_check(rho, k, 0.5, seed=19, max_iter=200)
+        assert len(calls) == len(coh.components) > 0

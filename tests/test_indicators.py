@@ -342,6 +342,70 @@ def test_no_nelder_mead_anywhere(monkeypatch):
     assert methods and set(methods) == {"L-BFGS-B"}
 
 
+@pytest.mark.parametrize("kind,dims,k", [
+    ("separable", (2, 2), 2), ("separable", (2, 3), 2), ("separable", (2, 2, 2), 2),
+    ("separable", (2, 2, 2), 3), ("producible", (2, 2, 2), 1),
+    ("producible", (2, 2, 2, 2), 2)])
+def test_product_pullback_matches_central_differences(kind, dims, k):
+    # the pullback of a fixed Hermitian H is the gradient of Tr(H sigma(z))
+    # on z's float view, also from basis product states, whose factors
+    # hold exact zeros
+    from resourcekit.indicators import _Products
+    d = int(np.prod(dims))
+    rng = np.random.default_rng([120, d, k])
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = h + h.conj().T
+    basis = [(0.5, rk.basis_pure(dims, 0)), (0.5, rk.basis_pure(dims, d - 1))]
+    for witness in (None, basis):
+        hull = _Products(kind, dims, k, witness, 121)
+        z, layout = hull.start
+
+        def value(theta):
+            return np.real(np.sum(h * hull.map((theta.view(complex), layout))[0].T))
+
+        theta, step = z.view(float).copy(), 1e-6
+        grad = hull.map((z, layout))[1](h, value(theta)).view(float)
+        assert np.isfinite(grad).all()
+        diffs = np.array([(value(theta + step * e) - value(theta - step * e)) / (2 * step)
+                          for e in np.eye(len(theta))])
+        assert np.abs(grad - diffs).max() <= 1e-7 * np.abs(diffs).max()
+
+
+def test_no_oracle_answer_is_discarded(monkeypatch):
+    # the oracle runs where its answer decides a step or certifies the
+    # upper bound; a correlation solve stopped at its cap has neither
+    from resourcekit import indicators
+    calls = []
+    for hull in (indicators._Blocks, indicators._Products):
+        def counted(self, g, tr, original=hull.oracle):
+            calls.append(type(self).__name__)
+            return original(self, g, tr)
+        monkeypatch.setattr(hull, "oracle", counted)
+    rho = rk.random_mixed([2, 2, 2], 8, seed=122)
+    for label in LABELS[2:]:
+        rk.compute_indicator(rho, label, 2, 0.5, seed=123, max_iter=0)
+    assert calls == []
+    rk.compute_indicator(rk.random_mixed([3], 3, seed=124), "coherence", 3, 0.5, seed=123,
+                         max_iter=0)
+    assert calls == ["_Blocks"]
+    res = rk.compute_indicator(rho, "entanglement", 2, 0.5, seed=123, max_iter=20)
+    assert res.iterations == 20 and calls == ["_Blocks"]
+
+
+def test_product_hull_starts_on_the_coarsest_partitions():
+    # a partition that refines another adds nothing to the hull: on three
+    # qubits producible(2) is the separable(2) hull and producible(3) the
+    # whole state space, so both solve as such
+    rho = rk.random_mixed([2, 2, 2], 4, seed=5)
+    top = rk.compute_indicator(rho, "entanglement", 4, 0.5, seed=1, max_iter=100)
+    assert top.best_affinity >= 1.0 - 1e-12
+    ent = rk.compute_indicator(rho, "entanglement", 3, 0.5, seed=1, max_iter=100)
+    sep = rk.compute_indicator(rho, "nonseparability", 2, 0.5, seed=1, max_iter=100)
+    assert ent.best_affinity == sep.best_affinity
+    for res in (top, ent, sep):
+        assert rk.check_witness(res, rho)
+
+
 def test_correlation_k_ranges():
     rho = rk.random_mixed([2, 2], 4, seed=80)
     with pytest.raises(KOutOfRange):
