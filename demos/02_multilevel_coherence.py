@@ -25,9 +25,9 @@ print("order-2, maximally coherent 3 :", rk.closed_form_k2(mx3, 0.5)[0],
       " (exact: 1 - 3^-1/2)")
 
 # The indicator at k = 2 is the closed form itself, carried by the optimal
-# diagonal witness; no search runs, so restarts and spread are 0.
+# diagonal witness; no search runs, so it takes 0 iterations.
 res = rk.multilevel_coherence(mx3, 2, 0.5, seed=11)
-print("\nindicator value (k=2)         :", res.value, " restarts:", res.restarts)
+print("\nindicator value (k=2)         :", res.value, " iterations:", res.iterations)
 print("witness is diagonal?          :",
       np.abs(res.witness.data - np.diag(res.witness.diag())).max() < 1e-8)
 

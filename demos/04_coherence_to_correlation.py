@@ -34,7 +34,7 @@ print("\naffinity preservation drift:", drift)
 # Witness transport: the order-2 coherence bound of a qutrit upper-bounds
 # four correlation indicators of its embedding, certified by scoring the
 # mapped witness on the embedded state (no correlation search runs).
-rows = rk.theorem3_check(rho, 2, 0.5, seed=33, restarts=1, max_iter=150)
+rows = rk.theorem3_check(rho, 2, 0.5, seed=33, max_iter=150)
 print("\ntransported bounds:")
 for row in rows:
     print(f"  {row.lhs_label:28s} <= {row.rhs_label:20s} "

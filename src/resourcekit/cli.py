@@ -10,10 +10,10 @@ codes: 0 success / all checks passed, 1 verification failure, 2 input
 error.  ``affinity`` and ``indicator`` write CSV or JSON (``--format``);
 ``verify`` prints a summary and writes certificate CSV, ``embed`` writes
 JSON.  Order-2 coherence rows are the exact closed form, found without
-search (restarts 0, spread 0); every other row, coherence or correlation,
-is one hull solve that ignores ``--restarts`` (1, spread 0).
-``embed`` scores the transported witness without a correlation search, so
-``--max-iter`` reaches only its coherence solve and ``--restarts`` none.
+search (0 iterations); every other row, coherence or correlation, is one
+hull solve whose iterations ``--max-iter`` caps.  ``embed`` scores the
+transported witness without a correlation search, so ``--max-iter``
+reaches only its coherence solve.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (required; no wall-clock default)")
         p.add_argument("--out", help="write the report to this path")
         if with_opts:
-            p.add_argument("--restarts", type=int, default=8)
             p.add_argument("--max-iter", type=int, default=400)
 
     p_aff = sub.add_parser("affinity", help="affinity between two state files")
@@ -119,7 +118,7 @@ def _cmd_indicator(args) -> int:
     rho = load_state(args.state)
     specs = [(args.label, k) for k in args.k]
     results = indicator_suite(rho, args.alpha, specs, seed=args.seed,
-                              restarts=args.restarts, max_iter=args.max_iter)
+                              max_iter=args.max_iter)
     text = results_to_csv(results) if args.format == "csv" else results_to_json(results) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -160,8 +159,7 @@ def _cmd_embed(args) -> int:
     reports = {}
     for k in args.k:
         for a in args.alpha:
-            rows = theorem3_check(rho, k, a, seed=args.seed,
-                                  restarts=args.restarts, max_iter=args.max_iter)
+            rows = theorem3_check(rho, k, a, seed=args.seed, max_iter=args.max_iter)
             reports[f"k={k},alpha={a!r}"] = json.loads(transport_report_json(rows))
     text = json.dumps({"depths": depth_rows, "transport": reports}) + "\n"
     _emit(text, args.out)

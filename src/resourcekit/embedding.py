@@ -154,7 +154,7 @@ def _check_mapped_feasibility(emb, sources, mapped) -> list:
 
 
 def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
-                   restarts: int = 2, max_iter: int = 200) -> list[TransportRow]:
+                   max_iter: int = 200, restarts=None) -> list[TransportRow]:
     """Transport an order-k coherence witness through the embedding and
     certify the four induced correlation bounds on the embedded state.
 
@@ -166,8 +166,9 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     correlation search runs: the mapped witness is feasible and, by
     affinity preservation, reproduces the coherence affinity, so every
     bound comes out at the coherence bound up to roundoff.  ``max_iter``
-    drives the coherence solve; ``restarts`` reaches it too, and goes
-    unused there.
+    caps the coherence solve.  ``restarts`` is accepted and dropped here: no
+    solve reads it, and perfbench/workloads.py, its last reader, still
+    passes it.
     """
     d = rho.d
     if not MIN_D <= d <= 3:
@@ -175,8 +176,7 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     if not 2 <= k <= d:
         raise KOutOfRange(f"need 2 <= k <= {d}, got {k}")
     emb = build_embedding(d)
-    coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed,
-                               restarts=restarts, max_iter=max_iter)
+    coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed, max_iter=max_iter)
     mapped = map_components(emb, coh.components)
     sep_k = d - k + 2
     prod_k = k

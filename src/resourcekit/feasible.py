@@ -198,8 +198,8 @@ def factorize_pure(psi: PureState) -> Factorization:
 class WitnessComponent(NamedTuple):
     """One pure term of a feasible mixture: a weight and a pure state.
 
-    Its structure (support or factorization) is not stored; :func:`encode`
-    reads it off the state.
+    Its structure (support or factorization) is not stored:
+    :func:`_first_fit` and :func:`is_feasible_pure` read it off the state.
     """
 
     weight: float
@@ -208,7 +208,9 @@ class WitnessComponent(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FeasibleFamily:
-    """Parameterized restricted state set; decode() maps reals to members."""
+    """A restricted state set.  The solvers read only its kind, order k and
+    dims; the slots (``structures``, ``param_len``, ``blocks``) serve only
+    :func:`decode` and :func:`encode`, which no solve calls."""
 
     kind: str
     k: int

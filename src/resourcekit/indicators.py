@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .affinity import _check_alpha, alpha_affinity
-from .errors import DimensionMismatch, KOutOfRange, WitnessEncodingError
+from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingError
 from .feasible import (
     FeasibleFamily,
     WitnessComponent,
@@ -51,7 +51,6 @@ from .feasible import (
 )
 from .states import DensityMatrix, _frac_power_raw, _trusted, basis_pure, pure_state
 
-DEFAULT_RESTARTS = 32
 DEFAULT_MAX_ITER = 2000
 _WITNESS_TOL = 1e-9   # check_witness: mixture and affinity agreement
 _GAP_STOP = 1e-10     # hull solve: duality gap that ends the search
@@ -74,17 +73,11 @@ _FAMILY_OF = {"coherence": ("multilevel", -1),
               "entanglement": ("producible", -1)}
 
 
-class Diagnostics(NamedTuple):
-    restarts: int
-    iterations: int
-    spread: float
-
-
 class MaxAffinityResult(NamedTuple):
     affinity: float
     witness: DensityMatrix
     components: tuple[WitnessComponent, ...]
-    diagnostics: Diagnostics
+    iterations: int
     upper: float = 1.0    # certified bound on the maximum; 1.0 when none is known
 
 
@@ -98,8 +91,7 @@ def _seed_key(seed) -> int:
 
 
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
-                 seed, restarts: int = DEFAULT_RESTARTS,
-                 max_iter: int = DEFAULT_MAX_ITER, witness=None) -> MaxAffinityResult:
+                 seed, max_iter: int = DEFAULT_MAX_ITER, witness=None) -> MaxAffinityResult:
     """Best affinity between rho and the family, with the witness attaining it.
 
     multilevel(1) is the closed form (:func:`_diagonal_max`).  Every other
@@ -107,15 +99,20 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     from the ``witness`` (a list of (weight, pure state) pairs), or else
     from I/d (multilevel) or d random product states per partition of the
     pool (correlation kinds, drawn from ``seed``).  Only the multilevel
-    ascent certifies ``upper``; it is 1.0 for the correlation kinds.
-    ``restarts`` goes unused, and the family's slot count ``m`` too.
-    ``max_iter=0`` scores the start.  A witness component that fits no
-    structure of the pool raises WitnessEncodingError; negative effort
-    raises ValueError.
+    ascent certifies ``upper``; it is 1.0 for the correlation kinds.  The
+    family's slot count ``m`` goes unused.  ``max_iter`` caps the ascent's
+    iterations, and ``max_iter=0`` scores the start.  Witness weights must be
+    finite and >= 0 with a positive total (BadWeights); a witness component
+    that fits no structure of the pool raises WitnessEncodingError; a
+    negative ``max_iter`` raises ValueError.
     """
     alpha = _check_alpha(alpha)
-    if restarts < 0 or max_iter < 0:
-        raise ValueError(f"restarts and max_iter must be >= 0, got {restarts}, {max_iter}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if witness:
+        weights = np.array([w for w, _ in witness], dtype=float)
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all() and weights.sum() > 0.0):
+            raise BadWeights("witness weights must be finite and >= 0 with a positive total")
     if rho.d != family.d:
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
     rho_a = _frac_power_raw(rho.data, alpha)
@@ -437,7 +434,7 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
                           for c in comps), hull.dims)
     affinity = alpha_affinity(rho, member, alpha)
     upper = min(1.0, f + gap) if hull.certified and w[0] >= _FULL_RANK * w[-1] else 1.0
-    return MaxAffinityResult(affinity, member, comps, Diagnostics(1, iterations, 0.0),
+    return MaxAffinityResult(affinity, member, comps, iterations,
                              max(upper, affinity))   # equal up to roundoff at worst
 
 
@@ -474,8 +471,7 @@ def _diagonal_max(rho, rho_a, alpha, witness) -> MaxAffinityResult:
     q, s = _k2_weights(rho_a, alpha)
     affinity = s ** alpha
     return MaxAffinityResult(affinity, _trusted(np.diag(q), rho.dims),
-                             tuple(_diagonal_components(q, rho.dims)),
-                             Diagnostics(0, 0, 0.0), affinity)
+                             tuple(_diagonal_components(q, rho.dims)), 0, affinity)
 
 
 def _diagonal_components(q: np.ndarray, dims) -> list[WitnessComponent]:
@@ -500,9 +496,7 @@ class IndicatorResult:
     witness: DensityMatrix
     components: tuple[WitnessComponent, ...]
     seed: int
-    restarts: int
     iterations: int
-    spread: float
 
 
 def _variant_value(affinity: float, alpha: float, variant: str) -> float:
@@ -519,7 +513,7 @@ def _result(label, k, alpha, variant, seed, res: MaxAffinityResult) -> Indicator
                            value=_variant_value(res.affinity, alpha, variant),
                            best_affinity=res.affinity, affinity_upper=res.upper,
                            witness=res.witness, components=tuple(res.components),
-                           seed=_seed_key(seed), **res.diagnostics._asdict())
+                           seed=_seed_key(seed), iterations=res.iterations)
 
 
 def _searched(rho, base, k, alpha, variant, seed, opts) -> IndicatorResult:
@@ -532,18 +526,17 @@ def _searched(rho, base, k, alpha, variant, seed, opts) -> IndicatorResult:
 def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
                          variant: str = "plain", *, seed, **opts) -> IndicatorResult:
     """Order-k coherence indicator (support size < k witnesses), from
-    :func:`max_affinity`: order 2 is the exact closed form, higher orders are
-    solved on the convex hull; ``restarts`` goes unused.  ``affinity_upper``
-    is certified (1.0 when the witness is too close to singular).  Negative
-    effort raises ValueError."""
+    :func:`max_affinity`, which takes ``max_iter`` and ``witness``: order 2
+    is the exact closed form, higher orders are solved on the convex hull.
+    ``affinity_upper`` is certified (1.0 when the witness is too close to
+    singular).  A negative ``max_iter`` raises ValueError."""
     if not 2 <= k <= rho.d:
         raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
     return _searched(rho, "coherence", k, alpha, variant, seed, opts)
 
 
 def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float,
-                             variant: str = "plain", *, seed, m=None,
-                             **opts) -> IndicatorResult:
+                             variant: str = "plain", *, seed, **opts) -> IndicatorResult:
     """Upper bound on a correlation indicator.
 
     kind="nonseparability": distance-like indicator against k-separable
@@ -551,11 +544,10 @@ def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float
     indicator against (k-1)-producible mixtures (2 <= k <= n+1), nonzero
     only in the presence of k-partite entanglement.
 
-    Solved on the family's convex hull (:func:`max_affinity`) from d seeded
-    random product states per partition, or from the ``witness``.  The
-    product oracle is a heuristic, so ``affinity_upper`` is 1.0.  The slot
-    count ``m`` and ``restarts`` go unused, as for coherence; ``m`` is still
-    accepted because perfbench/workloads.py, its last reader, passes it.
+    Solved on the family's convex hull (:func:`max_affinity`, which takes
+    ``max_iter`` and ``witness``) from d seeded random product states per
+    partition, or from the ``witness``.  The product oracle is a heuristic,
+    so ``affinity_upper`` is 1.0.
     """
     if kind not in ("nonseparability", "entanglement"):
         raise ValueError(f"kind must be 'nonseparability' or 'entanglement', got {kind!r}")
@@ -566,33 +558,35 @@ def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float
 
 
 def compute_indicator(rho: DensityMatrix, label: str, k: int, alpha: float,
-                      *, seed, m=None, **opts) -> IndicatorResult:
-    """Dispatch by CSV label (one of the six indicator names).  The slot
-    count ``m`` is accepted for the correlation labels and goes unused."""
+                      *, seed, m=None, restarts=None, **opts) -> IndicatorResult:
+    """Dispatch by CSV label (one of the six indicator names).  ``m`` and
+    ``restarts`` are accepted and dropped here: no solve reads them, and
+    perfbench/workloads.py, their last reader, still passes them."""
     if label not in LABELS:
         raise ValueError(f"label must be one of {LABELS}, got {label!r}")
     base, _, suffix = label.partition("_")
     variant = "avg" if suffix == "avg" else "plain"
     if base == "coherence":
         return multilevel_coherence(rho, k, alpha, variant, seed=seed, **opts)
-    return multipartite_correlation(rho, base, k, alpha, variant, seed=seed, m=m, **opts)
+    return multipartite_correlation(rho, base, k, alpha, variant, seed=seed, **opts)
 
 
-def indicator_suite(rho: DensityMatrix, alphas, specs, *, seed, **opts):
+def indicator_suite(rho: DensityMatrix, alphas, specs, *, seed,
+                    max_iter: int = DEFAULT_MAX_ITER):
     """Batch driver: one result per (label, k) x alpha, deterministic per seed."""
     out = []
     for label, k in specs:
         for alpha in alphas:
             out.append(compute_indicator(rho, label, int(k), float(alpha),
-                                         seed=seed, **opts))
+                                         seed=seed, max_iter=max_iter))
     return out
 
 
 def results_to_csv(results) -> str:
-    lines = ["label,k,alpha,value,best_affinity,restarts,spread,seed"]
+    lines = ["label,k,alpha,value,best_affinity,seed"]
     for r in results:
         lines.append(f"{r.label},{r.k},{float(r.alpha)!r},{r.value!r},"
-                     f"{r.best_affinity!r},{r.restarts},{r.spread!r},{r.seed}")
+                     f"{r.best_affinity!r},{r.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -603,8 +597,7 @@ def results_to_json(results) -> str:
         rows.append({"label": r.label, "k": r.k, "alpha": float(r.alpha),
                      "value": r.value, "best_affinity": r.best_affinity,
                      "affinity_upper": r.affinity_upper,
-                     "restarts": r.restarts, "iterations": r.iterations,
-                     "spread": r.spread, "seed": r.seed,
+                     "iterations": r.iterations, "seed": r.seed,
                      "witness": json.loads(state_to_json(r.witness))})
     return json.dumps({"results": rows})
 

@@ -408,7 +408,7 @@ def _t2_config(i):
 def run_theorem2(seed, n_samples=None):
     n = 30 if n_samples is None else int(n_samples)
     certs = []
-    opts = {"restarts": 1, "max_iter": 200}
+    opts = {"max_iter": 200}
 
     # members of each family score (numerically) zero
     for i in range(n):
@@ -575,7 +575,7 @@ def run_theorem3(seed, n_samples=None):
             rho = random_mixed((d,), d, [seed, 6, d, k, i])
             try:
                 rows = theorem3_check(rho, k, alpha, seed=_seed_key([seed, 6, d, k, i]),
-                                      restarts=1, max_iter=150)
+                                      max_iter=150)
             except (FeasibilityCheckFailed, WitnessEncodingError):
                 certs.append(_cert("transport-witness-feasible", 0.0, 1.0,
                                    equality=True, alpha=alpha, seed=seed))

@@ -32,7 +32,7 @@ def test_criterion_1_closed_form_oracle_agreement():
             rho = rk.random_mixed([d], d, seed=[SEED, 1, d, i])
             for alpha in (0.3, 0.5, 0.7):
                 res = rk.multilevel_coherence(rho, 2, alpha, seed=[SEED, 2, d, i],
-                                              restarts=1, max_iter=100)
+                                              max_iter=100)
                 cf_plain, _ = rk.closed_form_k2(rho, alpha)
                 worst = max(worst, abs(res.value - cf_plain))
                 bad_witnesses += not rk.check_witness(res, rho)
@@ -44,11 +44,11 @@ def test_criterion_1_closed_form_oracle_agreement():
 
 def test_criterion_2_derived_anchor_values():
     plus = rk.pure_state([1, 1]).projector()
-    res_p = rk.multilevel_coherence(plus, 2, 0.5, seed=SEED, restarts=1, max_iter=150)
+    res_p = rk.multilevel_coherence(plus, 2, 0.5, seed=SEED, max_iter=150)
     res_a = rk.multilevel_coherence(plus, 2, 0.5, "avg", seed=SEED,
-                                    restarts=1, max_iter=150)
+                                    max_iter=150)
     mx3 = rk.pure_state([1, 1, 1]).projector()
-    res_q = rk.multilevel_coherence(mx3, 2, 0.5, seed=SEED, restarts=1, max_iter=150)
+    res_q = rk.multilevel_coherence(mx3, 2, 0.5, seed=SEED, max_iter=150)
     err_p = abs(res_p.value - (1.0 - 2.0 ** -0.5))
     err_a = abs(res_a.value - 0.5)
     err_q = abs(res_q.value - (1.0 - 3.0 ** -0.5))

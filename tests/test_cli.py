@@ -83,17 +83,17 @@ def test_invalid_state_file_exits_two(tmp_path, capsys):
 def test_indicator_diagonal_state_is_zero(states, capsys):
     code = main(["indicator", "--state", states["diag"], "--label", "coherence",
                  "--k", "2", "--alpha", "0.5", "--seed", "3",
-                 "--restarts", "1", "--max-iter", "100"])
+                 "--max-iter", "100"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "label,k,alpha,value,best_affinity,restarts,spread,seed"
+    assert lines[0] == "label,k,alpha,value,best_affinity,seed"
     assert float(lines[1].split(",")[3]) <= 1e-9
 
 
 def test_indicator_plus_anchor(states, capsys):
     code = main(["indicator", "--state", states["plus"], "--label", "coherence",
                  "--k", "2", "--alpha", "0.5", "--seed", "3",
-                 "--restarts", "1", "--max-iter", "150"])
+                 "--max-iter", "150"])
     assert code == 0
     val = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[3])
     assert val == pytest.approx(0.2928932, abs=1e-6)
@@ -103,7 +103,7 @@ def test_indicator_deterministic_output_bytes(states, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["indicator", "--state", states["plus"], "--label", "coherence",
             "--k", "2", "--alpha", "0.5", "--seed", "5",
-            "--restarts", "2", "--max-iter", "120"]
+            "--max-iter", "120"]
     for out in (out1, out2):
         assert main(args + ["--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -112,8 +112,8 @@ def test_indicator_deterministic_output_bytes(states, tmp_path):
 def test_indicator_json_format(states, tmp_path):
     out = tmp_path / "r.json"
     assert main(["indicator", "--state", states["diag"], "--label", "coherence",
-                 "--k", "2", "--alpha", "0.5", "--seed", "3", "--restarts", "1",
-                 "--max-iter", "80", "--format", "json", "--out", str(out)]) == 0
+                 "--k", "2", "--alpha", "0.5", "--seed", "3", "--max-iter", "80",
+                 "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["results"][0]["witness"]["dims"] == [2]
 
@@ -152,11 +152,18 @@ def test_indicator_negative_effort_exits_two(tmp_path, capsys):
     # order 2 is solved in closed form, yet its effort is validated alike
     path = tmp_path / "qutrit.json"
     rk.save_state(rk.random_mixed([3], 3, seed=11), path)
-    for k, restarts in (("3", "1"), ("2", "-4")):
+    for k in ("3", "2"):
         assert main(["indicator", "--state", str(path), "--label", "coherence",
-                     "--k", k, "--alpha", "0.5", "--seed", "3",
-                     "--restarts", restarts, "--max-iter", "-5"]) == 2
+                     "--k", k, "--alpha", "0.5", "--seed", "3", "--max-iter", "-5"]) == 2
         assert "max_iter" in capsys.readouterr().err
+
+
+def test_no_restarts_option(states, capsys):
+    # a solve's effort is --max-iter alone
+    for cmd in (["indicator", "--label", "coherence"], ["embed"]):
+        assert main(cmd + ["--state", states["plus"], "--k", "2", "--alpha", "0.5",
+                           "--seed", "3", "--restarts", "1"]) == 2
+        assert "--restarts" in capsys.readouterr().err
 
 
 def test_verify_writes_csv(tmp_path, capsys):
@@ -171,8 +178,8 @@ def test_verify_writes_csv(tmp_path, capsys):
 def test_embed_diagonal_state(states, tmp_path, capsys):
     out = tmp_path / "embed.json"
     code = main(["embed", "--state", states["diag"], "--k", "2",
-                 "--alpha", "0.5", "--seed", "9", "--restarts", "1",
-                 "--max-iter", "60", "--out", str(out)])
+                 "--alpha", "0.5", "--seed", "9", "--max-iter", "60",
+                 "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     for row in doc["depths"]:
@@ -186,8 +193,7 @@ def test_embed_diagonal_state(states, tmp_path, capsys):
 
 def test_embed_plus_state(states, capsys):
     code = main(["embed", "--state", states["plus"], "--k", "2",
-                 "--alpha", "0.5", "--seed", "9", "--restarts", "1",
-                 "--max-iter", "100"])
+                 "--alpha", "0.5", "--seed", "9", "--max-iter", "100"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     row = doc["transport"]["k=2,alpha=0.5"]["rows"][0]

@@ -140,7 +140,7 @@ def test_mapped_components_are_structurally_product():
 
 def test_theorem3_diagonal_state_is_all_zero():
     rho = rk.validate(np.diag([0.6, 0.4]), [2])
-    rows = theorem3_check(rho, 2, 0.5, seed=6, restarts=1, max_iter=100)
+    rows = theorem3_check(rho, 2, 0.5, seed=6, max_iter=100)
     for row in rows:
         assert row.rhs <= 1e-9
         assert row.lhs <= 1e-9
@@ -162,7 +162,7 @@ def test_theorem3_plus_state_evaluation_only():
 def test_theorem3_random_qutrits():
     for i, (k, alpha) in enumerate([(2, 0.3), (2, 0.7), (3, 0.5)]):
         rho = rk.random_mixed([3], 3, seed=[8, i])
-        rows = theorem3_check(rho, k, alpha, seed=[9, i], restarts=1, max_iter=150)
+        rows = theorem3_check(rho, k, alpha, seed=[9, i], max_iter=150)
         assert len(rows) == 4
         for row in rows:
             assert row.slack >= -1e-8
@@ -179,7 +179,7 @@ def test_theorem3_input_validation():
 
 def test_transport_report_json():
     rho = rk.validate(np.diag([0.6, 0.4]), [2])
-    rows = theorem3_check(rho, 2, 0.5, seed=12, restarts=1, max_iter=50)
+    rows = theorem3_check(rho, 2, 0.5, seed=12, max_iter=50)
     doc = json.loads(rk.transport_report_json(rows))
     assert len(doc["rows"]) == 4
     row = doc["rows"][0]

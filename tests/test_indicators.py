@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resourcekit as rk
-from resourcekit.errors import KOutOfRange, WitnessEncodingError
+from resourcekit.errors import BadWeights, KOutOfRange, WitnessEncodingError
 from resourcekit.feasible import decode_mixture
 from resourcekit.indicators import LABELS, max_affinity
 
@@ -45,7 +45,7 @@ def test_max_affinity_reaches_family_members():
     theta = np.random.default_rng(0).standard_normal(fam.param_len)
     comps = decode_mixture(fam, theta)
     rho = rk.decode(fam, theta)
-    res = max_affinity(rho, fam, 0.5, seed=1, restarts=1, max_iter=100,
+    res = max_affinity(rho, fam, 0.5, seed=1, max_iter=100,
                        witness=comps)
     assert res.affinity >= 1.0 - 1e-6
 
@@ -56,7 +56,7 @@ def test_optimizer_matches_closed_form_without_injection():
     for d, m, i in ((2, 2, 0), (2, 4, 1), (3, 3, 2)):
         rho = rk.random_mixed([d], d, seed=[20, i])
         fam = rk.build_family("multilevel", (d,), 1, m=m)
-        res = max_affinity(rho, fam, 0.5, seed=[21, i], restarts=6, max_iter=1500)
+        res = max_affinity(rho, fam, 0.5, seed=[21, i], max_iter=1500)
         cf = 1.0 - rk.closed_form_k2(rho, 0.5)[0]
         assert res.affinity == pytest.approx(cf, abs=1e-6)
 
@@ -80,27 +80,43 @@ def test_max_affinity_rejects_witness_that_fits_no_slot():
     rho = rk.random_mixed([3], 3, seed=23)
     fam = rk.build_family("multilevel", (3,), 1)
     with pytest.raises(WitnessEncodingError):
-        max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
+        max_affinity(rho, fam, 0.5, seed=24, max_iter=0,
                      witness=[(1.0, rk.pure_state([1, 1, 0]))])
     # correlation: a component that is not a product across any partition
     rho = rk.random_mixed([2, 2], 4, seed=25)
     fam = rk.build_family("separable", (2, 2), 2)
     with pytest.raises(WitnessEncodingError):
-        max_affinity(rho, fam, 0.5, seed=24, restarts=1, max_iter=0,
+        max_affinity(rho, fam, 0.5, seed=24, max_iter=0,
                      witness=[(1.0, rk.pure_state([1, 0, 0, 1], (2, 2)))])
 
 
-def test_max_affinity_monotone_in_restarts():
-    # no family reads restarts, the correlation kinds (and their slot
-    # count m) included: the result is the same, witness and all
+def _same_result(a, b):
+    return (a.witness.data.tobytes() == b.witness.data.tobytes()
+            and a.iterations == b.iterations)
+
+
+def test_unread_arguments_change_nothing():
+    # build_family's slot count m does not reach the hull
     rho = rk.random_mixed([2, 2], 4, seed=30)
     results = [max_affinity(rho, rk.build_family("separable", (2, 2), 2, m=m), 0.5,
-                            seed=31, restarts=restarts, max_iter=300)
-               for restarts, m in ((0, 2), (2, 2), (4, 8))]
-    for res in results[1:]:
-        assert res.affinity == results[0].affinity
-        assert res.witness.data.tobytes() == results[0].witness.data.tobytes()
-        assert res.diagnostics == results[0].diagnostics
+                            seed=31, max_iter=300) for m in (2, 8)]
+    assert results[1].affinity == results[0].affinity
+    assert _same_result(*results)
+    # compute_indicator drops m and restarts, theorem3_check drops restarts
+    for label, state in (("coherence", rk.random_mixed([3], 3, seed=32)),
+                         ("nonseparability_avg", rho)):
+        plain = rk.compute_indicator(state, label, 2, 0.5, seed=33, max_iter=100)
+        extra = rk.compute_indicator(state, label, 2, 0.5, seed=33, max_iter=100,
+                                     restarts=3, m=5)
+        assert extra.value == plain.value and _same_result(extra, plain)
+    qutrit = rk.random_mixed([3], 3, seed=34)
+    assert (rk.theorem3_check(qutrit, 3, 0.5, seed=35, max_iter=50, restarts=3)
+            == rk.theorem3_check(qutrit, 3, 0.5, seed=35, max_iter=50))
+    # nothing below them takes either argument
+    with pytest.raises(TypeError):
+        rk.multilevel_coherence(qutrit, 3, 0.5, seed=35, restarts=3)
+    with pytest.raises(TypeError):
+        rk.multipartite_correlation(rho, "nonseparability", 2, 0.5, seed=35, m=5)
 
 
 def test_correlation_witness_start_reads_the_membership_rule():
@@ -124,7 +140,7 @@ def test_correlation_witness_start_reads_the_membership_rule():
 def test_max_affinity_witness_consistency():
     rho = rk.random_mixed([3], 3, seed=32)
     fam = rk.build_family("multilevel", (3,), 2, m=3)
-    res = max_affinity(rho, fam, 0.7, seed=33, restarts=2, max_iter=300)
+    res = max_affinity(rho, fam, 0.7, seed=33, max_iter=300)
     assert rk.alpha_affinity(rho, res.witness, 0.7) == pytest.approx(
         res.affinity, abs=1e-9)
     assert sum(c.weight for c in res.components) == pytest.approx(1.0, abs=1e-9)
@@ -136,7 +152,7 @@ def test_multilevel_coherence_k2_matches_closed_form():
         rho = rk.random_mixed([d], d, seed=[40, i])
         for alpha in ALPHAS:
             result = rk.multilevel_coherence(rho, 2, alpha, seed=[41, i],
-                                             restarts=1, max_iter=150)
+                                             max_iter=150)
             cf_plain, _ = rk.closed_form_k2(rho, alpha)
             assert result.value == pytest.approx(cf_plain, abs=1e-6)
 
@@ -146,12 +162,12 @@ def test_multilevel_coherence_k2_witness_carries_closed_form():
     # whatever the optimizer options
     rho = rk.random_mixed([3], 3, seed=1)
     cf_plain, cf_avg = rk.closed_form_k2(rho, 0.5)
-    for opts in ({}, {"restarts": 1, "max_iter": 50}, {"restarts": 0, "max_iter": 0}):
+    for opts in ({}, {"max_iter": 50}, {"max_iter": 0}):
         plain = rk.multilevel_coherence(rho, 2, 0.5, seed=2, **opts)
         avg = rk.multilevel_coherence(rho, 2, 0.5, "avg", seed=2, **opts)
         for res in (plain, avg):
             assert rk.check_witness(res, rho)
-            assert (res.restarts, res.iterations, res.spread) == (0, 0, 0.0)
+            assert res.iterations == 0
             assert res.affinity_upper == res.best_affinity
         assert plain.value == cf_plain
         assert avg.value == pytest.approx(cf_avg, abs=1e-12)
@@ -159,10 +175,10 @@ def test_multilevel_coherence_k2_witness_carries_closed_form():
 
 def test_multilevel_coherence_plus_anchor():
     plus = rk.pure_state([1, 1]).projector()
-    res = rk.multilevel_coherence(plus, 2, 0.5, seed=7, restarts=1, max_iter=100)
+    res = rk.multilevel_coherence(plus, 2, 0.5, seed=7, max_iter=100)
     assert res.value == pytest.approx(1.0 - 2.0 ** -0.5, abs=1e-9)
     res_avg = rk.multilevel_coherence(plus, 2, 0.5, "avg", seed=7,
-                                      restarts=1, max_iter=100)
+                                      max_iter=100)
     assert res_avg.value == pytest.approx(0.5, abs=1e-9)
 
 
@@ -237,8 +253,7 @@ def test_multilevel_coherence_zero_on_low_rank_mixtures():
     theta = np.random.default_rng(3).standard_normal(fam.param_len)
     comps = decode_mixture(fam, theta)
     rho = rk.decode(fam, theta)
-    res = rk.multilevel_coherence(rho, 3, 0.5, seed=5, restarts=1,
-                                  max_iter=100, witness=comps)
+    res = rk.multilevel_coherence(rho, 3, 0.5, seed=5, max_iter=100, witness=comps)
     assert res.value <= 1e-6
 
 
@@ -256,8 +271,7 @@ def test_correlation_zero_on_product_state():
     wit = [(1.0, psi)]
     for kind, k in (("nonseparability", 1), ("nonseparability", 2),
                     ("entanglement", 2), ("entanglement", 3)):
-        res = rk.multipartite_correlation(rho, kind, k, 0.5, seed=62, m=4,
-                                          restarts=1, max_iter=100,
+        res = rk.multipartite_correlation(rho, kind, k, 0.5, seed=62, max_iter=100,
                                           witness=wit)
         assert res.value <= 1e-6
 
@@ -267,7 +281,7 @@ def test_bell_nonseparability_anchor():
     # agrees but is not certified (tests/oracles.py, max_affinity_product)
     bell = rk.pure_state([1, 0, 0, 1], (2, 2)).projector()
     res = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5,
-                                      seed=70, m=2, restarts=8, max_iter=2000)
+                                      seed=70, max_iter=2000)
     assert res.value == pytest.approx(1.0 - BELL_SEPARABLE_MAX_HALF, abs=1e-9)
     assert res.affinity_upper == 1.0
     assert rk.check_witness(res, bell)
@@ -314,8 +328,7 @@ def test_correlation_beats_the_product_oracle_bracket():
     # the oracle's upper end is not an upper bound: an explicit product
     # mixture reaches above its 0.98312347 here
     rho = rk.random_mixed([2, 2], 4, seed=[9, 0])
-    res = rk.compute_indicator(rho, "nonseparability", 2, 0.3, seed=1, restarts=1,
-                               max_iter=200)
+    res = rk.compute_indicator(rho, "nonseparability", 2, 0.3, seed=1, max_iter=200)
     assert res.best_affinity >= 0.98330
     assert rk.check_witness(res, rho)
 
@@ -421,9 +434,9 @@ def test_correlation_k_ranges():
 def test_plain_and_avg_variants_share_affinity():
     rho = rk.random_mixed([3], 3, seed=90)
     plain = rk.multilevel_coherence(rho, 2, 0.7, "plain", seed=91,
-                                    restarts=1, max_iter=150)
+                                    max_iter=150)
     avg = rk.multilevel_coherence(rho, 2, 0.7, "avg", seed=91,
-                                  restarts=1, max_iter=150)
+                                  max_iter=150)
     assert plain.best_affinity == avg.best_affinity
     assert avg.value == pytest.approx(1.0 - plain.best_affinity ** (1 / 0.7),
                                       abs=1e-12)
@@ -437,16 +450,16 @@ def test_injected_witness_upper_bounds_value():
         fam = rk.build_family("multilevel", (3,), k - 1, m=3)
         theta = np.random.default_rng(101).standard_normal(fam.param_len)
         sigma0 = rk.decode(fam, theta)
-        res = rk.multilevel_coherence(rho, k, 0.5, seed=102, restarts=1,
-                                      max_iter=200, witness=decode_mixture(fam, theta))
+        res = rk.multilevel_coherence(rho, k, 0.5, seed=102, max_iter=200,
+                                      witness=decode_mixture(fam, theta))
         assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
 
     rho = rk.random_mixed([2, 2], 4, seed=103)
     fam = rk.build_family("separable", (2, 2), 2, m=2)
     theta = np.random.default_rng(104).standard_normal(fam.param_len)
     sigma0 = rk.decode(fam, theta)
-    res = rk.multipartite_correlation(rho, "nonseparability", 2, 0.5, seed=105, m=2,
-                                      restarts=1, max_iter=200,
+    res = rk.multipartite_correlation(rho, "nonseparability", 2, 0.5, seed=105,
+                                      max_iter=200,
                                       witness=decode_mixture(fam, theta))
     assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
 
@@ -459,9 +472,28 @@ def test_multilevel_coherence_k2_rejects_a_wider_witness():
                                 witness=[(1.0, rk.pure_state([1, 1, 0]))])
 
 
+def test_witness_weights_are_validated():
+    # a zero, NaN or negative weight used to crash eigh, or reach a
+    # fractional power, or pass unread at order 2
+    qutrit, pair = rk.random_mixed([3], 3, seed=108), rk.random_mixed([2, 2], 4, seed=108)
+    cases = ((qutrit, "coherence", 2, [rk.basis_pure((3,), 0), rk.basis_pure((3,), 1)]),
+             (qutrit, "coherence", 3, [rk.pure_state([1, 1, 0]), rk.pure_state([0, 1, 1])]),
+             (pair, "nonseparability", 2, [rk.basis_pure((2, 2), 0),
+                                           rk.pure_state([1, 1, 1, 1], (2, 2))]))
+    for rho, label, k, (psi, phi) in cases:
+        for weights in ((0.0,), (np.nan,), (-1.0,), (np.inf,), (0.0, 0.0), (1.0, -0.5)):
+            witness = list(zip(weights, (psi, phi)))
+            with pytest.raises(BadWeights):
+                rk.compute_indicator(rho, label, k, 0.5, seed=109, max_iter=20,
+                                     witness=witness)
+        res = rk.compute_indicator(rho, label, k, 0.5, seed=109, max_iter=20,
+                                   witness=[(0.0, psi), (2.0, phi)])
+        assert rk.check_witness(res, rho)
+
+
 def test_indicator_determinism_and_suite():
     rho = rk.random_mixed([3], 3, seed=110)
-    kwargs = dict(seed=111, restarts=2, max_iter=150)
+    kwargs = dict(seed=111, max_iter=150)
     a = rk.multilevel_coherence(rho, 2, 0.5, **kwargs)
     b = rk.multilevel_coherence(rho, 2, 0.5, **kwargs)
     assert a.value == b.value
@@ -469,31 +501,31 @@ def test_indicator_determinism_and_suite():
 
     assert rk.indicator_suite(rho, [0.5], [], seed=1) == []
     rows = rk.indicator_suite(rho, [0.3, 0.5], [("coherence", 2)],
-                              seed=112, restarts=1, max_iter=100)
+                              seed=112, max_iter=100)
     assert [r.alpha for r in rows] == [0.3, 0.5]
     single = rk.compute_indicator(rho, "coherence", 2, 0.3, seed=112,
-                                  restarts=1, max_iter=100)
+                                  max_iter=100)
     assert single.value == rows[0].value
 
     csv_a = rk.results_to_csv(rows)
     rows_again = rk.indicator_suite(rho, [0.3, 0.5], [("coherence", 2)],
-                                    seed=112, restarts=1, max_iter=100)
+                                    seed=112, max_iter=100)
     assert rk.results_to_csv(rows_again) == csv_a
-    assert csv_a.splitlines()[0] == "label,k,alpha,value,best_affinity,restarts,spread,seed"
+    assert csv_a.splitlines()[0] == "label,k,alpha,value,best_affinity,seed"
 
 
 def test_results_json_embeds_witness():
     import json
     rho = rk.random_mixed([2], 2, seed=120)
     rows = rk.indicator_suite(rho, [0.5], [("coherence", 2)], seed=121,
-                              restarts=1, max_iter=100)
+                              max_iter=100)
     doc = json.loads(rk.results_to_json(rows))
     assert doc["results"][0]["witness"]["dims"] == [2]
 
 
 def test_check_witness_revalidation():
     rho = rk.random_mixed([3], 3, seed=130)
-    res = rk.multilevel_coherence(rho, 2, 0.5, seed=131, restarts=1, max_iter=150)
+    res = rk.multilevel_coherence(rho, 2, 0.5, seed=131, max_iter=150)
     assert rk.check_witness(res, rho)
 
 
@@ -518,7 +550,7 @@ def test_check_witness_counts_every_amplitude_encode_counts():
     # a 1e-12 amplitude on a third level puts a component outside
     # multilevel(2) for encode, and so for check_witness
     rho = rk.random_mixed([3], 3, seed=134)
-    res = rk.multilevel_coherence(rho, 3, 0.5, seed=135, restarts=1, max_iter=50)
+    res = rk.multilevel_coherence(rho, 3, 0.5, seed=135, max_iter=50)
     assert rk.check_witness(res, rho)
     w, psi = res.components[0]
     amps = psi.amps.copy()
@@ -533,7 +565,7 @@ def test_check_witness_counts_every_amplitude_encode_counts():
 
 def test_check_witness_checks_light_components():
     rho = rk.random_mixed([3], 3, seed=136)
-    res = rk.multilevel_coherence(rho, 3, 0.5, seed=137, restarts=1, max_iter=50)
+    res = rk.multilevel_coherence(rho, 3, 0.5, seed=137, max_iter=50)
     light = 1e-10
     comps = [(w * (1.0 - light), psi) for w, psi in res.components]
     comps.append((light, rk.pure_state([1, 1, 1])))
@@ -542,7 +574,7 @@ def test_check_witness_checks_light_components():
 
 def test_reported_seed_reproduces_the_run():
     rho = rk.random_mixed([3], 3, seed=5)
-    opts = dict(restarts=2, max_iter=100)
+    opts = dict(max_iter=100)
     first = rk.compute_indicator(rho, "coherence", 3, 0.5, seed=[1, 2], **opts)
     again = rk.compute_indicator(rho, "coherence", 3, 0.5, seed=first.seed, **opts)
     assert isinstance(first.seed, int)
