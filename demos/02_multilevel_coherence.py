@@ -48,9 +48,12 @@ print("\nwitness recomputation drift   :", abs(recomputed - res3.best_affinity))
 
 # A state assembled from two-level pures has zero order-3 coherence, and
 # injecting its own decomposition certifies that immediately.
-fam = rk.build_family("multilevel", (3,), 2, m=3)
-theta = np.random.default_rng(13).standard_normal(fam.param_len)
-member = rk.decode(fam, theta)
-res0 = rk.multilevel_coherence(member, 3, 0.5, seed=14, max_iter=0,
-                               witness=rk.decode_mixture(fam, theta))
+rng = np.random.default_rng(13)
+comps = []
+for levels in ((0, 1), (0, 2), (1, 2)):
+    amps = np.zeros(3, dtype=complex)
+    amps[list(levels)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    comps.append((1 / 3, rk.pure_state(amps)))
+member = rk.validate(sum(w * psi.projector().data for w, psi in comps), [3])
+res0 = rk.multilevel_coherence(member, 3, 0.5, seed=14, max_iter=0, witness=comps)
 print("order-3 bound on a two-level mixture:", res0.value)

@@ -64,8 +64,6 @@ from .feasible import (
     WitnessComponent,
     build_family,
     coherent_rank_pure,
-    decode,
-    decode_mixture,
     encode,
     enumerate_partitions,
     factorize_pure,

@@ -6,12 +6,12 @@ a feasible family (or 1 minus that maximum raised to 1/alpha for the
 operations).  Every reported affinity is attained by an explicit witness in
 the family, so it certifies an upper bound on the indicator.  Every family
 but multilevel(1) is solved on its convex hull by one solver
-(:func:`_hull_max`): L-BFGS on the factors of the witness components, one
-flat complex vector that product families read through a gather table,
-with Frank-Wolfe steps that add the atom of a linear oracle.  Multilevel
-(coherence) families have an exact oracle and so also carry a certified
-upper bound (``affinity_upper``); the correlation families' product
-oracle is a heuristic, and their ``affinity_upper`` is 1.0.
+(:func:`_hull_max`): L-BFGS on the family's factor layout (``feasible``),
+one flat complex vector of the witness components' factors, with
+Frank-Wolfe steps that add the atom of the layout's linear oracle.
+Multilevel (coherence) families have an exact oracle and so also carry a
+certified upper bound (``affinity_upper``); the correlation families'
+product oracle is a heuristic, and their ``affinity_upper`` is 1.0.
 
 At order k, coherence is scored against multilevel(k-1), nonseparability
 against separable(k) and entanglement against producible(k-1) mixtures; one
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -39,17 +38,15 @@ from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingE
 from .feasible import (
     FeasibleFamily,
     WitnessComponent,
+    _Blocks,
     _decode_raw,  # unused here; its last reader is perfbench/sweep.py
-    _coarsens,
-    _effective_support,
-    _first_fit,
-    _reduced,
-    _top_eigvec,
+    _diagonal_components,
+    _Products,
     build_family,
+    encode,
     is_feasible_pure,
-    structure_pool,
 )
-from .states import DensityMatrix, _frac_power_raw, _trusted, basis_pure, pure_state
+from .states import DensityMatrix, _frac_power_raw, _trusted
 
 DEFAULT_MAX_ITER = 2000
 _WITNESS_TOL = 1e-9   # check_witness: mixture and affinity agreement
@@ -57,11 +54,6 @@ _GAP_STOP = 1e-10     # hull solve: duality gap that ends the search
 _STALL = 1e-14        # hull solve: a Frank-Wolfe gain below this is roundoff
 _EIG_FLOOR = 1e-12    # hull gradient: eigenvalue floor, relative to the largest
 _FULL_RANK = 1e-8     # hull upper bound: smallest eigenvalue it needs, relative
-_DROP_WEIGHT = 1e-15  # hull readout: components and pivots below this are roundoff
-_ORACLE_STARTS = 4    # product oracle: seeded starts per partition
-_ORACLE_SWEEPS = 50   # product oracle: most alternating sweeps per start
-_ORACLE_TOL = 1e-12   # product oracle: a sweep gaining less, relative, ends it
-_ORACLE_SHARE = 1e-3  # product oracle: or one gaining less than this share of the gap
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
@@ -99,12 +91,12 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     from the ``witness`` (a list of (weight, pure state) pairs), or else
     from I/d (multilevel) or d random product states per partition of the
     pool (correlation kinds, drawn from ``seed``).  Only the multilevel
-    ascent certifies ``upper``; it is 1.0 for the correlation kinds.  The
-    family's slot count ``m`` goes unused.  ``max_iter`` caps the ascent's
-    iterations, and ``max_iter=0`` scores the start.  Witness weights must be
-    finite and >= 0 with a positive total (BadWeights); a witness component
-    that fits no structure of the pool raises WitnessEncodingError; a
-    negative ``max_iter`` raises ValueError.
+    ascent certifies ``upper``; it is 1.0 for the correlation kinds.
+    ``max_iter`` caps the ascent's iterations, and ``max_iter=0`` scores the
+    start.  Witness weights must be finite and >= 0 with a positive total
+    (BadWeights); a witness component that fits no structure of the pool
+    raises WitnessEncodingError (:func:`encode`); a negative ``max_iter``
+    raises ValueError.
     """
     alpha = _check_alpha(alpha)
     if max_iter < 0:
@@ -117,23 +109,17 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
     rho_a = _frac_power_raw(rho.data, alpha)
     if family.kind == "multilevel" and family.k == 1:
-        return _diagonal_max(rho, rho_a, alpha, witness)
+        return _diagonal_max(rho, rho_a, alpha, family, witness)
     if family.kind == "multilevel":
-        hull = _Blocks(rho.dims, family.k, witness)
+        hull = _Blocks(family, witness)
     else:
-        hull = _Products(family.kind, family.dims, family.k, witness, _seed_key(seed))
+        hull = _Products(family, witness, _seed_key(seed))
     return _hull_max(rho, rho_a, alpha, hull, max_iter)
 
 
 # ---------------------------------------------------------------------------
 # Every other family on its convex hull: one solver over two factor maps.
 # ---------------------------------------------------------------------------
-
-def _factor(x: np.ndarray) -> np.ndarray:
-    """A square factor b of a PSD matrix, x = b b^dagger."""
-    w, v = np.linalg.eigh(x)
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
 
 def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
     """Divided differences (w_i^beta - w_j^beta) / (w_i - w_j) at positive w,
@@ -145,226 +131,6 @@ def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
     ratio = np.expm1(beta * lr) / np.expm1(lr)
     ratio[same] = beta
     return ratio * w ** (beta - 1.0)
-
-
-def _cholesky_columns(x: np.ndarray):
-    """Pivoted-Cholesky columns c of a PSD block, x = sum c c^dagger.  Each
-    column vanishes on the earlier pivots, so supports strictly shrink."""
-    x = x.copy()
-    for _ in range(len(x)):
-        diag = np.real(np.diag(x))
-        p = int(np.argmax(diag))
-        if diag[p] <= _DROP_WEIGHT:
-            return
-        c = x[:, p] / np.sqrt(diag[p])
-        yield c
-        x -= np.outer(c, c.conj())
-        x[p, :] = x[:, p] = 0.0
-
-
-class _Blocks:
-    """multilevel(k): sigma = sum_S B_S B_S^dagger / N over the size-k
-    supports S, N = sum |B_S|^2, B = z.reshape(supports, k, k).  Its oracle,
-    an eigh per block, is exact."""
-
-    certified = True
-
-    def __init__(self, dims, k, witness):
-        self.dims, self.d = dims, prod(dims)
-        self.pool = pool = np.array(structure_pool("multilevel", dims, k))
-        self.shape = (len(pool), k, k)
-        self.rows, self.cols = pool[:, :, None], pool[:, None, :]
-        self.flat = (self.rows * self.d + self.cols).ravel()
-        if not witness:     # I/d, as the identity on every block: no zero block
-            self.start = np.tile(np.eye(k, dtype=complex), (len(pool), 1, 1)).ravel(), None
-            return
-        blocks = np.zeros(self.shape, dtype=complex)
-        for weight, psi in witness:     # each component in the first support holding it
-            if (j := _first_fit("multilevel", pool, psi)) is None:
-                raise WitnessEncodingError(f"a witness component exceeds {k} levels")
-            a = psi.amps[pool[j]]
-            blocks[j] += weight * np.outer(a, a.conj())
-        self.start = np.array([_factor(x) for x in blocks]).ravel(), None
-
-    def map(self, x):
-        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z."""
-        b, d = x[0].reshape(self.shape), self.d
-        m = (b @ b.conj().transpose(0, 2, 1)).ravel()
-        m = np.bincount(self.flat, m.real, d * d) + 1j * np.bincount(self.flat, m.imag, d * d)
-        return (m.reshape(d, d) / m[::d + 1].real.sum(),
-                lambda g, tr: (2.0 * (g[self.rows, self.cols] @ b - tr * b)
-                               / np.vdot(b, b).real).ravel())
-
-    def oracle(self, g, tr):
-        """(top eigenvalue, its atom as a vector, where it goes) over the blocks."""
-        lam, vec = np.linalg.eigh(g[self.rows, self.cols])
-        j = int(np.argmax(lam[:, -1]))
-        atom = np.zeros(self.d, dtype=complex)
-        atom[self.pool[j]] = vec[j, :, -1]
-        return lam[j, -1], atom, (j, vec[j, :, -1])
-
-    def add(self, x, t, where):
-        (j, top), b = where, np.sqrt(1.0 - t) * x[0].reshape(self.shape)
-        b /= np.sqrt(np.vdot(x[0], x[0]).real)
-        b[j] = _factor(b[j] @ b[j].conj().T + t * np.outer(top, top.conj()))
-        return b.ravel(), None
-
-    def components(self, x):
-        """Pivoted-Cholesky columns of each block, basis atoms merged, listed
-        by decreasing support size."""
-        atoms, basis, b = [], np.zeros(self.d), x[0].reshape(self.shape)
-        for support, bs in zip(self.pool, b / np.sqrt(np.vdot(b, b).real)):
-            for c in _cholesky_columns(bs @ bs.conj().T):
-                psi = pure_state(np.eye(self.d)[:, support] @ c, self.dims)
-                level = _effective_support(psi)
-                if len(level) == 1:
-                    basis[level[0]] += np.vdot(c, c).real
-                else:
-                    atoms.append(WitnessComponent(np.vdot(c, c).real, psi))
-        atoms.sort(key=lambda c: -len(_effective_support(c.state)))
-        return atoms + _diagonal_components(basis, self.dims)
-
-
-def _gathered(z: np.ndarray, idx: np.ndarray):
-    """Products psi (rows, d) of the entries that the table idx (rows, slots,
-    d) gathers from z with a trailing 1, and per slot the product of the
-    other slots' entries, from running products: no division, so that
-    exact-zero factor entries keep finite gradients."""
-    f = np.concatenate((z, [1.0]))[idx]
-    if f.shape[1] == 2:
-        return f[:, 0] * f[:, 1], f[:, ::-1]
-    rest, psi = np.ones_like(f), f[:, -1]
-    for s in range(1, f.shape[1]):           # forward: the slots before s
-        np.multiply(rest[:, s - 1], f[:, s - 1], out=rest[:, s])
-    for s in range(f.shape[1] - 2, -1, -1):  # backward: times the slots after s
-        rest[:, s] *= psi
-        psi = psi * f[:, s]
-    return psi, rest
-
-
-class _Partition:
-    """Product vectors over one partition, a row of factors per vector;
-    ``tmpl`` holds, per slot and amplitude, the row entry that multiplies
-    into it (-1 past the parts).  The oracle's einsum subscripts name
-    subsystems, so no axis is ever transposed."""
-
-    def __init__(self, dims, partition, slots):
-        letters, batch = "abcdef"[:len(dims)], "z" if len(partition) > 1 else ""
-        self.count, self.shapes = len(partition), [[dims[i] for i in part] for part in partition]
-        self.sizes = [prod(shape) for shape in self.shapes]
-        grid, offsets = np.indices(dims).reshape(len(dims), -1), np.cumsum([0] + self.sizes)
-        self.width, self.tmpl = int(offsets[-1]), np.full((slots, prod(dims)), -1)
-        for s, (part, shape) in enumerate(zip(partition, self.shapes)):
-            self.tmpl[s] = offsets[s] + np.ravel_multi_index(tuple(grid[list(part)]), shape)
-        sub = ["z" + "".join(letters[i] for i in part) for part in partition]
-        co = ["z" + s[1:].upper() for s in sub]
-        self.forms = [",".join([letters + letters.upper()] + sub[:q] + co[:q] + sub[q + 1:]
-                               + co[q + 1:]) + "->" + batch + sub[q][1:] + co[q][1:]
-                      for q in range(self.count)]
-
-    def form(self, gt, phis, q):
-        """<phi|G|phi> as a form on factor q, one matrix per start."""
-        phis = [phi.reshape([len(phi)] + shape) for phi, shape in zip(phis, self.shapes)]
-        return np.einsum(self.forms[q], gt, *[phi.conj() for phi in phis[:q]], *phis[:q],
-                         *[phi.conj() for phi in phis[q + 1:]], *phis[q + 1:]
-                         ).reshape(-1, self.sizes[q], self.sizes[q])
-
-
-class _Products:
-    """separable(k) and producible(k): sigma = sum_j psi_j psi_j^dagger / N,
-    N = sum |psi_j|^2, each psi_j a tensor product of unnormalized factors
-    over one of the pool's coarsest partitions (a finer one's products are a
-    coarser one's).  The state is (z, layout): the rows of factors end to
-    end in one complex vector z, and the partition of each row.  The
-    oracle, alternating maximization over product vectors from a few seeded
-    starts, is a heuristic: its gap only decides when to stop."""
-
-    certified = False
-
-    def __init__(self, kind, dims, k, witness, key):
-        self.dims, self.d, self.layout = dims, prod(dims), None
-        pool, self.rng = structure_pool(kind, dims, k), np.random.default_rng([key, 1])
-        self.pool = [p for p in pool if not any(q != p and _coarsens(q, p) for q in pool)]
-        self.parts = [_Partition(dims, p, max(map(len, self.pool))) for p in self.pool]
-        if not witness:     # d random components per partition: sigma starts full rank
-            layout = tuple(np.repeat(range(len(self.pool)), self.d).tolist())
-            n = 2 * sum(self.parts[j].width for j in layout)
-            self.start = np.random.default_rng([key, 0]).standard_normal(n).view(complex), layout
-            return
-        z, layout = [], []
-        for weight, psi in witness:     # each component in the first partition it refines
-            if (j := _first_fit(kind, self.pool, psi)) is None:
-                raise WitnessEncodingError(f"a witness component is outside {kind}({k})")
-            layout.append(j)
-            z += [weight ** (0.5 / len(self.pool[j])) * _top_eigvec(_reduced(psi.amps, dims, part))
-                  for part in self.pool[j]]
-        self.start = np.concatenate(z).astype(complex), tuple(layout)
-
-    def _table(self, layout):
-        """Gather table (rows, slots, d) of the rows laid out as ``layout``."""
-        widths = np.array([self.parts[j].width for j in layout])
-        tmpl = np.array([self.parts[j].tmpl for j in layout])
-        return np.where(tmpl < 0, widths.sum(), (np.cumsum(widths) - widths)[:, None, None] + tmpl)
-
-    def map(self, x):
-        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z: d f / d
-        conj(psi_j) = (G - Tr(G sigma)) psi_j / N times each entry's cofactor."""
-        z, layout = x
-        if layout != self.layout:       # kept for the length of an L-BFGS run
-            self.layout, self.idx = layout, self._table(layout)
-            self.scatter = (2 * self.idx[..., None] + np.arange(2)).ravel()
-        psi, rest = _gathered(z, self.idx)
-        n = np.vdot(psi, psi).real
-
-        def pullback(g, tr):
-            dpsi = (2.0 / n) * (psi @ g.T - tr * psi)
-            w = dpsi[:, None, :] * rest.conj()      # real, imaginary parts interleaved
-            return np.bincount(self.scatter, w.view(float).ravel(),
-                               2 * len(z) + 2)[:-2].view(complex)
-        return psi.T @ psi.conj() / n, pullback
-
-    def oracle(self, g, tr):
-        """(largest <phi|G|phi> found over product phi, phi, where it goes); a
-        sweep gaining under _ORACLE_SHARE of the gap over ``tr`` ends it too."""
-        best, gt = (-np.inf, None, None), g.reshape(self.dims * 2)
-        for j, p in enumerate(self.parts):
-            phis = [self.rng.standard_normal((_ORACLE_STARTS, 2 * s)).view(complex)
-                    for s in p.sizes]
-            value = np.full(_ORACLE_STARTS, -np.inf)
-            for _ in range(_ORACLE_SWEEPS):
-                for q in range(p.count):
-                    lam, vec = np.linalg.eigh(p.form(gt, phis, q))
-                    phis[q] = vec[..., -1]
-                gain, value = lam[:, -1] - value, lam[:, -1]
-                if p.count == 1 or gain.max() <= max(_ORACLE_TOL * np.abs(value).max(),
-                                                     _ORACLE_SHARE * (value.max() - tr)):
-                    break
-            z = int(np.argmax(value))
-            if value[z] > best[0]:
-                row = np.concatenate([phi[z] for phi in phis])
-                best = (value[z], _gathered(row, self._table((j,)))[0][0], (j, row))
-        return best
-
-    def _weights(self, x):
-        psi = _gathered(x[0], self._table(x[1]))[0]
-        return np.sum(np.abs(psi) ** 2, axis=1), psi
-
-    def add(self, x, t, where):
-        """Scale sigma by 1 - t, add the atom's row at weight t, and prune rows
-        below _DROP_WEIGHT."""
-        (z, layout), (j, row) = x, where
-        layout += (j,)
-        counts, widths = np.array([(self.parts[i].count, self.parts[i].width) for i in layout]).T
-        scale = np.append(np.full(len(x[1]), (1.0 - t) / self._weights(x)[0].sum()), t)
-        z = np.append(z, row) * np.repeat(scale ** (0.5 / counts), widths)
-        keep = self._weights((z, layout))[0] > _DROP_WEIGHT
-        return z[np.repeat(keep, widths)], tuple(np.compress(keep, layout).tolist())
-
-    def components(self, x):
-        weights, psi = self._weights(x)
-        total = weights.sum()
-        return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), self.dims))
-                for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]
 
 
 def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
@@ -463,20 +229,16 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     return 1.0 - s ** alpha, 1.0 - s
 
 
-def _diagonal_max(rho, rho_a, alpha, witness) -> MaxAffinityResult:
+def _diagonal_max(rho, rho_a, alpha, family, witness) -> MaxAffinityResult:
     """The multilevel(1) maximum, the closed form, which needs no start: a
-    ``witness`` is only checked; a component on two or more levels raises."""
-    if not all(is_feasible_pure("multilevel", 1, psi) for _, psi in witness or ()):
-        raise WitnessEncodingError("a witness component exceeds 1 level")
+    ``witness`` is only placed (:func:`encode`), so a component on two or
+    more levels raises."""
+    if witness:
+        encode(family, witness)
     q, s = _k2_weights(rho_a, alpha)
     affinity = s ** alpha
     return MaxAffinityResult(affinity, _trusted(np.diag(q), rho.dims),
                              tuple(_diagonal_components(q, rho.dims)), 0, affinity)
-
-
-def _diagonal_components(q: np.ndarray, dims) -> list[WitnessComponent]:
-    return [WitnessComponent(float(qi), basis_pure(dims, i))
-            for i, qi in enumerate(q) if qi > 0.0]
 
 
 # ---------------------------------------------------------------------------

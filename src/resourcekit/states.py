@@ -28,7 +28,7 @@ from .errors import (
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10        # eigenvalues below -PSD_TOL reject the matrix outright
-CLAMP_NOISE = 1e-13    # eigenvalues in (-CLAMP_NOISE, 0) are eigensolver noise
+CLAMP_NOISE = 1e-13    # eigenvalues in [-CLAMP_NOISE, 0) are eigensolver noise
 TRACE_TOL = 1e-8
 RENORM_GUARD = 1e-9    # largest trace shift the clamp step may introduce
 
@@ -107,11 +107,12 @@ def _trusted(data: np.ndarray, dims) -> DensityMatrix:
 def validate(matrix, dims) -> DensityMatrix:
     """Check Hermiticity, positivity and unit trace; return a DensityMatrix.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero (they are treated as
-    numerical noise) and the trace renormalized, provided the clamp shifts
-    the trace by at most 1e-9; anything more negative raises ``NotPSD``.
-    Matrices that need no repair are stored byte-identical, so that
-    serialization round-trips exactly.
+    Eigenvalues in [-1e-13, 0) are eigensolver noise and are kept as they
+    are.  If the smallest eigenvalue lies in [-1e-10, -1e-13), the negative
+    ones are clamped to zero and the trace renormalized, provided the clamp
+    shifts the trace by at most 1e-9; anything more negative raises
+    ``NotPSD``.  Matrices that need no repair are stored byte-identical, so
+    that serialization round-trips exactly.
     """
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -46,12 +46,7 @@ from .embedding import (
     theorem3_check,
 )
 from .errors import FeasibilityCheckFailed, WitnessEncodingError
-from .feasible import (
-    WitnessComponent,
-    build_family,
-    decode_mixture,
-    structure_pool,
-)
+from .feasible import WitnessComponent, _assemble_product, build_family
 from .indicators import _scored, _seed_key, _variant_value, closed_form_k2, max_affinity
 from .states import (
     PureState,
@@ -410,14 +405,18 @@ def run_theorem2(seed, n_samples=None):
     certs = []
     opts = {"max_iter": 200}
 
-    # members of each family score (numerically) zero
+    # members of each family score (numerically) zero: two random product
+    # atoms per partition of the pool, in random proportions
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        fam = build_family(kind, dims, famk, m=2 * len(structure_pool(kind, dims, famk)))
-        theta = _rng([seed, 4, 0, i]).standard_normal(fam.param_len)
-        member_comps = decode_mixture(fam, theta)
-        member = validate(sum(c.weight * c.state.projector().data
-                              for c in member_comps), dims)
+        rng, pool = _rng([seed, 4, 0, i]), build_family(kind, dims, famk).pool
+        atoms = []
+        for parts in pool + pool:
+            factors = [rng.standard_normal(2 * prod(dims[j] for j in part)).view(complex)
+                       for part in parts]
+            atoms.append(pure_state(_assemble_product(dims, parts, factors), dims))
+        member_comps = list(zip(rng.dirichlet(np.ones(len(atoms))), atoms))
+        member = validate(sum(w * psi.projector().data for w, psi in member_comps), dims)
         rz = _scored(member, kind, famk, member_comps, alpha)
         certs.append(_cert("zero-on-members", 1.0 - rz, 0.0,
                            alpha=alpha, seed=seed))

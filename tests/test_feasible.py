@@ -11,11 +11,14 @@ from resourcekit.feasible import (
     KINDS,
     WitnessComponent,
     _assemble_product,
-    decode_mixture,
+    _Blocks,
+    _decode_raw,
+    _Products,
     is_feasible_pure,
     structure_pool,
 )
 
+from members import mixture, random_members
 from oracles import partial_transpose
 
 
@@ -43,25 +46,29 @@ def test_enumerate_partitions_counts():
 
 
 def test_build_family_multilevel_one_is_diagonal():
-    fam = rk.build_family("multilevel", (3,), 1, m=3)
+    fam = rk.build_family("multilevel", (3,), 1)
     theta = np.random.default_rng(0).standard_normal(fam.param_len)
-    sigma = rk.decode(fam, theta)
-    off = sigma.data - np.diag(np.diag(sigma.data))
+    sigma = _decode_raw(fam, theta)
+    off = sigma - np.diag(np.diag(sigma))
     assert np.abs(off).max() <= 1e-12
 
 
 def test_build_family_separable_two_qubits():
-    fam = rk.build_family("separable", (2, 2), 2, m=4)
-    assert all(s == ((0,), (1,)) for s in fam.structures)
+    fam = rk.build_family("separable", (2, 2), 2)
+    assert fam.pool == (((0,), (1,)),)
 
 
-def test_structure_pool_counts_and_cycling():
+def test_structure_pool_counts_and_coarsest_family_pool():
     assert len(structure_pool("multilevel", (4,), 2)) == 6
     assert len(structure_pool("separable", (2, 2, 2), 2)) == 3
     assert len(structure_pool("producible", (2, 2, 2), 2)) == 4
+    # the family keeps the coarsest partitions: the fully product one
+    # refines every two-part partition
     pool = structure_pool("producible", (2, 2, 2), 2)
-    fam = rk.build_family("producible", (2, 2, 2), 2, m=2 * len(pool))
-    assert list(fam.structures) == pool + pool
+    fam = rk.build_family("producible", (2, 2, 2), 2)
+    assert list(fam.pool) == [p for p in pool if len(p) == 2]
+    supports = structure_pool("multilevel", (4,), 2)
+    assert rk.build_family("multilevel", (4,), 2).pool == tuple(supports)
 
 
 def test_family_empty_set():
@@ -71,116 +78,110 @@ def test_family_empty_set():
         rk.build_family("multilevel", (2,), 5)
 
 
-def test_decode_zero_theta_gives_maximally_mixed():
-    fam = rk.build_family("multilevel", (2,), 1, m=2)
-    sigma = rk.decode(fam, np.zeros(fam.param_len))
-    assert np.abs(sigma.data - np.eye(2) / 2).max() <= 1e-12
+def test_default_start_decodes_to_maximally_mixed():
+    for d, k in ((2, 1), (4, 2), (4, 3)):
+        fam = rk.build_family("multilevel", (d,), k)
+        z, layout = fam._default.start
+        assert np.abs(_decode_raw(fam, z.view(float)) - np.eye(d) / d).max() <= 1e-12
 
 
 def test_decode_components_respect_support():
-    fam = rk.build_family("multilevel", (4,), 2, m=8)
+    # the multilevel layout's readout: every component lies on one support
+    fam = rk.build_family("multilevel", (4,), 2)
     theta = np.random.default_rng(1).standard_normal(fam.param_len)
-    for comp, support in zip(decode_mixture(fam, theta), fam.structures):
-        assert rk.coherent_rank_pure(comp.state) <= 2
-        assert set(np.flatnonzero(np.abs(comp.state.amps) > 0)) <= set(support)
+    comps = fam._default.components((theta.view(complex), None))
+    assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-12)
+    for comp in comps:
+        support = set(np.flatnonzero(np.abs(comp.state.amps) > 0))
+        assert len(support) <= 2
+        assert any(support <= set(s) for s in fam.pool)
 
 
 def test_decode_separable_members_are_ppt():
-    fam = rk.build_family("separable", (2, 2), 2, m=6)
+    fam = rk.build_family("separable", (2, 2), 2)
     for i in range(10):
         theta = np.random.default_rng([2, i]).standard_normal(fam.param_len)
-        sigma = rk.decode(fam, theta)
-        pt = partial_transpose(sigma.data, [2, 2], 1)
+        pt = partial_transpose(_decode_raw(fam, theta), [2, 2], 1)
         assert np.linalg.eigvalsh(pt).min() >= -1e-10
 
 
 def test_decode_bad_length():
-    fam = rk.build_family("multilevel", (2,), 1, m=2)
+    fam = rk.build_family("multilevel", (2,), 1)
     with pytest.raises(BadLength):
-        rk.decode(fam, np.zeros(fam.param_len + 1))
+        _decode_raw(fam, np.zeros(fam.param_len + 1))
 
 
 def test_producible_one_matches_fully_separable():
     # members of producible(1) and separable(n) are the same set: mixtures
-    # of fully product pure states; cross-check decoded members both ways
-    fam_p = rk.build_family("producible", (2, 2, 2), 1, m=4)
-    fam_s = rk.build_family("separable", (2, 2, 2), 3, m=4)
+    # of fully product pure states; cross-check sampled members both ways
     for i in range(6):
-        theta = np.random.default_rng([3, i]).standard_normal(fam_p.param_len)
-        for comp in decode_mixture(fam_p, theta):
-            assert is_feasible_pure("separable", 3, comp.state)
-        theta = np.random.default_rng([4, i]).standard_normal(fam_s.param_len)
-        for comp in decode_mixture(fam_s, theta):
-            assert is_feasible_pure("producible", 1, comp.state)
+        for w, psi in random_members("producible", (2, 2, 2), 1, [3, i]):
+            assert is_feasible_pure("separable", 3, psi)
+        for w, psi in random_members("separable", (2, 2, 2), 3, [4, i]):
+            assert is_feasible_pure("producible", 1, psi)
 
 
 def test_family_nesting_of_members():
-    fam = rk.build_family("multilevel", (4,), 2, m=6)
-    theta = np.random.default_rng(5).standard_normal(fam.param_len)
-    for comp in decode_mixture(fam, theta):
+    for comp in random_members("multilevel", (4,), 2, 5):
         assert is_feasible_pure("multilevel", 2, comp.state)
         assert is_feasible_pure("multilevel", 3, comp.state)
-    fam_s = rk.build_family("separable", (2, 2, 2), 3, m=4)
-    theta = np.random.default_rng(6).standard_normal(fam_s.param_len)
-    for comp in decode_mixture(fam_s, theta):
+    for comp in random_members("separable", (2, 2, 2), 3, 6):
         assert is_feasible_pure("separable", 2, comp.state)
-    fam_p = rk.build_family("producible", (2, 2, 2), 1, m=4)
-    theta = np.random.default_rng(7).standard_normal(fam_p.param_len)
-    for comp in decode_mixture(fam_p, theta):
+    for comp in random_members("producible", (2, 2, 2), 1, 7):
         assert is_feasible_pure("producible", 2, comp.state)
 
 
+def _started(fam, comps):
+    """sigma at the hull's witness start."""
+    hull = _Blocks(fam, comps) if fam.kind == "multilevel" else _Products(fam, comps)
+    return hull.map(hull.start)[0]
+
+
 def test_encode_round_trip_multilevel():
-    fam = rk.build_family("multilevel", (3,), 2, m=6)
-    theta = np.random.default_rng(8).standard_normal(fam.param_len)
-    comps = decode_mixture(fam, theta)
-    sigma = rk.decode(fam, theta)
-    again = rk.decode(fam, rk.encode(fam, comps))
-    assert np.abs(sigma.data - again.data).max() <= 1e-12
+    comps = random_members("multilevel", (3,), 2, 8)
+    fam = rk.build_family("multilevel", (3,), 2)
+    assert np.abs(_started(fam, comps) - mixture(comps, (3,)).data).max() <= 1e-12
 
 
 def test_encode_round_trip_correlation():
     for kind, k in (("separable", 2), ("producible", 2)):
-        fam = rk.build_family(kind, (2, 2, 2), k, m=6)
-        theta = np.random.default_rng(9).standard_normal(fam.param_len)
-        comps = decode_mixture(fam, theta)
-        sigma = rk.decode(fam, theta)
-        again = rk.decode(fam, rk.encode(fam, comps))
-        assert np.abs(sigma.data - again.data).max() <= 1e-12
+        comps = random_members(kind, (2, 2, 2), k, 9)
+        fam = rk.build_family(kind, (2, 2, 2), k)
+        assert np.abs(_started(fam, comps) - mixture(comps, (2, 2, 2)).data).max() <= 1e-12
 
 
-def test_encode_refuses_components_without_a_free_slot():
-    # the mixture is never altered to fit: too few slots, or a component
-    # whose structure no slot admits, raises
-    fam = rk.build_family("multilevel", (3,), 1, m=2)
-    comps = [(1 / 3, rk.basis_pure([3], i)) for i in range(3)]
-    with pytest.raises(WitnessEncodingError):
-        rk.encode(fam, comps)
-    sep = rk.build_family("separable", (2, 2), 2, m=2)
+def test_encode_places_each_component_by_first_fit():
+    # each component takes the first pool structure that holds it, however
+    # many share one; a component whose structure none admits raises
+    fam = rk.build_family("multilevel", (3,), 1)
+    comps = [(1 / 4, rk.basis_pure([3], i)) for i in (2, 0, 1, 2)]
+    assert rk.encode(fam, comps) == [2, 0, 1, 2]
+    sep = rk.build_family("separable", (2, 2), 2)
     bell = rk.pure_state([1, 0, 0, 1], (2, 2))
     with pytest.raises(WitnessEncodingError):
         rk.encode(sep, [WitnessComponent(1.0, bell)])
 
 
 def test_encode_refuses_amplitude_outside_every_slot():
-    # a state whose support no slot holds must not be truncated to a slot;
-    # a slot that holds the whole state encodes it exactly
+    # a state whose support no pool structure holds must not be truncated
+    # to one; a structure that holds the whole state starts from it exactly
     plus01 = WitnessComponent(1.0, rk.pure_state([1, 1, 0]))
     with pytest.raises(WitnessEncodingError):
-        rk.encode(rk.build_family("multilevel", (3,), 1, m=3), [plus01])
-    fam = rk.build_family("multilevel", (3,), 2, m=3)
-    sigma = rk.decode(fam, rk.encode(fam, [plus01]))
-    assert np.abs(sigma.data - plus01.state.projector().data).max() <= 1e-12
+        rk.encode(rk.build_family("multilevel", (3,), 1), [plus01])
+    fam = rk.build_family("multilevel", (3,), 2)
+    assert rk.encode(fam, [plus01]) == [0]
+    assert np.abs(_started(fam, [plus01]) - plus01.state.projector().data).max() <= 1e-12
 
 
 def test_encode_reads_factorization_off_the_state():
-    # a fully product component refines every two-part slot and encodes
-    # exactly; a GHZ component factorizes into no slot and is refused
-    fam = rk.build_family("separable", (2, 2, 2), 2, m=3)
+    # a fully product component refines every two-part partition and goes
+    # into the first exactly; a GHZ component factorizes into none and is
+    # refused
+    fam = rk.build_family("separable", (2, 2, 2), 2)
     psi = rk.tensor_pure(rk.tensor_pure(rk.random_pure([2], seed=1), rk.random_pure([2], seed=2)),
                          rk.random_pure([2], seed=3))
-    sigma = rk.decode(fam, rk.encode(fam, [(1.0, psi)]))
-    assert np.abs(sigma.data - psi.projector().data).max() <= 1e-12
+    assert rk.encode(fam, [(1.0, psi)]) == [0]
+    assert np.abs(_started(fam, [(1.0, psi)]) - psi.projector().data).max() <= 1e-12
     ghz = rk.pure_state([1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2))
     with pytest.raises(WitnessEncodingError):
         rk.encode(fam, [(1.0, ghz)])
@@ -265,10 +266,10 @@ def _components(draw):
 @settings(max_examples=150, deadline=None)
 @given(_components())
 def test_membership_is_encodability(case):
-    # is_feasible_pure accepts exactly the components encode can place in a
-    # family with one slot per pool structure
+    # is_feasible_pure accepts exactly the components encode can place in
+    # the family's pool
     kind, k, psi = case
-    family = rk.build_family(kind, psi.dims, k, m=len(structure_pool(kind, psi.dims, k)))
+    family = rk.build_family(kind, psi.dims, k)
     try:
         rk.encode(family, [(1.0, psi)])
         placed = True

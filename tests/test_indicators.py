@@ -5,9 +5,9 @@ import pytest
 
 import resourcekit as rk
 from resourcekit.errors import BadWeights, KOutOfRange, WitnessEncodingError
-from resourcekit.feasible import decode_mixture
 from resourcekit.indicators import LABELS, max_affinity
 
+from members import mixture, random_members
 from oracles import (
     BELL_SEPARABLE_MAX_HALF,
     max_affinity_support,
@@ -41,10 +41,9 @@ def test_closed_form_maximally_coherent_qudit():
 
 
 def test_max_affinity_reaches_family_members():
-    fam = rk.build_family("multilevel", (3,), 2, m=3)
-    theta = np.random.default_rng(0).standard_normal(fam.param_len)
-    comps = decode_mixture(fam, theta)
-    rho = rk.decode(fam, theta)
+    fam = rk.build_family("multilevel", (3,), 2)
+    comps = random_members("multilevel", (3,), 2, 0)
+    rho = mixture(comps, (3,))
     res = max_affinity(rho, fam, 0.5, seed=1, max_iter=100,
                        witness=comps)
     assert res.affinity >= 1.0 - 1e-6
@@ -52,10 +51,10 @@ def test_max_affinity_reaches_family_members():
 
 def test_optimizer_matches_closed_form_without_injection():
     # no search runs at support size 1: max_affinity answers it with the
-    # closed form, whatever the slot count m and the effort
-    for d, m, i in ((2, 2, 0), (2, 4, 1), (3, 3, 2)):
+    # closed form, whatever the effort
+    for d, i in ((2, 0), (2, 1), (3, 2)):
         rho = rk.random_mixed([d], d, seed=[20, i])
-        fam = rk.build_family("multilevel", (d,), 1, m=m)
+        fam = rk.build_family("multilevel", (d,), 1)
         res = max_affinity(rho, fam, 0.5, seed=[21, i], max_iter=1500)
         cf = 1.0 - rk.closed_form_k2(rho, 0.5)[0]
         assert res.affinity == pytest.approx(cf, abs=1e-6)
@@ -96,12 +95,7 @@ def _same_result(a, b):
 
 
 def test_unread_arguments_change_nothing():
-    # build_family's slot count m does not reach the hull
     rho = rk.random_mixed([2, 2], 4, seed=30)
-    results = [max_affinity(rho, rk.build_family("separable", (2, 2), 2, m=m), 0.5,
-                            seed=31, max_iter=300) for m in (2, 8)]
-    assert results[1].affinity == results[0].affinity
-    assert _same_result(*results)
     # compute_indicator drops m and restarts, theorem3_check drops restarts
     for label, state in (("coherence", rk.random_mixed([3], 3, seed=32)),
                          ("nonseparability_avg", rho)):
@@ -139,7 +133,7 @@ def test_correlation_witness_start_reads_the_membership_rule():
 
 def test_max_affinity_witness_consistency():
     rho = rk.random_mixed([3], 3, seed=32)
-    fam = rk.build_family("multilevel", (3,), 2, m=3)
+    fam = rk.build_family("multilevel", (3,), 2)
     res = max_affinity(rho, fam, 0.7, seed=33, max_iter=300)
     assert rk.alpha_affinity(rho, res.witness, 0.7) == pytest.approx(
         res.affinity, abs=1e-9)
@@ -249,10 +243,8 @@ def test_qutrit_anchor_recompute_via_frank_wolfe():
 
 
 def test_multilevel_coherence_zero_on_low_rank_mixtures():
-    fam = rk.build_family("multilevel", (3,), 2, m=3)
-    theta = np.random.default_rng(3).standard_normal(fam.param_len)
-    comps = decode_mixture(fam, theta)
-    rho = rk.decode(fam, theta)
+    comps = random_members("multilevel", (3,), 2, 3)
+    rho = mixture(comps, (3,))
     res = rk.multilevel_coherence(rho, 3, 0.5, seed=5, max_iter=100, witness=comps)
     assert res.value <= 1e-6
 
@@ -307,21 +299,31 @@ def _isotropic(d, fid):
     return rk.validate(fid * proj + (1 - fid) * (np.eye(d * d) - proj) / (d * d - 1), [d, d])
 
 
+def _werner(d, anti):
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    p_anti, p_sym = (np.eye(d * d) - swap) / 2, (np.eye(d * d) + swap) / 2
+    return rk.validate(anti * p_anti / (d * (d - 1) / 2)
+                       + (1 - anti) * p_sym / (d * (d + 1) / 2), [d, d])
+
+
 def test_correlation_exact_on_isotropic_states():
     # U (x) U* fixes rho and both families, so by concavity some optimum is
     # isotropic, and an isotropic state is separable iff its fidelity to
     # Phi+ is at most 1/d: max A = F^a f^(1-a) + (1-F)^a (1-f)^(1-a), with
-    # f = min(F, 1/d).  On two parties both labels solve separable(2).
+    # f = min(F, 1/d).  Werner states, fixed by U (x) U, are separable iff
+    # their antisymmetric weight is at most 1/2: the same formula with F
+    # that weight and f = min(F, 1/2).  On two parties both labels solve
+    # separable(2).
     for d in (2, 3):
         for fid in (0.9, 0.7, 0.4):
-            f = min(fid, 1.0 / d)
-            rho = _isotropic(d, fid)
-            for alpha in ALPHAS:
-                exact = (fid ** alpha * f ** (1 - alpha)
-                         + (1 - fid) ** alpha * (1 - f) ** (1 - alpha))
-                for label in ("nonseparability", "entanglement"):
-                    res = rk.compute_indicator(rho, label, 2, alpha, seed=1, max_iter=200)
-                    assert abs(res.best_affinity - exact) <= 1e-9
+            for rho, f in ((_isotropic(d, fid), min(fid, 1.0 / d)),
+                           (_werner(d, fid), min(fid, 0.5))):
+                for alpha in ALPHAS:
+                    exact = (fid ** alpha * f ** (1 - alpha)
+                             + (1 - fid) ** alpha * (1 - f) ** (1 - alpha))
+                    for label in ("nonseparability", "entanglement"):
+                        res = rk.compute_indicator(rho, label, 2, alpha, seed=1, max_iter=200)
+                        assert abs(res.best_affinity - exact) <= 1e-9
 
 
 def test_correlation_beats_the_product_oracle_bracket():
@@ -363,14 +365,14 @@ def test_product_pullback_matches_central_differences(kind, dims, k):
     # the pullback of a fixed Hermitian H is the gradient of Tr(H sigma(z))
     # on z's float view, also from basis product states, whose factors
     # hold exact zeros
-    from resourcekit.indicators import _Products
+    from resourcekit.feasible import _Products
     d = int(np.prod(dims))
     rng = np.random.default_rng([120, d, k])
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = h + h.conj().T
     basis = [(0.5, rk.basis_pure(dims, 0)), (0.5, rk.basis_pure(dims, d - 1))]
     for witness in (None, basis):
-        hull = _Products(kind, dims, k, witness, 121)
+        hull = _Products(rk.build_family(kind, dims, k), witness, 121)
         z, layout = hull.start
 
         def value(theta):
@@ -387,9 +389,9 @@ def test_product_pullback_matches_central_differences(kind, dims, k):
 def test_no_oracle_answer_is_discarded(monkeypatch):
     # the oracle runs where its answer decides a step or certifies the
     # upper bound; a correlation solve stopped at its cap has neither
-    from resourcekit import indicators
+    from resourcekit import feasible
     calls = []
-    for hull in (indicators._Blocks, indicators._Products):
+    for hull in (feasible._Blocks, feasible._Products):
         def counted(self, g, tr, original=hull.oracle):
             calls.append(type(self).__name__)
             return original(self, g, tr)
@@ -447,20 +449,16 @@ def test_injected_witness_upper_bounds_value():
     # answers: the closed form (k = 2) or the hull (k = 3 and the correlations)
     rho = rk.random_mixed([3], 3, seed=100)
     for k in (2, 3):
-        fam = rk.build_family("multilevel", (3,), k - 1, m=3)
-        theta = np.random.default_rng(101).standard_normal(fam.param_len)
-        sigma0 = rk.decode(fam, theta)
-        res = rk.multilevel_coherence(rho, k, 0.5, seed=102, max_iter=200,
-                                      witness=decode_mixture(fam, theta))
+        comps = random_members("multilevel", (3,), k - 1, 101)
+        sigma0 = mixture(comps, (3,))
+        res = rk.multilevel_coherence(rho, k, 0.5, seed=102, max_iter=200, witness=comps)
         assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
 
     rho = rk.random_mixed([2, 2], 4, seed=103)
-    fam = rk.build_family("separable", (2, 2), 2, m=2)
-    theta = np.random.default_rng(104).standard_normal(fam.param_len)
-    sigma0 = rk.decode(fam, theta)
+    comps = random_members("separable", (2, 2), 2, 104)
+    sigma0 = mixture(comps, (2, 2))
     res = rk.multipartite_correlation(rho, "nonseparability", 2, 0.5, seed=105,
-                                      max_iter=200,
-                                      witness=decode_mixture(fam, theta))
+                                      max_iter=200, witness=comps)
     assert res.value <= 1.0 - rk.alpha_affinity(rho, sigma0, 0.5) + 1e-9
 
 
@@ -558,7 +556,7 @@ def test_check_witness_counts_every_amplitude_encode_counts():
     tilted = rk.pure_state(amps, psi.dims)
     assert rk.coherent_rank_pure(tilted) == 3
     with pytest.raises(WitnessEncodingError):
-        rk.encode(rk.build_family("multilevel", (3,), 2, m=3), [(1.0, tilted)])
+        rk.encode(rk.build_family("multilevel", (3,), 2), [(1.0, tilted)])
     forged = _with_components(res, rho, [(w, tilted)] + list(res.components[1:]))
     assert not rk.check_witness(forged, rho)
 

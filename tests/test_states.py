@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resourcekit as rk
 from resourcekit.errors import (
@@ -9,6 +11,7 @@ from resourcekit.errors import (
     NotPSD,
     TraceDeviation,
 )
+from resourcekit.states import _FLUSH, _frac_power_raw
 
 from oracles import brute_force_partial_trace
 
@@ -193,3 +196,62 @@ def test_trace_distance():
     b = rk.basis_pure([2], 1).projector()
     assert rk.trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
     assert rk.trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
+
+
+def _rotated(w, seed):
+    """v diag(w) v^dagger for a seeded random unitary v."""
+    v = rk.random_unitary(len(w), seed)
+    return (v * w) @ v.conj().T
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("kept", "clamped", "refused")), st.floats(0.0, 1.0))
+def test_validate_clamp_bands(d, seed, band, u):
+    # the lowest eigenvalue e, log-uniform inside its band: above -1e-13 it
+    # is stored as is; down to -1e-10 it is clamped and the trace
+    # renormalized; below, the matrix is refused.  Each band stays 10% clear
+    # of both thresholds, since rotating the spectrum moves e by round-off
+    lo, hi = {"kept": (1e-15, 0.9e-13), "clamped": (1.1e-13, 0.9e-10),
+              "refused": (1.1e-10, 1e-2)}[band]
+    e = -lo * (hi / lo) ** u
+    pos = np.random.default_rng(seed).uniform(0.05, 1.0, d - 1)
+    matrix = _rotated(np.append(pos / pos.sum() * (1.0 - e), e), seed)
+    if band == "refused":
+        with pytest.raises(NotPSD):
+            rk.validate(matrix, [d])
+        return
+    rho = rk.validate(matrix, [d])
+    if band == "kept":
+        assert rho.data.tobytes() == matrix.tobytes()
+        assert np.linalg.eigvalsh(rho.data)[0] < 0.0
+    else:
+        assert np.linalg.eigvalsh(rho.data)[0] >= -1e-15
+        assert abs(np.trace(rho.data) - 1.0) <= 1e-14
+        assert np.abs(rho.data - matrix).max() <= 2 * abs(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1.0),
+       st.lists(st.sampled_from(("below", "above", "negative")), min_size=1, max_size=4),
+       st.floats(0.05, 1.0))
+def test_frac_power_flushes_below_the_floor(d, seed, scale, kinds, t):
+    # a spectrum with its largest eigenvalue ``scale`` and others just below
+    # or above _FLUSH * scale, or slightly negative
+    rng = np.random.default_rng(seed)
+    kinds = (kinds * d)[:d - 1]
+    w = np.array([scale] + [scale * _FLUSH * {"below": rng.uniform(0.0, 0.9),
+                                               "above": rng.uniform(1.1, 1e6),
+                                               "negative": -rng.uniform(0.0, 1e-3)}[kind]
+                            for kind in kinds])
+    kept = np.where(w >= _FLUSH * scale, w, 0.0)
+    # on a diagonal input the flushed eigenvalues give exact zeros
+    diag = np.diag(_frac_power_raw(np.diag(w).astype(complex), t)).real
+    assert (diag[kept == 0.0] == 0.0).all()
+    assert np.allclose(diag[kept > 0.0], kept[kept > 0.0] ** t, rtol=1e-12, atol=0.0)
+    # rotated, the result is Hermitian PSD, and t = 1 gives back the clipped input
+    out = _frac_power_raw(_rotated(w, seed), t)
+    assert np.abs(out - out.conj().T).max() <= 1e-15
+    assert np.linalg.eigvalsh(out)[0] >= -1e-15 * scale ** t
+    clipped = _frac_power_raw(_rotated(w, seed), 1.0)
+    assert np.abs(clipped - _rotated(kept, seed)).max() <= 1e-14 * scale
