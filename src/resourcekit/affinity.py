@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveEntry,
 )
-from .states import DensityMatrix, _frac_power_raw
+from .states import DensityMatrix, _frac_power_raw, frac_power
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -33,12 +33,30 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _affinity_raw(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
-    """Tr(a^alpha b^(1-alpha)) for PSD matrices of any trace."""
-    val = np.trace(_frac_power_raw(a, alpha) @ _frac_power_raw(b, 1.0 - alpha))
+def _trace_product(a_pow: np.ndarray, b_pow: np.ndarray) -> float:
+    """Tr(a_pow b_pow), which must be real up to IMAG_RESIDUE_TOL."""
+    val = np.trace(a_pow @ b_pow)
     if abs(val.imag) > IMAG_RESIDUE_TOL:
         raise ArithmeticError(f"imaginary residue {val.imag:.3e} exceeds {IMAG_RESIDUE_TOL}")
     return float(val.real)
+
+
+def _affinity_raw(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
+    """Tr(a^alpha b^(1-alpha)) for PSD matrices of any trace."""
+    return _trace_product(_frac_power_raw(a, alpha), _frac_power_raw(b, 1.0 - alpha))
+
+
+def _state_affinity(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
+    """``_affinity_raw(rho.data, sigma.data, alpha)``, bit for bit, from the
+    states' cached eigendecompositions; unclamped."""
+    return _trace_product(frac_power(rho, alpha), frac_power(sigma, 1.0 - alpha))
+
+
+def _clamped(val: float) -> float:
+    """An affinity of two states, clamped to [0, 1] once roundoff is ruled out."""
+    if val < -1e-10 or val > 1.0 + 1e-10:
+        raise ArithmeticError(f"affinity {val} escapes [0, 1] beyond tolerance")
+    return min(max(val, 0.0), 1.0)
 
 
 def alpha_affinity(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
@@ -46,10 +64,7 @@ def alpha_affinity(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> fl
     alpha = _check_alpha(alpha)
     if rho.d != sigma.d:
         raise DimensionMismatch(f"state dimensions differ: {rho.d} vs {sigma.d}")
-    val = _affinity_raw(rho.data, sigma.data, alpha)
-    if val < -1e-10 or val > 1.0 + 1e-10:
-        raise ArithmeticError(f"affinity {val} escapes [0, 1] beyond tolerance")
-    return min(max(val, 0.0), 1.0)
+    return _clamped(_state_affinity(rho, sigma, alpha))
 
 
 @dataclass(frozen=True)
@@ -129,19 +144,66 @@ def power_mean_bound(x, qvec, t: float, alpha=None, seed=None) -> InequalityCert
 
 # ---------------------------------------------------------------------------
 # Channel-level inequalities.  Each works directly on the unnormalized
-# conjugates K rho K^dag so the two sides share numerics.
+# conjugates K rho K^dag so the two sides share numerics, and each is a
+# formula over one pass through the outcomes (:func:`_outcomes`), so that
+# :func:`_channel_certificates` decomposes every conjugate once for all four.
 # ---------------------------------------------------------------------------
-
-def _selective_parts(channel: KrausChannel, rho, sigma):
-    """Per-outcome unnormalized conjugates and their traces, for both states."""
-    return [(p, r, q, s) for (p, r), (q, s) in zip(_conjugates(channel, rho.data),
-                                                  _conjugates(channel, sigma.data))]
-
 
 def _check_pair(channel, rho, sigma):
     _check_compat(channel, rho)
     if rho.d != sigma.d:
         raise DimensionMismatch("rho and sigma dimensions differ")
+
+
+def _outcomes(channel: KrausChannel, rho, sigma, alpha):
+    """(p, q, r, s, A(r, s)) for each Kraus operator K, in order: r = K rho K^dag
+    and s = K sigma K^dag unnormalized, p and q their traces, A unclamped."""
+    return [(p, q, r, s, _affinity_raw(r, s, alpha))
+            for (p, r), (q, s) in zip(_conjugates(channel, rho.data),
+                                      _conjugates(channel, sigma.data))]
+
+
+def _power_sum(outcomes, alpha, seed):
+    inner = 0.0
+    rhs = 0.0
+    for p, q, _, _, a in outcomes:
+        if p <= OUTCOME_THRESHOLD or q <= OUTCOME_THRESHOLD:
+            continue
+        raw = max(a, 0.0)
+        inner += raw
+        rhs += p * (raw / (p ** alpha * q ** (1.0 - alpha))) ** (1.0 / alpha)
+    lhs = inner ** (1.0 / alpha)
+    return _cert("selective-power-sum", lhs, rhs, alpha=alpha, seed=seed)
+
+
+def _block_diagonal(outcomes, alpha, seed):
+    m = len(outcomes)
+    d = outcomes[0][2].shape[0]
+    br = np.zeros((d * m, d * m), dtype=complex)
+    bs = np.zeros((d * m, d * m), dtype=complex)
+    rhs = 0.0
+    for i, (_, _, r, s, a) in enumerate(outcomes):
+        br[i * d:(i + 1) * d, i * d:(i + 1) * d] = r
+        bs[i * d:(i + 1) * d, i * d:(i + 1) * d] = s
+        rhs += max(a, 0.0)
+    lhs = _affinity_raw(br, bs, alpha)
+    return _cert("block-diagonal-equality", lhs, rhs, equality=True, alpha=alpha, seed=seed)
+
+
+def _dominance(outcomes, whole, alpha, seed):
+    rhs = sum(max(a, 0.0) for *_, a in outcomes)
+    return _cert("kraus-sum-dominance", whole, rhs, alpha=alpha, seed=seed)
+
+
+def _loss(outcomes, whole, alpha, seed):
+    lhs = 0.0
+    for p, q, _, _, a in outcomes:
+        if p <= OUTCOME_THRESHOLD or q <= OUTCOME_THRESHOLD:
+            continue
+        a_i = max(a, 0.0) / (p ** alpha * q ** (1.0 - alpha))
+        lhs += p * (1.0 - min(a_i, 1.0) ** (1.0 / alpha))
+    rhs = 1.0 - min(max(whole, 0.0), 1.0) ** (1.0 / alpha)
+    return _cert("selective-loss", lhs, rhs, alpha=alpha, seed=seed)
 
 
 def selective_power_sum(rho, sigma, channel: KrausChannel, alpha: float,
@@ -154,16 +216,7 @@ def selective_power_sum(rho, sigma, channel: KrausChannel, alpha: float,
     """
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    inner = 0.0
-    rhs = 0.0
-    for p, r, q, s in _selective_parts(channel, rho, sigma):
-        if p <= OUTCOME_THRESHOLD or q <= OUTCOME_THRESHOLD:
-            continue
-        raw = max(_affinity_raw(r, s, alpha), 0.0)
-        inner += raw
-        rhs += p * (raw / (p ** alpha * q ** (1.0 - alpha))) ** (1.0 / alpha)
-    lhs = inner ** (1.0 / alpha)
-    return _cert("selective-power-sum", lhs, rhs, alpha=alpha, seed=seed)
+    return _power_sum(_outcomes(channel, rho, sigma, alpha), alpha, seed)
 
 
 def block_diagonal_affinity(rho, sigma, channel: KrausChannel, alpha: float,
@@ -172,17 +225,7 @@ def block_diagonal_affinity(rho, sigma, channel: KrausChannel, alpha: float,
     states equals the outcome-wise sum of unnormalized affinities."""
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    m = channel.outcomes
-    d = channel.d_out
-    br = np.zeros((d * m, d * m), dtype=complex)
-    bs = np.zeros((d * m, d * m), dtype=complex)
-    rhs = 0.0
-    for i, (p, r, q, s) in enumerate(_selective_parts(channel, rho, sigma)):
-        br[i * d:(i + 1) * d, i * d:(i + 1) * d] = r
-        bs[i * d:(i + 1) * d, i * d:(i + 1) * d] = s
-        rhs += max(_affinity_raw(r, s, alpha), 0.0)
-    lhs = _affinity_raw(br, bs, alpha)
-    return _cert("block-diagonal-equality", lhs, rhs, equality=True, alpha=alpha, seed=seed)
+    return _block_diagonal(_outcomes(channel, rho, sigma, alpha), alpha, seed)
 
 
 def data_processing_sum(rho, sigma, channel: KrausChannel, alpha: float,
@@ -190,10 +233,8 @@ def data_processing_sum(rho, sigma, channel: KrausChannel, alpha: float,
     """Certificate for A(rho, sigma) <= sum_i A(K_i rho K_i^dag, K_i sigma K_i^dag)."""
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    lhs = _affinity_raw(rho.data, sigma.data, alpha)
-    rhs = sum(max(_affinity_raw(r, s, alpha), 0.0)
-              for _, r, _, s in _selective_parts(channel, rho, sigma))
-    return _cert("kraus-sum-dominance", lhs, rhs, alpha=alpha, seed=seed)
+    return _dominance(_outcomes(channel, rho, sigma, alpha),
+                      _state_affinity(rho, sigma, alpha), alpha, seed)
 
 
 def selective_loss_bound(rho, sigma, channel: KrausChannel, alpha: float,
@@ -201,11 +242,18 @@ def selective_loss_bound(rho, sigma, channel: KrausChannel, alpha: float,
     """Certificate for sum_i p_i {1 - A(rho_i, sigma_i)^(1/a)} <= 1 - A(rho, sigma)^(1/a)."""
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    lhs = 0.0
-    for p, r, q, s in _selective_parts(channel, rho, sigma):
-        if p <= OUTCOME_THRESHOLD or q <= OUTCOME_THRESHOLD:
-            continue
-        a_i = max(_affinity_raw(r, s, alpha), 0.0) / (p ** alpha * q ** (1.0 - alpha))
-        lhs += p * (1.0 - min(a_i, 1.0) ** (1.0 / alpha))
-    rhs = 1.0 - min(max(_affinity_raw(rho.data, sigma.data, alpha), 0.0), 1.0) ** (1.0 / alpha)
-    return _cert("selective-loss", lhs, rhs, alpha=alpha, seed=seed)
+    return _loss(_outcomes(channel, rho, sigma, alpha),
+                 _state_affinity(rho, sigma, alpha), alpha, seed)
+
+
+def _channel_certificates(rho, sigma, channel: KrausChannel, alpha: float,
+                          seed=None) -> list[InequalityCertificate]:
+    """:func:`selective_power_sum`, :func:`data_processing_sum`,
+    :func:`selective_loss_bound` and :func:`block_diagonal_affinity`, in that
+    order, from one pass through the outcomes."""
+    alpha = _check_alpha(alpha)
+    _check_pair(channel, rho, sigma)
+    outcomes = _outcomes(channel, rho, sigma, alpha)
+    whole = _state_affinity(rho, sigma, alpha)
+    return [_power_sum(outcomes, alpha, seed), _dominance(outcomes, whole, alpha, seed),
+            _loss(outcomes, whole, alpha, seed), _block_diagonal(outcomes, alpha, seed)]

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .affinity import _check_alpha, alpha_affinity
+from .affinity import _check_alpha, _clamped, _trace_product, alpha_affinity
 from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingError
 from .feasible import (
     FeasibleFamily,
@@ -46,7 +46,12 @@ from .feasible import (
     encode,
     is_feasible_pure,
 )
-from .states import DensityMatrix, _frac_power_raw, _trusted
+from .states import (
+    DensityMatrix,
+    _frac_power_raw,  # unused here; its last reader is perfbench/sweep.py
+    _trusted,
+    frac_power,
+)
 
 DEFAULT_MAX_ITER = 2000
 _WITNESS_TOL = 1e-9   # check_witness: mixture and affinity agreement
@@ -107,7 +112,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
             raise BadWeights("witness weights must be finite and >= 0 with a positive total")
     if rho.d != family.d:
         raise DimensionMismatch(f"state dimension {rho.d} != family dimension {family.d}")
-    rho_a = _frac_power_raw(rho.data, alpha)
+    rho_a = frac_power(rho, alpha)
     if family.kind == "multilevel" and family.k == 1:
         return _diagonal_max(rho, rho_a, alpha, family, witness)
     if family.kind == "multilevel":
@@ -198,7 +203,7 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     comps = tuple(hull.components((z, layout)))
     member = _trusted(sum(c.weight * np.outer(c.state.amps, c.state.amps.conj())
                           for c in comps), hull.dims)
-    affinity = alpha_affinity(rho, member, alpha)
+    affinity = _clamped(_trace_product(rho_a, frac_power(member, beta)))
     upper = min(1.0, f + gap) if hull.certified and w[0] >= _FULL_RANK * w[-1] else 1.0
     return MaxAffinityResult(affinity, member, comps, iterations,
                              max(upper, affinity))   # equal up to roundoff at worst
@@ -225,7 +230,7 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     (sum_i a_i^(1/alpha))^alpha.
     """
     alpha = _check_alpha(alpha)
-    s = _k2_weights(_frac_power_raw(rho.data, alpha), alpha)[1]
+    s = _k2_weights(frac_power(rho, alpha), alpha)[1]
     return 1.0 - s ** alpha, 1.0 - s
 
 

@@ -5,14 +5,16 @@ structure, spectral calculus (fractional matrix powers), composition
 (tensor product, partial trace) and seeded random generation.
 
 All types are immutable after construction and every operation is a pure
-function, so values can be shared freely between concurrent tasks.
+function, so values can be shared freely between concurrent tasks.  A
+density matrix computes its eigendecomposition at most once, from its
+frozen data, and every spectral quantity of the state is read from it.
 """
 
 from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
 
@@ -45,14 +47,38 @@ class DensityMatrix:
     ``dims`` lists the subsystem dimensions; their product is the side
     length of ``data``.  Construct untrusted matrices through
     :func:`validate`; the dataclass itself performs no checks.
+
+    ``data`` is read-only and owned by the state (a writable array passed
+    in is copied), so the state carries one eigendecomposition of it,
+    ``eigh((data + data^dag) / 2)``, computed on first use (or by
+    :func:`validate`, which has it anyway) and frozen.  :func:`frac_power`,
+    :func:`spectral` and the affinity read it, so a state is decomposed
+    once however often it is used.  Two threads that race to fill it
+    compute the same value.
     """
 
     dims: tuple[int, ...]
     data: np.ndarray
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.data.flags.writeable:
+            object.__setattr__(self, "data", _freeze(np.array(self.data)))
 
     @property
     def d(self) -> int:
         return self.data.shape[0]
+
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvector columns of the Hermitian
+        part of ``data``, exactly as :func:`_frac_power_raw` decomposes it."""
+        if self._eig is None:
+            self._cache(*_eigh(self.data))
+        return self._eig
+
+    def _cache(self, w: np.ndarray, v: np.ndarray) -> None:
+        object.__setattr__(self, "_eig", (_freeze(w), _freeze(v)))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.data @ self.data)))
@@ -112,9 +138,11 @@ def validate(matrix, dims) -> DensityMatrix:
     ones are clamped to zero and the trace renormalized, provided the clamp
     shifts the trace by at most 1e-9; anything more negative raises
     ``NotPSD``.  Matrices that need no repair are stored byte-identical, so
-    that serialization round-trips exactly.
+    that serialization round-trips exactly.  The state stores a copy: the
+    caller's array stays writable, and writing it later leaves the state as
+    it was.
     """
-    arr = np.asarray(matrix, dtype=complex)
+    arr = np.array(matrix, dtype=complex, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     dims = _check_dims(dims, arr.shape[0])
@@ -123,27 +151,27 @@ def validate(matrix, dims) -> DensityMatrix:
     if herm_dev > HERM_TOL:
         raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} > {HERM_TOL}")
 
-    herm = (arr + arr.conj().T) / 2
-    vals = np.linalg.eigvalsh(herm)
-    if vals[0] < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {vals[0]:.3e} < -{PSD_TOL}")
+    w, v = _eigh(arr)
+    if w[0] < -PSD_TOL:
+        raise NotPSD(f"eigenvalue {w[0]:.3e} < -{PSD_TOL}")
 
     tr = float(np.real(np.trace(arr)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceDeviation(f"|trace - 1| = {abs(tr - 1.0):.3e} > {TRACE_TOL}")
 
-    if vals[0] < -CLAMP_NOISE:
-        shift = float(-vals[vals < 0].sum())
+    if w[0] < -CLAMP_NOISE:
+        shift = float(-w[w < 0].sum())
         if shift > RENORM_GUARD:
             raise NotPSD(f"accumulated negative mass {shift:.3e} > {RENORM_GUARD}")
-        w, v = np.linalg.eigh(herm)
-        w = np.clip(w, 0.0, None)
-        repaired = (v * w) @ v.conj().T
+        repaired = (v * np.clip(w, 0.0, None)) @ v.conj().T
         repaired /= np.real(np.trace(repaired))
         return DensityMatrix(dims, _freeze(repaired))
 
-    data = arr if abs(tr - 1.0) <= 1e-12 else arr / tr
-    return DensityMatrix(dims, _freeze(np.ascontiguousarray(data)))
+    if abs(tr - 1.0) > 1e-12:
+        return DensityMatrix(dims, _freeze(arr / tr))
+    rho = DensityMatrix(dims, _freeze(arr))
+    rho._cache(w, v)
+    return rho
 
 
 def pure_state(amps, dims=None) -> PureState:
@@ -171,16 +199,21 @@ def basis_pure(dims, index: int) -> PureState:
 
 def spectral(rho: DensityMatrix) -> Spectrum:
     """Eigendecomposition sorted descending; columns are eigenvectors."""
-    w, v = np.linalg.eigh((rho.data + rho.data.conj().T) / 2)
+    w, v = rho._spectrum()
     order = np.argsort(w)[::-1]
     return Spectrum(_freeze(w[order].copy()), _freeze(v[:, order].copy()))
 
 
 def frac_power(rho: DensityMatrix, t: float) -> np.ndarray:
-    """Spectral power rho^t for 0 < t <= 1, with the convention 0^t = 0."""
+    """Spectral power rho^t for 0 < t <= 1, with the convention 0^t = 0.
+
+    Read from the state's cached eigendecomposition, it is bit-identical to
+    ``_frac_power_raw(rho.data, t)`` and runs no eigensolver after the
+    state's first spectral use.
+    """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"power must lie in (0, 1], got {t}")
-    return _frac_power_raw(rho.data, t)
+    return _power(*rho._spectrum(), t)
 
 
 # Eigenvalues below this fraction of the largest one are eigensolver noise
@@ -192,12 +225,20 @@ def frac_power(rho: DensityMatrix, t: float) -> np.ndarray:
 _FLUSH = 64 * np.finfo(float).eps
 
 
-def _frac_power_raw(data: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh((data + data.conj().T) / 2)
+def _eigh(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh((data + data.conj().T) / 2)
+
+
+def _power(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """v diag(w^t) v^dag with w clipped at zero and flushed below the floor."""
     w = np.clip(w, 0.0, None)
     w[w < _FLUSH * w.max()] = 0.0
     w = w ** t
     return (v * w) @ v.conj().T
+
+
+def _frac_power_raw(data: np.ndarray, t: float) -> np.ndarray:
+    return _power(*_eigh(data), t)
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -234,6 +275,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    if a.d != b.d:
+        raise DimensionMismatch(f"state dimensions differ: {a.d} vs {b.d}")
     vals = np.linalg.eigvalsh(a.data - b.data)
     return float(np.abs(vals).sum() / 2)
 

@@ -19,15 +19,13 @@ import numpy as np
 
 from .affinity import (
     InequalityCertificate,
-    _affinity_raw,
     _cert,
+    _channel_certificates,
+    _state_affinity,
     alpha_affinity,
-    block_diagonal_affinity,
-    data_processing_sum,
     holder_negative_exponent_bound,
     power_mean_bound,
     selective_loss_bound,
-    selective_power_sum,
 )
 from .channels import (
     OUTCOME_THRESHOLD,
@@ -148,7 +146,7 @@ def run_affinity_props(seed, n_samples=None):
         rho = random_mixed((d,), 1 + i % d, [seed, 0, i, 0])
         sig = random_mixed((d,), d, [seed, 0, i, 1])
 
-        a = _affinity_raw(rho.data, sig.data, alpha)
+        a = _state_affinity(rho, sig, alpha)
         certs.append(_cert("bounds", 0.0, a, alpha=alpha, seed=seed))
         certs.append(_cert("bounds", a, 1.0, alpha=alpha, seed=seed))
         certs.append(_cert("self-affinity", alpha_affinity(rho, rho, alpha), 1.0,
@@ -220,10 +218,7 @@ def run_appendix_b(seed, n_samples=None):
             chan = random_channel(d, 2 + i % 2, [seed, 1, i, 2])
         else:
             chan = random_projective(d, 1 + i % (d - 1), [seed, 1, i, 2])
-        certs.append(selective_power_sum(rho, sig, chan, alpha, seed=seed))
-        certs.append(data_processing_sum(rho, sig, chan, alpha, seed=seed))
-        certs.append(selective_loss_bound(rho, sig, chan, alpha, seed=seed))
-        certs.append(block_diagonal_affinity(rho, sig, chan, alpha, seed=seed))
+        certs.extend(_channel_certificates(rho, sig, chan, alpha, seed=seed))
     return certs
 
 

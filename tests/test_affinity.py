@@ -258,6 +258,23 @@ def test_selective_loss_cases():
         assert rk.selective_loss_bound(rho_i, sig_i, chan_i, ALPHAS[i % 3]).slack >= -1e-8
 
 
+def test_shared_outcome_pass_matches_each_certificate():
+    # the appendix-b suite takes all four channel certificates from one pass
+    # through the outcomes; each must equal its own function's, bit for bit,
+    # including a projective measurement with an outcome of probability 0
+    from resourcekit.affinity import _channel_certificates
+    cases = [(rk.random_channel(2 + i % 3, 1 + i % 3, seed=[37, i]), *_pair(500 + i, d=2 + i % 3))
+             for i in range(12)]
+    cases.append((rk.dephasing_channel(2), rk.basis_pure([2], 0).projector(),
+                  rk.random_mixed([2], 2, seed=38)))
+    for i, (chan, rho, sig) in enumerate(cases):
+        alpha = ALPHAS[i % 3]
+        shared = _channel_certificates(rho, sig, chan, alpha, seed=i)
+        assert shared == [f(rho, sig, chan, alpha, seed=i)
+                          for f in (rk.selective_power_sum, rk.data_processing_sum,
+                                    rk.selective_loss_bound, rk.block_diagonal_affinity)]
+
+
 def test_certificate_csv_format():
     cert = rk.power_mean_bound([1.0, 2.0], [0.25, 0.75], 2.0, alpha=0.5, seed=7)
     text = rk.certificates_to_csv([cert])

@@ -11,7 +11,7 @@ from resourcekit.errors import (
     NotPSD,
     TraceDeviation,
 )
-from resourcekit.states import _FLUSH, _frac_power_raw
+from resourcekit.states import _FLUSH, _frac_power_raw, _trusted
 
 from oracles import brute_force_partial_trace
 
@@ -45,6 +45,26 @@ def test_validate_error_cases():
         rk.validate(np.eye(4) / 4, [3])
     with pytest.raises(DimensionMismatch):
         rk.validate(np.ones((2, 3)) / 3, [2])
+
+
+def test_a_state_owns_its_data():
+    # the caller's array stays writable, and writing it (or the writable
+    # base of a view the state was built from) leaves the state unchanged,
+    # through validate and through the bare constructor alike
+    m = np.eye(2, dtype=complex) / 2
+    rho = rk.validate(m, [2])
+    assert m.flags.writeable
+    m[0, 0] = 0.9
+    base = np.eye(2, dtype=complex) / 2
+    viewed = rk.validate(base[:, :], (2,))
+    base[0, 0] = 0.9
+    raw = np.eye(2, dtype=complex) / 2
+    direct = rk.DensityMatrix((2,), raw)
+    raw[0, 0] = 0.9
+    for state in (rho, viewed, direct):
+        assert state.data[0, 0] == 0.5
+        assert not state.data.flags.writeable
+        assert rk.frac_power(state, 0.5).tobytes() == _frac_power_raw(state.data, 0.5).tobytes()
 
 
 def test_validate_clamps_small_negative_eigenvalue():
@@ -198,6 +218,11 @@ def test_trace_distance():
     assert rk.trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_trace_distance_rejects_mismatched_dimensions():
+    with pytest.raises(DimensionMismatch):
+        rk.trace_distance(rk.random_mixed([2], 2, seed=1), rk.random_mixed([3], 3, seed=1))
+
+
 def _rotated(w, seed):
     """v diag(w) v^dagger for a seeded random unitary v."""
     v = rk.random_unitary(len(w), seed)
@@ -255,3 +280,45 @@ def test_frac_power_flushes_below_the_floor(d, seed, scale, kinds, t):
     assert np.linalg.eigvalsh(out)[0] >= -1e-15 * scale ** t
     clipped = _frac_power_raw(_rotated(w, seed), 1.0)
     assert np.abs(clipped - _rotated(kept, seed)).max() <= 1e-14 * scale
+
+
+def _built(path, d, seed):
+    """A state made along one constructor path, from a seeded Ginibre state."""
+    if path == "validate":
+        return rk.random_mixed([d], d, seed)
+    if path == "renormalized":    # trace 1 + 1e-10: stored divided by it
+        return rk.validate(rk.random_mixed([d], d, seed).data * (1.0 + 1e-10), [d])
+    if path == "clamped":         # eigenvalue -1e-11: clamped and renormalized
+        pos = np.random.default_rng(seed).uniform(0.05, 1.0, d - 1)
+        return rk.validate(_rotated(np.append(pos / pos.sum() * (1.0 + 1e-11), -1e-11),
+                                    seed), [d])
+    if path == "_trusted":
+        return _trusted(np.array(rk.random_mixed([d], d, seed).data), [d])
+    if path == "tensor":
+        return rk.tensor(rk.random_mixed([2], 2, seed), rk.random_mixed([d], d, seed + 1))
+    if path == "partial_trace":
+        return rk.partial_trace(rk.random_mixed([2, d], 2 * d, seed), [1])
+    return rk.embed_state(rk.build_embedding(d), rk.random_mixed([d], d, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("validate", "renormalized", "clamped", "_trusted", "tensor",
+                        "partial_trace", "embed_state")),
+       st.integers(2, 4), st.integers(0, 2 ** 31), st.floats(0.05, 1.0),
+       st.floats(0.05, 0.95))
+def test_spectral_reads_equal_a_fresh_decomposition(path, d, seed, t, alpha):
+    # every spectral quantity of a state comes from its cached
+    # eigendecomposition; each must equal the same computation run afresh
+    # on the stored data, bit for bit, before and after the cache fills
+    rho, sigma = _built(path, d, seed), _built(path, d, seed + 7)
+    fresh = (rho.data + rho.data.conj().T) / 2
+    w, v = np.linalg.eigh(fresh)
+    order = np.argsort(w)[::-1]
+    raw = np.trace(_frac_power_raw(rho.data, alpha)
+                   @ _frac_power_raw(sigma.data, 1.0 - alpha)).real
+    for _ in range(2):
+        assert rk.frac_power(rho, t).tobytes() == _frac_power_raw(rho.data, t).tobytes()
+        spec = rk.spectral(rho)
+        assert spec.eigenvalues.tobytes() == w[order].tobytes()
+        assert spec.eigenvectors.tobytes() == v[:, order].tobytes()
+        assert rk.alpha_affinity(rho, sigma, alpha) == min(max(raw, 0.0), 1.0)

@@ -151,3 +151,41 @@ def test_depth_violation_fails_a_certificate(monkeypatch):
     certs = run_suite("embedding", 1, 2)
     assert all_passed(certs) is False
     assert not summarize(certs)["depth-separability"]["passed"]
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts every eigh/eigvalsh call made through numpy.linalg."""
+    import numpy as np
+
+    calls = [0]
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_channel_certificates_decompose_each_state_once(eig_calls):
+    # sample 0: a qubit pair and a two-outcome projective measurement.  One
+    # eigh per validated state (rho, sigma), one per conjugate K rho K^dag
+    # and K sigma K^dag (2 x 2), shared by all four channel certificates,
+    # and two for the block-diagonal pair; A(rho, sigma) reads the cache
+    from resourcekit.verify import run_appendix_b
+    run_appendix_b(SEED, 1)
+    assert eig_calls[0] == 2 + 4 + 2
+
+
+def test_affinity_props_reuse_each_state_spectrum(eig_calls):
+    # sample 0 (d = 2): one eigh per validated state (rho, sigma, both
+    # rotations, rho2, sigma2, rho_b, sigma_b, both mixtures, both channel
+    # images), one per tensor product on first use, one trace distance, and
+    # the two conjugates of each of the two channel outcomes; every other
+    # affinity reads the states' cached spectra
+    from resourcekit.verify import run_affinity_props
+    run_affinity_props(SEED, 1)
+    assert eig_calls[0] == 12 + 2 + 1 + 4
