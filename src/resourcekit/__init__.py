@@ -49,6 +49,7 @@ from .errors import (
     EmptySet,
     FeasibilityCheckFailed,
     KOutOfRange,
+    NonFinite,
     NonPositiveEntry,
     NotHermitian,
     NotPSD,

@@ -9,6 +9,10 @@ class DimensionMismatch(ResourceKitError):
     pass
 
 
+class NonFinite(ResourceKitError):
+    """An input matrix or vector holds a NaN or an infinite entry."""
+
+
 class NotHermitian(ResourceKitError):
     pass
 

@@ -59,6 +59,7 @@ _GAP_STOP = 1e-10     # hull solve: duality gap that ends the search
 _STALL = 1e-14        # hull solve: a Frank-Wolfe gain below this is roundoff
 _EIG_FLOOR = 1e-12    # hull gradient: eigenvalue floor, relative to the largest
 _FULL_RANK = 1e-8     # hull upper bound: smallest eigenvalue it needs, relative
+_STEPS = np.arange(-28.0, 1.0)   # Frank-Wolfe line search: log-steps u, step e^u
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
@@ -133,9 +134,55 @@ def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
     lr = lw[:, None] - lw
     same = lr == 0.0
     lr[same] = 1.0
-    ratio = np.expm1(beta * lr) / np.expm1(lr)
+    ratio = np.expm1(beta * lr)
+    ratio /= np.expm1(lr)
     ratio[same] = beta
-    return ratio * w ** (beta - 1.0)
+    ratio *= w ** (beta - 1.0)
+    return ratio
+
+
+def _evaluate(s, rho_a, beta):
+    """f(sigma) = Tr(rho_a sigma^beta), its gradient G (Daleckii-Krein,
+    eigenvalues floored), Tr(G sigma) and eig(sigma), from one eigh.
+    Tr(G sigma) is the sum of G * sigma^T in memory order: its roundoff
+    steers every L-BFGS path, so another order (np.vdot) moves each
+    solve's last digits and its certified width."""
+    w, v = np.linalg.eigh(s)
+    vh = v.conj().T
+    r = vh @ rho_a @ v
+    f = float(np.maximum(w, 0.0) ** beta @ r.diagonal().real)
+    g = v @ (_power_slopes(np.maximum(w, _EIG_FLOOR * w[-1]), beta) * r) @ vh
+    return f, g, float((g * s.T).sum().real), w
+
+
+def _value(s, rho_a, beta):
+    """f alone, for one sigma or a stack of them, from one (stacked) eigh."""
+    w, v = np.linalg.eigh(s)
+    r = np.einsum("...ji,...ji->...i", v.conj(), rho_a @ v).real
+    return (np.maximum(w, 0.0) ** beta * r).sum(-1)
+
+
+def _line_search(s, atom, f, rho_a, beta):
+    """Frank-Wolfe step t from sigma toward the atom's projector A, and its
+    gain phi(t) - f, where phi(t) = f(sigma + t (A - sigma)).
+
+    One stacked eigh scores the log-steps u in _STEPS (t = e^u).  phi is
+    concave, so for the best step t* and the largest grid step e^j <= t*,
+    phi(e^j) - f >= (phi(t*) - f) / e: when the best node gains at most
+    _STALL, no step in [e^-28, 1] gains more than e * _STALL, and that node
+    is returned unrefined.  Otherwise phi, unimodal in u, peaks within one
+    grid step of the best node, where a bounded search refines it; the
+    better of the refined step and the node is returned."""
+    phi = _value(s + np.exp(_STEPS)[:, None, None] * (atom - s), rho_a, beta)
+    b = int(np.argmax(phi))
+    t, best = float(np.exp(_STEPS[b])), float(phi[b])
+    if best - f > _STALL:
+        line = minimize_scalar(lambda u: -_value(s + np.exp(u) * (atom - s), rho_a, beta),
+                               bounds=(_STEPS[b] - 1.0, min(_STEPS[b] + 1.0, 0.0)),
+                               method="bounded", options={"xatol": 1e-2})
+        if -line.fun > best:
+            t, best = float(np.exp(line.x)), float(-line.fun)
+    return t, best - f
 
 
 def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
@@ -146,26 +193,20 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     gap = max over atoms of <atom|G|atom> - Tr(G sigma) bounds the distance
     to the maximum when the hull's oracle is exact.  Where L-BFGS stalls (a
     zero factor keeps a zero gradient, or too few components) a Frank-Wolfe
-    step adds the oracle's atom.  At the cap only a certified hull asks it."""
+    step adds the oracle's atom.  One stacked evaluation on a log-step grid
+    decides the step (:func:`_line_search`): a best grid gain of at most
+    _STALL, which bounds every step's gain by e * _STALL, ends the solve.
+    At the cap only a certified hull asks the oracle."""
     beta = 1.0 - alpha
-
-    def evaluate(s):
-        """f, G (Daleckii-Krein, eigenvalues floored), Tr(G sigma) and
-        eig(sigma), one eigh."""
-        w, v = np.linalg.eigh(s)
-        r = v.conj().T @ rho_a @ v
-        f = float(np.clip(w, 0.0, None) ** beta @ r.diagonal().real)
-        g = v @ (_power_slopes(np.maximum(w, _EIG_FLOOR * w[-1]), beta) * r) @ v.conj().T
-        return f, g, float(np.real(np.sum(g * s.T))), w
 
     def objective(theta):
         s, pullback = hull.map((theta.view(complex), layout))
         try:
-            f, g, tr, _ = evaluate(s)
+            f, g, tr, _ = _evaluate(s, rho_a, beta)
         except np.linalg.LinAlgError:
             return np.inf, np.zeros_like(theta)       # a rejected step
         grad = pullback(g, tr).view(float)
-        if not np.isfinite(f) or not np.isfinite(grad).all():
+        if not np.isfinite(f + grad.sum()):
             return np.inf, np.zeros_like(theta)
         return -f, -grad
 
@@ -177,25 +218,22 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
                                     "gtol": 1e-12})
             iterations += int(res.nit)
             z = res.x.view(complex)
-        f, g, tr, w = evaluate(s := hull.map((z, layout))[0])
+        f, g, tr, w = _evaluate(s := hull.map((z, layout))[0], rho_a, beta)
         if iterations >= max_iter and not hull.certified:
             break
         lam, atom, where = hull.oracle(g, tr)
         gap = lam - tr
         if gap <= _GAP_STOP or iterations >= max_iter:
             break
-        # Frank-Wolfe step toward the atom; the line search runs over
-        # log(step), so that steps of every scale are resolved alike
+        # Frank-Wolfe step toward the atom, decided on the log-step grid:
+        # a grid gain <= _STALL bounds the step's gain by e * _STALL
         iterations += 1
-        atom = np.outer(atom, atom.conj())
-        line = minimize_scalar(lambda u: -evaluate(s + np.exp(u) * (atom - s))[0],
-                               bounds=(-28.0, 0.0), method="bounded",
-                               options={"xatol": 1e-2})
-        if -line.fun - f <= _STALL:
+        t, gain = _line_search(s, np.outer(atom, atom.conj()), f, rho_a, beta)
+        if gain <= _STALL:
             break
-        z, layout = hull.add((z, layout), float(np.exp(line.x)), where)
+        z, layout = hull.add((z, layout), t, where)
 
-    f0, g0, tr0, w0 = evaluate(hull.map(hull.start)[0])
+    f0, g0, tr0, w0 = _evaluate(hull.map(hull.start)[0], rho_a, beta)
     if f0 > f:      # keep the better end: the solve is monotone
         (z, layout), f, w = hull.start, f0, w0
         gap = hull.oracle(g0, tr0)[0] - tr0 if hull.certified else np.inf

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BadIndex,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     NotPSD,
     TraceDeviation,
@@ -133,6 +134,7 @@ def _trusted(data: np.ndarray, dims) -> DensityMatrix:
 def validate(matrix, dims) -> DensityMatrix:
     """Check Hermiticity, positivity and unit trace; return a DensityMatrix.
 
+    A NaN or infinite entry raises ``NonFinite`` before any other check.
     Eigenvalues in [-1e-13, 0) are eigensolver noise and are kept as they
     are.  If the smallest eigenvalue lies in [-1e-10, -1e-13), the negative
     ones are clamped to zero and the trace renormalized, provided the clamp
@@ -143,6 +145,10 @@ def validate(matrix, dims) -> DensityMatrix:
     it was.
     """
     arr = np.array(matrix, dtype=complex, order="C")
+    # sum |m_ij|^2 is NaN or infinite for a NaN or infinite entry (or, past
+    # 1e154, by overflow), so only then are the entries themselves tested
+    if not isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
+        raise NonFinite("matrix has a NaN or infinite entry")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     dims = _check_dims(dims, arr.shape[0])
@@ -175,9 +181,12 @@ def validate(matrix, dims) -> DensityMatrix:
 
 
 def pure_state(amps, dims=None) -> PureState:
-    """Normalize an amplitude vector and canonicalize its global phase."""
+    """Normalize an amplitude vector and canonicalize its global phase; a
+    NaN or infinite amplitude raises ``NonFinite``."""
     a = np.asarray(amps, dtype=complex).ravel()
     norm = float(np.linalg.norm(a))
+    if not isfinite(norm) and not np.isfinite(a).all():   # as in validate
+        raise NonFinite("amplitude vector has a NaN or infinite entry")
     if norm < 1e-12:
         raise DimensionMismatch("amplitude vector has (near-)zero norm")
     a = a / norm

@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resourcekit as rk
+from resourcekit.affinity import _outcomes
+from resourcekit.channels import OUTCOME_THRESHOLD
 from resourcekit.errors import ChannelInvalid, DimensionMismatch
-from resourcekit.feasible import coherent_rank_pure, factorize_pure
+from resourcekit.feasible import WitnessComponent, coherent_rank_pure, factorize_pure
+from resourcekit.verify import _selective_witnesses
 
 
 def test_identity_channel_is_identity():
@@ -168,3 +173,43 @@ def test_random_channel_deterministic():
     b = rk.random_channel(3, 2, seed=21)
     for ka, kb in zip(a.kraus, b.kraus):
         assert ka.tobytes() == kb.tobytes()
+
+
+def _unit_trace_psd(m):
+    return (abs(np.trace(m).real - 1.0) <= 1e-12
+            and np.abs(m - m.conj().T).max() <= 1e-12
+            and np.linalg.eigvalsh(m)[0] >= -1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.01, 2.0) | st.floats(-2.0, -0.01),
+                min_size=1, max_size=4))
+def test_selective_paths_keep_the_same_outcomes(d, seed, exps):
+    # Kraus operators sqrt(c_i) U_i give outcome i probability c_i under every
+    # state; c_i = 1e-12 * 10^x straddles OUTCOME_THRESHOLD by at least 2%,
+    # and one more outcome takes the rest.  The selective paths keep exactly
+    # the outcomes above the threshold, each with a unit-trace PSD post-state
+    c = OUTCOME_THRESHOLD * 10.0 ** np.array(exps)
+    c = np.append(c, 1.0 - c.sum())
+    chan = rk.kraus_channel([np.sqrt(ci) * rk.random_unitary(d, [seed, i])
+                             for i, ci in enumerate(c)])
+    rho = rk.random_mixed([d], 1 + seed % d, seed=[seed, 8])
+    sigma = rk.random_mixed([d], d, seed=[seed, 9])
+    expected = c[c > OUTCOME_THRESHOLD]
+
+    applied = rk.selective_apply(chan, rho)
+    outcomes = [(p, q, r, s) for p, q, r, s, _ in _outcomes(chan, rho, sigma, 0.5)
+                if p > OUTCOME_THRESHOLD and q > OUTCOME_THRESHOLD]
+    spec = rk.spectral(rho)
+    comps = [WitnessComponent(float(w), rk.pure_state(v))
+             for w, v in zip(spec.eigenvalues, spec.eigenvectors.T) if w > 0.0]
+    pushed = list(_selective_witnesses(chan, rho, comps))
+
+    for kept in ([p for p, _ in applied], [p for p, *_ in outcomes], [p for p, *_ in pushed]):
+        assert np.allclose(kept, expected, rtol=1e-12, atol=0.0)
+    assert [p for p, _ in applied] == [p for p, *_ in outcomes] == [p for p, *_ in pushed]
+    posts = ([post.data for _, post in applied] + [r / p for p, _, r, _ in outcomes]
+             + [s / q for _, q, _, s in outcomes] + [post.data for _, post, _ in pushed])
+    assert all(_unit_trace_psd(m) for m in posts)
+    assert all(abs(sum(comp.weight for comp in wit) - 1.0) <= 1e-12 for *_, wit in pushed)

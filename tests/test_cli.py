@@ -5,7 +5,7 @@ import pytest
 
 import resourcekit as rk
 from resourcekit.affinity import _cert
-from resourcekit.cli import main
+from resourcekit.cli import EXIT_INPUT_ERROR, main
 
 
 @pytest.fixture
@@ -78,6 +78,15 @@ def test_invalid_state_file_exits_two(tmp_path, capsys):
     code = main(["indicator", "--state", str(bad), "--label", "coherence",
                  "--k", "2", "--alpha", "0.5", "--seed", "1"])
     assert code == 2
+
+
+def test_non_finite_state_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+    code = main(["indicator", "--state", str(bad), "--label", "coherence",
+                 "--k", "2", "--alpha", "0.5", "--seed", "1"])
+    assert code == EXIT_INPUT_ERROR
+    assert "NaN or infinite" in capsys.readouterr().err
 
 
 def test_indicator_diagonal_state_is_zero(states, capsys):

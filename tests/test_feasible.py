@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import resourcekit as rk
 from resourcekit.errors import BadLength, EmptySet, NTooLarge, WitnessEncodingError
 from resourcekit.feasible import (
+    FACTOR_PURITY_TOL,
     KINDS,
+    RECONSTRUCT_TOL,
     WitnessComponent,
     _assemble_product,
     _Blocks,
@@ -235,6 +237,34 @@ def test_factorize_reconstruction_and_limits():
     fac = rk.factorize_pure(prod)
     rebuilt = np.kron(fac.factors[0].amps, fac.factors[1].amps)
     assert 1.0 - abs(np.vdot(rebuilt, prod.amps)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), st.integers(0, 2 ** 32 - 1),
+       st.floats(-5.0, -1.0, exclude_max=True) | st.floats(1.0, 7.0, exclude_min=True),
+       st.booleans())
+def test_factorize_pure_near_the_purity_threshold(dims, seed, x, spectator):
+    # a (x) b tilted toward a' (x) b', with a' orthogonal to a and b' to b:
+    # the reduced purity is 1 - delta exactly, delta = 10^x FACTOR_PURITY_TOL,
+    # outside the band [0.1, 10] FACTOR_PURITY_TOL.  Below it the state
+    # splits and the factors rebuild it; above it, it stays one part.  A
+    # product spectator qubit splits off either way
+    delta = FACTOR_PURITY_TOL * 10.0 ** x
+    eps = (1.0 - np.sqrt(1.0 - 2.0 * delta)) / 2.0    # (1 - eps)^2 + eps^2 = 1 - delta
+    ua, ub = rk.random_unitary(dims[0], [seed, 0]), rk.random_unitary(dims[1], [seed, 1])
+    amps = (np.sqrt(1.0 - eps) * np.kron(ua[:, 0], ub[:, 0])
+            + np.sqrt(eps) * np.kron(ua[:, 1], ub[:, 1]))
+    tail = ((2,),) if spectator else ()
+    if spectator:
+        amps, dims = np.kron(amps, rk.random_pure([2], [seed, 2]).amps), dims + (2,)
+    psi = rk.pure_state(amps, dims)
+    fac = rk.factorize_pure(psi)
+    if x < 0:
+        assert fac.parts == ((0,), (1,)) + tail
+        rebuilt = _assemble_product(dims, fac.parts, [f.amps for f in fac.factors])
+        assert 1.0 - abs(np.vdot(rebuilt, psi.amps)) <= RECONSTRUCT_TOL
+    else:
+        assert fac.parts == ((0, 1),) + tail
 
 
 @st.composite

@@ -2,10 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resourcekit as rk
 from resourcekit.errors import BadWeights, KOutOfRange, WitnessEncodingError
-from resourcekit.indicators import LABELS, max_affinity
+from resourcekit.indicators import (
+    _STALL,
+    _STEPS,
+    LABELS,
+    _evaluate,
+    _line_search,
+    _value,
+    max_affinity,
+)
 
 from members import mixture, random_members
 from oracles import (
@@ -405,6 +415,99 @@ def test_no_oracle_answer_is_discarded(monkeypatch):
     assert calls == ["_Blocks"]
     res = rk.compute_indicator(rho, "entanglement", 2, 0.5, seed=123, max_iter=20)
     assert res.iterations == 20 and calls == ["_Blocks"]
+
+
+def _reference_evaluate(s, rho_a, beta):
+    """The hull objective written out plainly: f = Tr(rho_a sigma^beta), G by
+    Daleckii-Krein with eigenvalues floored at 1e-12 of the largest,
+    Tr(G sigma) as the sum of G * sigma^T, and eig(sigma)."""
+    w, v = np.linalg.eigh(s)
+    r = v.conj().T @ rho_a @ v
+    f = float(np.clip(w, 0.0, None) ** beta @ r.diagonal().real)
+    x = np.maximum(w, 1e-12 * w[-1])
+    lr = np.log(x)[:, None] - np.log(x)
+    same = lr == 0.0
+    lr[same] = 1.0
+    slopes = np.expm1(beta * lr) / np.expm1(lr)
+    slopes[same] = beta
+    g = v @ (slopes * x ** (beta - 1.0) * r) @ v.conj().T
+    return f, g, float(np.real(np.sum(g * s.T))), w
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+       st.lists(st.sampled_from((0.0, 1e-15, 0.1, 0.3, 1.0)), min_size=4, max_size=4),
+       st.booleans())
+def test_evaluate_matches_the_reference_formula(d, seed, alpha, spectrum, rotate):
+    # repeated eigenvalues, exactly (diagonal sigma) or to roundoff (rotated),
+    # and eigenvalues under the floor, which the gradient lifts to it
+    w = np.array(spectrum[:d]) + np.eye(d)[0]
+    w /= w.sum()
+    u = rk.random_unitary(d, [seed, 0]) if rotate else np.eye(d)
+    sigma = (u * w) @ u.conj().T
+    rho_a = rk.frac_power(rk.random_mixed([d], d, seed=[seed, 1]), alpha)
+    f, g, tr, ws = _evaluate(sigma, rho_a, 1.0 - alpha)
+    rf, rg, rtr, rws = _reference_evaluate(sigma, rho_a, 1.0 - alpha)
+    scale = np.abs(rg).max()
+    assert abs(f - rf) <= 1e-12 * max(abs(rf), 1.0)
+    assert np.abs(g - rg).max() <= 1e-12 * scale
+    assert abs(tr - rtr) <= 1e-12 * scale
+    assert ws.tobytes() == rws.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
+       st.booleans(), st.booleans())
+def test_grid_gain_bounds_every_step(d, seed, alpha, full_rank, gradient_atom):
+    # phi(t) = f(sigma + t (A - sigma)) is concave, so the best of the grid's
+    # log-steps gains at least 1/e of the best step of a dense scan of the
+    # same range: a grid gain <= _STALL leaves no step gaining > e * _STALL.
+    # The step taken scores at least the best grid node.
+    beta = 1.0 - alpha
+    rank = d if full_rank else 1 + seed % (d - 1)
+    sigma = rk.random_mixed([d], rank, seed=[seed, 0]).data
+    rho_a = rk.frac_power(rk.random_mixed([d], 1 + seed % d, seed=[seed, 1]), alpha)
+    f, g, _, _ = _evaluate(sigma, rho_a, beta)
+    psi = np.linalg.eigh(g)[1][:, -1] if gradient_atom else rk.random_pure([d], [seed, 2]).amps
+    atom = np.outer(psi, psi.conj())
+
+    def gains(u):
+        return _value(sigma + np.exp(u)[:, None, None] * (atom - sigma), rho_a, beta) - f
+
+    grid = gains(_STEPS).max()
+    dense = gains(np.linspace(_STEPS[0], _STEPS[-1], 2000)).max()
+    assert np.e * max(grid, 0.0) + 1e-15 >= dense
+    t, gain = _line_search(sigma, atom, f, rho_a, beta)
+    assert 0.0 < t <= 1.0
+    assert gain >= grid
+    assert gain == pytest.approx(gains(np.log([t]))[0], abs=1e-15)
+
+
+def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
+    # a Frank-Wolfe attempt that gains nothing costs one eigh of the stacked
+    # grid and no scalar search, and it ends the solve
+    from resourcekit import indicators
+    shapes, attempts = [], []
+    eigh, search = np.linalg.eigh, indicators._line_search
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def recorded(*args):
+        start = len(shapes)
+        t, gain = search(*args)
+        attempts.append((gain, shapes[start:]))
+        return t, gain
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(indicators, "_line_search", recorded)
+    rk.compute_indicator(rk.random_mixed([4], 2, seed=0), "coherence", 3, 0.5, seed=1,
+                         max_iter=300)
+    assert len(attempts) == 1
+    gain, calls = attempts[0]
+    assert gain <= _STALL
+    assert calls == [(len(_STEPS), 4, 4)]
 
 
 def test_product_hull_starts_on_the_coarsest_partitions():

@@ -7,6 +7,7 @@ import resourcekit as rk
 from resourcekit.errors import (
     BadIndex,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     NotPSD,
     TraceDeviation,
@@ -65,6 +66,29 @@ def test_a_state_owns_its_data():
         assert state.data[0, 0] == 0.5
         assert not state.data.flags.writeable
         assert rk.frac_power(state, 0.5).tobytes() == _frac_power_raw(state.data, 0.5).tobytes()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("matrix", [[[NAN, 0], [0, 0.5]], [[0.5, NAN], [NAN, 0.5]],
+                                    [[INF, 0], [0, 0.5]]])
+def test_validate_refuses_non_finite_entries(matrix):
+    # NaN compares false with every tolerance, so it must be caught first
+    with pytest.raises(NonFinite):
+        rk.validate(matrix, [2])
+
+
+def test_json_refuses_the_nan_literal():
+    # Python's json parses NaN; the state it describes must still be refused
+    with pytest.raises(NonFinite):
+        rk.state_from_json('{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+
+
+@pytest.mark.parametrize("amps", [[1, NAN], [INF, 1]])
+def test_pure_state_refuses_non_finite_amplitudes(amps):
+    with pytest.raises(NonFinite):
+        rk.pure_state(amps)
 
 
 def test_validate_clamps_small_negative_eigenvalue():
