@@ -14,10 +14,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import reduce
+from math import isfinite
 
 import numpy as np
 
-from .errors import ChannelInvalid, DimensionMismatch
+from .errors import ChannelInvalid, DimensionMismatch, NonFinite
 from .states import (
     DensityMatrix,
     _matrix_from_pairs,
@@ -60,7 +61,8 @@ def _completeness_defect(ops) -> float:
 
 
 def kraus_channel(ops) -> KrausChannel:
-    """Validate a Kraus family: non-empty, equal shapes, complete."""
+    """Validate a Kraus family: non-empty, equal shapes, complete.  A NaN or
+    infinite entry raises ``NonFinite``."""
     ops = tuple(np.ascontiguousarray(k, dtype=complex) for k in ops)
     if not ops:
         raise ChannelInvalid("empty Kraus list")
@@ -68,7 +70,11 @@ def kraus_channel(ops) -> KrausChannel:
     if any(k.shape != shape for k in ops):
         raise ChannelInvalid("Kraus operators differ in shape")
     defect = _completeness_defect(ops)
-    if defect > COMPLETENESS_TOL:
+    # the defect is NaN or infinite for a NaN or infinite entry (or by
+    # overflow), so only then are the entries themselves tested
+    if not isfinite(defect) and not all(np.isfinite(k).all() for k in ops):
+        raise NonFinite("a Kraus operator has a NaN or infinite entry")
+    if not defect <= COMPLETENESS_TOL:
         raise ChannelInvalid(f"sum K^dag K deviates from identity by {defect:.3e}")
     for k in ops:
         k.setflags(write=False)

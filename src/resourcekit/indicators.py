@@ -31,7 +31,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import (
+    minimize,  # unused here; its last reader is perfbench/tracing.py
+    minimize_scalar,
+)
+from scipy.optimize._lbfgsb import setulb
 
 from .affinity import _check_alpha, _clamped, _trace_product, alpha_affinity
 from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingError
@@ -60,6 +64,11 @@ _STALL = 1e-14        # hull solve: a Frank-Wolfe gain below this is roundoff
 _EIG_FLOOR = 1e-12    # hull gradient: eigenvalue floor, relative to the largest
 _FULL_RANK = 1e-8     # hull upper bound: smallest eigenvalue it needs, relative
 _STEPS = np.arange(-28.0, 1.0)   # Frank-Wolfe line search: log-steps u, step e^u
+_LBFGS_M = 10         # L-BFGS-B: stored correction pairs
+_LBFGS_MAXLS = 20     # L-BFGS-B: line-search steps per iteration
+_LBFGS_FACTR = 1e-15 / np.finfo(float).eps   # L-BFGS-B: relative reduction 1e-15
+_LBFGS_PGTOL = 1e-12  # L-BFGS-B: largest gradient entry that ends the run
+_LBFGS_MAXFUN = 15000  # L-BFGS-B: evaluations after which the next iteration stops
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
@@ -185,18 +194,59 @@ def _line_search(s, atom, f, rho_a, beta):
     return t, best - f
 
 
+def _lbfgs(fun, x, maxiter):
+    """Minimize ``fun(x) -> (f, gradient)`` from x by unbounded L-BFGS-B
+    (Byrd, Lu, Nocedal & Zhu 1995), run by scipy's compiled core ``setulb``
+    in the reverse-communication loop of scipy's ``minimize``: the same
+    iterates and evaluations, without that wrapper's per-evaluation layers.
+    Task 3 asks for f and the gradient at x; a step too small to move x
+    reuses the last ones, as the wrapper's cache does.  Task 1 reports a
+    new iterate.  The run stops at ``maxiter`` iterates or past
+    _LBFGS_MAXFUN evaluations (task 5), or when setulb converges or gives
+    up.  ``fun`` must not keep x, which setulb overwrites.  Returns
+    (x, iterations)."""
+    x = np.array(x, dtype=float)
+    n, m = x.size, _LBFGS_M
+    f, g, free = 0.0, np.zeros(n), np.zeros(n)
+    last = np.full(n, np.nan)   # x of the last evaluation; NaN equals no x
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    nit = nfev = 0
+    while True:
+        setulb(m, x, free, free, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL, wa, iwa,
+               task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task)
+        if task[0] == 3:
+            if not (x == last).all():
+                f, g = fun(x)
+                nfev += 1
+                last[:] = x
+        elif task[0] == 1:
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > _LBFGS_MAXFUN:
+                task[:] = 5, 502
+        else:
+            return x, nit
+
+
 def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     """Maximize f(sigma) = Tr(rho^alpha sigma^beta), beta = 1 - alpha, over a
-    family's convex hull, with L-BFGS on the factors that ``hull`` maps to
-    sigma (Burer-Monteiro), viewing one complex vector z as floats; its
-    layout is fixed for an L-BFGS run.  f is concave, so with G its gradient,
-    gap = max over atoms of <atom|G|atom> - Tr(G sigma) bounds the distance
-    to the maximum when the hull's oracle is exact.  Where L-BFGS stalls (a
-    zero factor keeps a zero gradient, or too few components) a Frank-Wolfe
-    step adds the oracle's atom.  One stacked evaluation on a log-step grid
-    decides the step (:func:`_line_search`): a best grid gain of at most
-    _STALL, which bounds every step's gain by e * _STALL, ends the solve.
-    At the cap only a certified hull asks the oracle."""
+    family's convex hull, with L-BFGS-B through scipy's compiled core,
+    without the ``minimize`` wrapper (:func:`_lbfgs`), on the factors that
+    ``hull`` maps to sigma (Burer-Monteiro), viewing one complex vector z
+    as floats; its layout is fixed for an L-BFGS run.  f is concave, so
+    with G its gradient, gap = max over atoms of <atom|G|atom> - Tr(G sigma)
+    bounds the distance to the maximum when the hull's oracle is exact.
+    Where L-BFGS stalls (a zero factor keeps a zero gradient, or too few
+    components) a Frank-Wolfe step adds the oracle's atom.  One stacked
+    evaluation on a log-step grid decides the step (:func:`_line_search`):
+    a best grid gain of at most _STALL, which bounds every step's gain by
+    e * _STALL, ends the solve.  At the cap only a certified hull asks the
+    oracle."""
     beta = 1.0 - alpha
 
     def objective(theta):
@@ -213,11 +263,9 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     (z, layout), iterations, gap = hull.start, 0, np.inf
     while True:
         if iterations < max_iter:
-            res = minimize(objective, z.view(float), jac=True, method="L-BFGS-B",
-                           options={"maxiter": max_iter - iterations, "ftol": 1e-15,
-                                    "gtol": 1e-12})
-            iterations += int(res.nit)
-            z = res.x.view(complex)
+            x, nit = _lbfgs(objective, z.view(float), max_iter - iterations)
+            iterations += nit
+            z = x.view(complex)
         f, g, tr, w = _evaluate(s := hull.map((z, layout))[0], rho_a, beta)
         if iterations >= max_iter and not hull.certified:
             break

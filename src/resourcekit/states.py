@@ -182,11 +182,15 @@ def validate(matrix, dims) -> DensityMatrix:
 
 def pure_state(amps, dims=None) -> PureState:
     """Normalize an amplitude vector and canonicalize its global phase; a
-    NaN or infinite amplitude raises ``NonFinite``."""
+    NaN or infinite amplitude raises ``NonFinite``.  Finite amplitudes whose
+    norm overflows are first scaled by the largest |a_i|."""
     a = np.asarray(amps, dtype=complex).ravel()
     norm = float(np.linalg.norm(a))
-    if not isfinite(norm) and not np.isfinite(a).all():   # as in validate
-        raise NonFinite("amplitude vector has a NaN or infinite entry")
+    if not isfinite(norm):
+        if not np.isfinite(a).all():   # as in validate
+            raise NonFinite("amplitude vector has a NaN or infinite entry")
+        a = a / np.abs(a).max()
+        norm = float(np.linalg.norm(a))
     if norm < 1e-12:
         raise DimensionMismatch("amplitude vector has (near-)zero norm")
     a = a / norm

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import resourcekit as rk
 from resourcekit.affinity import _outcomes
 from resourcekit.channels import OUTCOME_THRESHOLD
-from resourcekit.errors import ChannelInvalid, DimensionMismatch
+from resourcekit.errors import ChannelInvalid, DimensionMismatch, NonFinite
 from resourcekit.feasible import WitnessComponent, coherent_rank_pure, factorize_pure
 from resourcekit.verify import _selective_witnesses
 
@@ -129,6 +129,33 @@ def test_kraus_validation_errors():
         rk.unitary_channel(np.diag([1.0, 0.5]))
     with pytest.raises(DimensionMismatch):
         rk.apply(rk.identity_channel(3), rk.random_mixed([2], 2, seed=20))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ops", [[[[NAN, 0], [0, 1]]],
+                                 [[[1, 0], [0, INF]]],
+                                 [[[1, 0], [0, 0]], [[0, 0], [NAN, 0]]]])
+def test_kraus_channel_refuses_non_finite_entries(ops):
+    # a NaN completeness defect compares false with the tolerance, so
+    # non-finite entries must be caught first
+    with pytest.raises(NonFinite):
+        rk.kraus_channel([np.array(k, dtype=complex) for k in ops])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kraus_channel_refuses_an_overflowing_defect():
+    # finite entries whose defect overflows are incomplete, not non-finite
+    with pytest.raises(ChannelInvalid):
+        rk.kraus_channel([np.array([[1e200, -1e200], [1e200, 1e200]])])
+
+
+def test_channel_json_refuses_the_nan_literal():
+    # Python's json parses NaN; the channel it describes must still be refused
+    with pytest.raises(NonFinite):
+        rk.channel_from_json('{"kraus": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
 
 
 def _monomial(chan):

@@ -1,4 +1,5 @@
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -347,24 +348,88 @@ def test_correlation_beats_the_product_oracle_bracket():
 
 def test_no_nelder_mead_anywhere(monkeypatch):
     # every optimizer call of the correlation suite and of each correlation
-    # label is L-BFGS on the hull, with an uncertified upper end
+    # label is L-BFGS-B on the hull, run by _lbfgs, with an uncertified
+    # upper end; scipy's minimize wrapper is on no solve path
     from resourcekit import indicators
     from resourcekit.verify import all_passed, run_suite
-    methods = []
-    original = indicators.minimize
+    runs = []
+    original = indicators._lbfgs
 
-    def recording(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return original(*args, **kwargs)
+    def recording(fun, x, maxiter):
+        runs.append(maxiter)
+        return original(fun, x, maxiter)
 
-    monkeypatch.setattr(indicators, "minimize", recording)
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize reached from a solve")
+
+    monkeypatch.setattr(indicators, "_lbfgs", recording)
+    monkeypatch.setattr(indicators, "minimize", refused)
     assert all_passed(run_suite("theorem2", 3, 4))
+    suite_runs = len(runs)
     rho = rk.random_mixed([2, 2, 2], 8, seed=72)
     for label in LABELS[2:]:
         res = rk.compute_indicator(rho, label, 2, 0.5, seed=73, max_iter=100)
         assert rk.check_witness(res, rho)
         assert res.affinity_upper == 1.0
-    assert methods and set(methods) == {"L-BFGS-B"}
+    assert 0 < suite_runs < len(runs)
+
+
+def _hull_objective(hull, rho_a, beta, rejects):
+    """The hull solver's objective on ``hull``'s start layout, counting its
+    evaluations; where ``rejects(theta)`` holds it rejects the step, as
+    _hull_max does a failed or non-finite one."""
+    from resourcekit.indicators import _evaluate
+    layout, calls = hull.start[1], {"fg": 0, "rejected": 0}
+
+    def objective(theta):
+        calls["fg"] += 1
+        if rejects(theta):
+            calls["rejected"] += 1
+            return np.inf, np.zeros_like(theta)
+        s, pullback = hull.map((theta.view(complex), layout))
+        f, g, tr, _ = _evaluate(s, rho_a, beta)
+        return -f, -pullback(g, tr).view(float)
+    return objective, calls
+
+
+REJECTS = {
+    "none": lambda x0: lambda theta: False,
+    # about one point in two past the start
+    "scattered": lambda x0: lambda theta: (zlib.crc32(theta.tobytes()) % 2 == 0
+                                           and theta.tobytes() != x0.tobytes()),
+}
+
+
+@pytest.mark.parametrize("kind,dims,k,seed", [("multilevel", (3,), 2, 74),
+                                              ("producible", (2, 2, 2), 1, 77)])
+@pytest.mark.parametrize("maxiter", [4, 2000])
+@pytest.mark.parametrize("reject", sorted(REJECTS))
+def test_lbfgs_driver_matches_scipy_bit_for_bit(kind, dims, k, seed, maxiter, reject):
+    # _lbfgs drives scipy's private setulb; scipy's minimize is the
+    # reference for its iterates, iteration count and evaluations: runs
+    # stopped at their cap, runs to convergence (both ask for f and the
+    # gradient again at an unchanged x, which the last evaluation answers),
+    # and runs with steps rejected as (inf, 0)
+    from scipy.optimize import minimize
+
+    from resourcekit.feasible import _Blocks, _Products
+    from resourcekit.indicators import _lbfgs
+    d, alpha = int(np.prod(dims)), 0.5
+    rho_a = rk.frac_power(rk.random_mixed(list(dims), d, seed=seed), alpha)
+    family = rk.build_family(kind, dims, k)
+    hull = _Blocks(family) if kind == "multilevel" else _Products(family, None, 75)
+    x0 = hull.start[0].view(float)
+    ours, mine = _hull_objective(hull, rho_a, 1.0 - alpha, REJECTS[reject](x0))
+    theirs, ref = _hull_objective(hull, rho_a, 1.0 - alpha, REJECTS[reject](x0))
+    x, nit = _lbfgs(ours, x0, maxiter)
+    res = minimize(theirs, x0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-12})
+    assert x.tobytes() == res.x.tobytes()
+    assert nit == res.nit and mine == ref
+    assert (mine["rejected"] > 0) == (reject != "none")
+    if reject == "none":
+        assert (nit == maxiter) == (maxiter == 4)
+    assert x0.tobytes() == hull.start[0].view(float).tobytes()   # the start is not written
 
 
 @pytest.mark.parametrize("kind,dims,k", [

@@ -91,6 +91,17 @@ def test_pure_state_refuses_non_finite_amplitudes(amps):
         rk.pure_state(amps)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("amps,expected", [([1e200, 1], [1, 1e-200]),
+                                           ([1e300, 1e300], [2 ** -0.5, 2 ** -0.5])])
+def test_pure_state_normalizes_amplitudes_whose_norm_overflows(amps, expected):
+    # the norm of these finite amplitudes overflows; scaled by the largest
+    # |a_i| first, they still normalize
+    psi = rk.pure_state(amps)
+    assert np.abs(psi.amps - np.array(expected)).max() <= 1e-15
+    assert psi.amps[1] != 0.0
+
+
 def test_validate_clamps_small_negative_eigenvalue():
     u = rk.random_unitary(3, seed=5)
     w = np.array([0.7, 0.3 + 5e-11, -5e-11])
