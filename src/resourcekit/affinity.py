@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveEntry,
 )
-from .states import DensityMatrix, _frac_power_raw, frac_power
+from .states import DensityMatrix, _frac_power_raw, _power, _spectra
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -33,23 +33,30 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _trace_product(a_pow: np.ndarray, b_pow: np.ndarray) -> float:
-    """Tr(a_pow b_pow), which must be real up to IMAG_RESIDUE_TOL."""
-    val = np.trace(a_pow @ b_pow)
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"imaginary residue {val.imag:.3e} exceeds {IMAG_RESIDUE_TOL}")
-    return float(val.real)
+def _trace_product(a_pow: np.ndarray, b_pow: np.ndarray):
+    """Tr(a_pow b_pow), which must be real up to IMAG_RESIDUE_TOL, over
+    leading axes: a float for two matrices, (nested) lists of floats for
+    stacks, where the first residue past the tolerance raises."""
+    val = (a_pow @ b_pow).trace(axis1=-2, axis2=-1)
+    residue = abs(val.imag) > IMAG_RESIDUE_TOL
+    if np.count_nonzero(residue):
+        first = np.ravel(val.imag)[np.argmax(residue)]
+        raise ArithmeticError(f"imaginary residue {first:.3e} exceeds {IMAG_RESIDUE_TOL}")
+    return val.real.tolist()
 
 
-def _affinity_raw(a: np.ndarray, b: np.ndarray, alpha: float) -> float:
-    """Tr(a^alpha b^(1-alpha)) for PSD matrices of any trace."""
+def _affinity_raw(a: np.ndarray, b: np.ndarray, alpha: float):
+    """Tr(a^alpha b^(1-alpha)) for PSD matrices of any trace, over leading
+    axes (see :func:`_trace_product`)."""
     return _trace_product(_frac_power_raw(a, alpha), _frac_power_raw(b, 1.0 - alpha))
 
 
-def _state_affinity(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
+def _state_affinity(rho, sigma, alpha: float):
     """``_affinity_raw(rho.data, sigma.data, alpha)``, bit for bit, from the
-    states' cached eigendecompositions; unclamped."""
-    return _trace_product(frac_power(rho, alpha), frac_power(sigma, 1.0 - alpha))
+    states' eigendecompositions (:func:`_spectra`); unclamped.  For two
+    equal-length sequences of states of one dimension, the list of their
+    pairs' affinities, with one power per side."""
+    return _trace_product(_power(*_spectra(rho), alpha), _power(*_spectra(sigma), 1.0 - alpha))
 
 
 def _clamped(val: float) -> float:
@@ -155,12 +162,32 @@ def _check_pair(channel, rho, sigma):
         raise DimensionMismatch("rho and sigma dimensions differ")
 
 
-def _outcomes(channel: KrausChannel, rho, sigma, alpha):
-    """(p, q, r, s, A(r, s)) for each Kraus operator K, in order: r = K rho K^dag
-    and s = K sigma K^dag unnormalized, p and q their traces, A unclamped."""
-    return [(p, q, r, s, _affinity_raw(r, s, alpha))
-            for (p, r), (q, s) in zip(_conjugates(channel, rho.data),
-                                      _conjugates(channel, sigma.data))]
+def _outcomes(channels, rhos, sigmas, alpha):
+    """For each sample of three equal-length sequences (channel, rho, sigma)
+    of one shape (dimension and outcome count), the list of (p, q, r, s,
+    A(r, s)) for each Kraus operator K, in order: r = K rho K^dag and
+    s = K sigma K^dag unnormalized, p and q their traces, A unclamped.  One
+    stacked conjugation, eigh and power per side serves every sample."""
+    kraus = np.array([channel.kraus for channel in channels])
+    p, r = _conjugates(kraus, np.array([rho.data for rho in rhos]))
+    q, s = _conjugates(kraus, np.array([sigma.data for sigma in sigmas]))
+    return [list(zip(*row))
+            for row in zip(p.tolist(), q.tolist(), r, s, _affinity_raw(r, s, alpha))]
+
+
+def _block_affinities(outcomes, alpha):
+    """A(diag(r_1, ..., r_m), diag(s_1, ..., s_m)), the affinity of the
+    flag-register block-diagonal pair of each sample's outcomes (samples of
+    one shape), with one eigh and power per side for the stack of pairs."""
+    r = np.array([[o[2] for o in outs] for outs in outcomes])
+    s = np.array([[o[3] for o in outs] for outs in outcomes])
+    n, m, d = r.shape[:3]
+    br = np.zeros((n, d * m, d * m), dtype=complex)
+    bs = np.zeros((n, d * m, d * m), dtype=complex)
+    for i in range(m):
+        br[:, i * d:(i + 1) * d, i * d:(i + 1) * d] = r[:, i]
+        bs[:, i * d:(i + 1) * d, i * d:(i + 1) * d] = s[:, i]
+    return _affinity_raw(br, bs, alpha)
 
 
 def _power_sum(outcomes, alpha, seed):
@@ -176,18 +203,11 @@ def _power_sum(outcomes, alpha, seed):
     return _cert("selective-power-sum", lhs, rhs, alpha=alpha, seed=seed)
 
 
-def _block_diagonal(outcomes, alpha, seed):
-    m = len(outcomes)
-    d = outcomes[0][2].shape[0]
-    br = np.zeros((d * m, d * m), dtype=complex)
-    bs = np.zeros((d * m, d * m), dtype=complex)
+def _block_diagonal(outcomes, block, alpha, seed):
     rhs = 0.0
-    for i, (_, _, r, s, a) in enumerate(outcomes):
-        br[i * d:(i + 1) * d, i * d:(i + 1) * d] = r
-        bs[i * d:(i + 1) * d, i * d:(i + 1) * d] = s
+    for *_, a in outcomes:
         rhs += max(a, 0.0)
-    lhs = _affinity_raw(br, bs, alpha)
-    return _cert("block-diagonal-equality", lhs, rhs, equality=True, alpha=alpha, seed=seed)
+    return _cert("block-diagonal-equality", block, rhs, equality=True, alpha=alpha, seed=seed)
 
 
 def _dominance(outcomes, whole, alpha, seed):
@@ -216,7 +236,7 @@ def selective_power_sum(rho, sigma, channel: KrausChannel, alpha: float,
     """
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    return _power_sum(_outcomes(channel, rho, sigma, alpha), alpha, seed)
+    return _power_sum(_outcomes([channel], [rho], [sigma], alpha)[0], alpha, seed)
 
 
 def block_diagonal_affinity(rho, sigma, channel: KrausChannel, alpha: float,
@@ -225,7 +245,8 @@ def block_diagonal_affinity(rho, sigma, channel: KrausChannel, alpha: float,
     states equals the outcome-wise sum of unnormalized affinities."""
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    return _block_diagonal(_outcomes(channel, rho, sigma, alpha), alpha, seed)
+    outcomes = _outcomes([channel], [rho], [sigma], alpha)
+    return _block_diagonal(outcomes[0], _block_affinities(outcomes, alpha)[0], alpha, seed)
 
 
 def data_processing_sum(rho, sigma, channel: KrausChannel, alpha: float,
@@ -233,7 +254,7 @@ def data_processing_sum(rho, sigma, channel: KrausChannel, alpha: float,
     """Certificate for A(rho, sigma) <= sum_i A(K_i rho K_i^dag, K_i sigma K_i^dag)."""
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    return _dominance(_outcomes(channel, rho, sigma, alpha),
+    return _dominance(_outcomes([channel], [rho], [sigma], alpha)[0],
                       _state_affinity(rho, sigma, alpha), alpha, seed)
 
 
@@ -242,18 +263,22 @@ def selective_loss_bound(rho, sigma, channel: KrausChannel, alpha: float,
     """Certificate for sum_i p_i {1 - A(rho_i, sigma_i)^(1/a)} <= 1 - A(rho, sigma)^(1/a)."""
     alpha = _check_alpha(alpha)
     _check_pair(channel, rho, sigma)
-    return _loss(_outcomes(channel, rho, sigma, alpha),
+    return _loss(_outcomes([channel], [rho], [sigma], alpha)[0],
                  _state_affinity(rho, sigma, alpha), alpha, seed)
 
 
-def _channel_certificates(rho, sigma, channel: KrausChannel, alpha: float,
-                          seed=None) -> list[InequalityCertificate]:
+def _channel_certificates(rhos, sigmas, channels, alpha: float,
+                          seed=None) -> list[list[InequalityCertificate]]:
     """:func:`selective_power_sum`, :func:`data_processing_sum`,
     :func:`selective_loss_bound` and :func:`block_diagonal_affinity`, in that
-    order, from one pass through the outcomes."""
+    order, for each sample of three equal-length sequences of one shape,
+    from one pass through the outcomes (:func:`_outcomes`)."""
     alpha = _check_alpha(alpha)
-    _check_pair(channel, rho, sigma)
-    outcomes = _outcomes(channel, rho, sigma, alpha)
-    whole = _state_affinity(rho, sigma, alpha)
-    return [_power_sum(outcomes, alpha, seed), _dominance(outcomes, whole, alpha, seed),
-            _loss(outcomes, whole, alpha, seed), _block_diagonal(outcomes, alpha, seed)]
+    for rho, sigma, channel in zip(rhos, sigmas, channels):
+        _check_pair(channel, rho, sigma)
+    outcomes = _outcomes(channels, rhos, sigmas, alpha)
+    wholes = _state_affinity(rhos, sigmas, alpha)
+    blocks = _block_affinities(outcomes, alpha)
+    return [[_power_sum(outs, alpha, seed), _dominance(outs, whole, alpha, seed),
+             _loss(outs, whole, alpha, seed), _block_diagonal(outs, block, alpha, seed)]
+            for outs, whole, block in zip(outcomes, wholes, blocks)]

@@ -53,11 +53,14 @@ class KrausChannel:
 
 
 def _completeness_defect(ops) -> float:
+    """max |sum K^dag K - I|; NaN or infinite, without a warning, for
+    non-finite or overflowing entries."""
     d_in = ops[0].shape[1]
     acc = np.zeros((d_in, d_in), dtype=complex)
-    for k in ops:
-        acc += k.conj().T @ k
-    return float(np.abs(acc - np.eye(d_in)).max())
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in ops:
+            acc += k.conj().T @ k
+        return float(np.abs(acc - np.eye(d_in)).max())
 
 
 def kraus_channel(ops) -> KrausChannel:
@@ -87,21 +90,39 @@ def _check_compat(channel: KrausChannel, rho: DensityMatrix) -> None:
             f"channel acts on dimension {channel.d_in}, state has {rho.d}")
 
 
-def _conjugates(channel: KrausChannel, data: np.ndarray):
-    """(trace, K data K^dag) for each Kraus operator K, in order."""
-    for k in channel.kraus:
-        out = k @ data @ k.conj().T
-        yield float(np.real(np.trace(out))), out
+def _conjugates(kraus: np.ndarray, data: np.ndarray):
+    """Real traces and conjugates K data K^dag for the Kraus operators K of
+    ``kraus``, shape (..., m, d_out, d_in), and states ``data``, shape
+    (..., d_in, d_in), over leading axes: shapes (..., m) and
+    (..., m, d_out, d_out), in operator order."""
+    out = kraus @ data[..., None, :, :] @ kraus.conj().swapaxes(-1, -2)
+    return np.real(np.trace(out, axis1=-2, axis2=-1)), out
+
+
+def _summed(parts: np.ndarray) -> np.ndarray:
+    """sum_i parts[..., i, :, :], accumulated from zero in operator order."""
+    out = np.zeros(parts.shape[:-3] + parts.shape[-2:], dtype=complex)
+    for i in range(parts.shape[-3]):
+        out += parts[..., i, :, :]
+    return out
+
+
+def _post_states(p: np.ndarray, out: np.ndarray, dims):
+    """(probability, post-state) of one application's outcomes above
+    OUTCOME_THRESHOLD, from its traces and conjugates (:func:`_conjugates`)."""
+    return [(pi, _trusted(part / pi, dims)) for pi, part in zip(p.tolist(), out)
+            if pi > OUTCOME_THRESHOLD]
+
+
+def _out_dims(channel: KrausChannel, rho: DensityMatrix):
+    return rho.dims if channel.d_out == rho.d else (channel.d_out,)
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective application sum_i K_i rho K_i^dag, revalidated."""
     _check_compat(channel, rho)
-    out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-    for _, part in _conjugates(channel, rho.data):
-        out += part
-    dims = rho.dims if channel.d_out == rho.d else (channel.d_out,)
-    return validate(out, dims)
+    parts = _conjugates(np.array(channel.kraus), rho.data)[1]
+    return validate(_summed(parts), _out_dims(channel, rho))
 
 
 def selective_apply(channel: KrausChannel, rho: DensityMatrix):
@@ -111,9 +132,8 @@ def selective_apply(channel: KrausChannel, rho: DensityMatrix):
     undefined and they contribute below numerical noise.
     """
     _check_compat(channel, rho)
-    dims = rho.dims if channel.d_out == rho.d else (channel.d_out,)
-    return [(p, _trusted(out / p, dims)) for p, out in _conjugates(channel, rho.data)
-            if p > OUTCOME_THRESHOLD]
+    return _post_states(*_conjugates(np.array(channel.kraus), rho.data),
+                        _out_dims(channel, rho))
 
 
 def identity_channel(d: int) -> KrausChannel:

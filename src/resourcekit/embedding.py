@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+
 import numpy as np
 
 from .errors import (DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOfRange,
@@ -51,11 +53,13 @@ def _flagged(d: int, level, ancillas):
     return level * 2 ** d + (ancillas ^ (1 << (d - 1 - level)))
 
 
+@cache
 def build_embedding(d: int) -> EmbeddingMap:
     """Flag unitary: the permutation matrix of the flag rule.
 
     The rule flips one bit, so the unitary is a real 0/1 permutation matrix
-    and its own inverse.
+    and its own inverse.  The map is immutable (its unitary is read-only),
+    so one is built per d and shared.
     """
     if not MIN_D <= d <= MAX_D:
         raise DTooLarge(f"embedding supports {MIN_D} <= d <= {MAX_D}, got {d}")

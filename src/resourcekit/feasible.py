@@ -133,11 +133,16 @@ def _assemble_product(dims, parts, factor_amps) -> np.ndarray:
 
 
 def _reduced(tensor_amps: np.ndarray, dims, subset) -> np.ndarray:
+    """Reduced state of the subsystems in ``subset`` (ascending order) of a
+    pure state: the transpose, reshape and dot that
+    ``np.tensordot(psi, psi.conj(), axes=(rest, rest))`` runs, bit for bit,
+    without its argument handling."""
+    keep = [i for i in range(len(dims)) if i in subset]
+    rest = [i for i in range(len(dims)) if i not in subset]
+    dk = prod(dims[i] for i in keep)
     shaped = tensor_amps.reshape(dims)
-    comp = [i for i in range(len(dims)) if i not in subset]
-    red = np.tensordot(shaped, shaped.conj(), axes=(comp, comp))
-    dk = prod(dims[i] for i in subset)
-    return red.reshape(dk, dk)
+    return np.dot(shaped.transpose(keep + rest).reshape(dk, -1),
+                  shaped.conj().transpose(rest + keep).reshape(-1, dk))
 
 
 def _top_eigvec(mat: np.ndarray) -> np.ndarray:

@@ -53,6 +53,8 @@ from .feasible import (
 from .states import (
     DensityMatrix,
     _frac_power_raw,  # unused here; its last reader is perfbench/sweep.py
+    _power,
+    _spectra,
     _trusted,
     frac_power,
 )
@@ -299,13 +301,14 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
 # Closed form for coherence order 2 (diagonal witnesses).
 # ---------------------------------------------------------------------------
 
-def _k2_weights(rho_a: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+def _k2_weights(rho_a: np.ndarray, alpha: float):
     """Optimal order-2 diagonal weights q and s = sum_i a_i^(1/alpha), with
-    a_i the diagonal of rho^alpha (given as ``rho_a``): q_i = a_i^(1/alpha) / s."""
-    a = np.clip(np.real(np.diag(rho_a)), 0.0, None)
+    a_i the diagonal of rho^alpha (given as ``rho_a``): q_i = a_i^(1/alpha) / s.
+    Over leading axes: for a stack of matrices s is a list of floats."""
+    a = np.real(np.diagonal(rho_a, axis1=-2, axis2=-1)).clip(0.0)
     q = a ** (1.0 / alpha)
-    s = float(q.sum())
-    return q / s, s
+    s = q.sum(axis=-1)
+    return q / s[..., None], s.tolist()
 
 
 def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
@@ -315,9 +318,16 @@ def closed_form_k2(rho: DensityMatrix, alpha: float) -> tuple[float, float]:
     weights proportional to a_i^(1/alpha), so the maximal affinity is
     (sum_i a_i^(1/alpha))^alpha.
     """
+    return _closed_forms([rho], alpha)[0]
+
+
+def _closed_forms(states, alpha: float) -> list[tuple[float, float]]:
+    """:func:`closed_form_k2` of each state of a sequence of one dimension,
+    from one stacked power (:func:`_spectra` decomposes the states not yet
+    decomposed with one eigh)."""
     alpha = _check_alpha(alpha)
-    s = _k2_weights(frac_power(rho, alpha), alpha)[1]
-    return 1.0 - s ** alpha, 1.0 - s
+    return [(1.0 - s ** alpha, 1.0 - s)
+            for s in _k2_weights(_power(*_spectra(states), alpha), alpha)[1]]
 
 
 def _diagonal_max(rho, rho_a, alpha, family, witness) -> MaxAffinityResult:

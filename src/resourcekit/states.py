@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
-from math import isfinite, prod
+from math import isfinite, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +54,10 @@ class DensityMatrix:
     ``eigh((data + data^dag) / 2)``, computed on first use (or by
     :func:`validate`, which has it anyway) and frozen.  :func:`frac_power`,
     :func:`spectral` and the affinity read it, so a state is decomposed
-    once however often it is used.  Two threads that race to fill it
-    compute the same value.
+    once however often it is used.  States of one dimension can be
+    decomposed together, with one stacked ``eigh`` (:func:`_spectra`); each
+    keeps its row, bit-identical to decomposing it alone.  Two threads that
+    race to fill it compute the same value.
     """
 
     dims: tuple[int, ...]
@@ -144,40 +146,60 @@ def validate(matrix, dims) -> DensityMatrix:
     caller's array stays writable, and writing it later leaves the state as
     it was.
     """
-    arr = np.array(matrix, dtype=complex, order="C")
+    return _validated(np.array(matrix, dtype=complex, order="C")[None], dims)[0]
+
+
+def _validated(stack: np.ndarray, dims) -> list[DensityMatrix]:
+    """:func:`validate` for every matrix of a C-contiguous complex stack of
+    shape (n, d, d) on one ``dims``, with one ``eigh`` for the stack; each
+    state keeps its row (the stack is owned by the states from then on).
+    A stack that fails a check is checked again one matrix at a time, so it
+    raises what validate raises on its first failing matrix."""
+    def reject(exc):
+        if len(stack) > 1:
+            for i in range(len(stack)):
+                _validated(stack[i:i + 1], dims)
+        raise exc
+
     # sum |m_ij|^2 is NaN or infinite for a NaN or infinite entry (or, past
     # 1e154, by overflow), so only then are the entries themselves tested
-    if not isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
-        raise NonFinite("matrix has a NaN or infinite entry")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    dims = _check_dims(dims, arr.shape[0])
+    if not isfinite(np.vdot(stack, stack).real) and not np.isfinite(stack).all():
+        reject(NonFinite("matrix has a NaN or infinite entry"))
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {stack.shape[1:]}")
+    dims = _check_dims(dims, stack.shape[1])
 
-    herm_dev = float(np.abs(arr - arr.conj().T).max())
+    herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max()
     if herm_dev > HERM_TOL:
-        raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} > {HERM_TOL}")
+        reject(NotHermitian(f"max |m - m^dag| = {herm_dev:.3e} > {HERM_TOL}"))
 
-    w, v = _eigh(arr)
-    if w[0] < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} < -{PSD_TOL}")
+    w, v = _eigh(stack)
+    low = min(w[:, 0].tolist())
+    if low < -PSD_TOL:
+        reject(NotPSD(f"eigenvalue {low:.3e} < -{PSD_TOL}"))
 
-    tr = float(np.real(np.trace(arr)))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceDeviation(f"|trace - 1| = {abs(tr - 1.0):.3e} > {TRACE_TOL}")
+    traces = stack.trace(axis1=1, axis2=2).real.tolist()
+    dev = max(abs(tr - 1.0) for tr in traces)
+    if dev > TRACE_TOL:
+        reject(TraceDeviation(f"|trace - 1| = {dev:.3e} > {TRACE_TOL}"))
 
-    if w[0] < -CLAMP_NOISE:
-        shift = float(-w[w < 0].sum())
-        if shift > RENORM_GUARD:
-            raise NotPSD(f"accumulated negative mass {shift:.3e} > {RENORM_GUARD}")
-        repaired = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        repaired /= np.real(np.trace(repaired))
-        return DensityMatrix(dims, _freeze(repaired))
-
-    if abs(tr - 1.0) > 1e-12:
-        return DensityMatrix(dims, _freeze(arr / tr))
-    rho = DensityMatrix(dims, _freeze(arr))
-    rho._cache(w, v)
-    return rho
+    states = []
+    for m, wi, vi, tr in zip(stack, w, v, traces):
+        if wi[0] < -CLAMP_NOISE:
+            # every earlier matrix passed every check: this one fails first
+            shift = float(-wi[wi < 0].sum())
+            if shift > RENORM_GUARD:
+                raise NotPSD(f"accumulated negative mass {shift:.3e} > {RENORM_GUARD}")
+            repaired = (vi * np.clip(wi, 0.0, None)) @ vi.conj().T
+            repaired /= np.real(np.trace(repaired))
+            states.append(DensityMatrix(dims, _freeze(repaired)))
+        elif abs(tr - 1.0) > 1e-12:
+            states.append(DensityMatrix(dims, _freeze(m / tr)))
+        else:
+            rho = DensityMatrix(dims, _freeze(m))
+            rho._cache(wi, vi)
+            states.append(rho)
+    return states
 
 
 def pure_state(amps, dims=None) -> PureState:
@@ -185,12 +207,12 @@ def pure_state(amps, dims=None) -> PureState:
     NaN or infinite amplitude raises ``NonFinite``.  Finite amplitudes whose
     norm overflows are first scaled by the largest |a_i|."""
     a = np.asarray(amps, dtype=complex).ravel()
-    norm = float(np.linalg.norm(a))
+    norm = _norm(a)
     if not isfinite(norm):
         if not np.isfinite(a).all():   # as in validate
             raise NonFinite("amplitude vector has a NaN or infinite entry")
         a = a / np.abs(a).max()
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
     if norm < 1e-12:
         raise DimensionMismatch("amplitude vector has (near-)zero norm")
     a = a / norm
@@ -201,6 +223,13 @@ def pure_state(amps, dims=None) -> PureState:
     lead = a[nz[0]]
     a = a * (abs(lead) / lead)
     return PureState(dims, _freeze(np.ascontiguousarray(a)))
+
+
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, bit for bit (its own formula),
+    without numpy's overflow warning: a norm that overflows is inf."""
+    with np.errstate(over="ignore"):
+        return sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
 
 
 def basis_pure(dims, index: int) -> PureState:
@@ -239,15 +268,31 @@ _FLUSH = 64 * np.finfo(float).eps
 
 
 def _eigh(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh((data + data.conj().T) / 2)
+    """eigh of the Hermitian part, over leading axes."""
+    return np.linalg.eigh((data + data.conj().swapaxes(-1, -2)) / 2)
+
+
+def _spectra(states) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of a state, or those of a sequence of states of
+    one dimension stacked along a leading axis, where the states not yet
+    decomposed are decomposed with one ``eigh`` and cache their row."""
+    if isinstance(states, DensityMatrix):
+        return states._spectrum()
+    todo = [rho for rho in states if rho._eig is None]
+    if todo:
+        for rho, w, v in zip(todo, *_eigh(np.array([rho.data for rho in todo]))):
+            rho._cache(w, v)
+    return np.array([rho._eig[0] for rho in states]), np.array([rho._eig[1] for rho in states])
 
 
 def _power(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """v diag(w^t) v^dag with w clipped at zero and flushed below the floor."""
-    w = np.clip(w, 0.0, None)
-    w[w < _FLUSH * w.max()] = 0.0
+    """v diag(w^t) v^dag with w clipped at zero and flushed below the floor,
+    over leading axes.  ``t`` is one scalar for the stack: numpy's ``**``
+    with an array of exponents is not bit-identical to it."""
+    w = w.clip(0.0)    # np.clip(w, 0.0, None) without its wrapper
+    w[w < _FLUSH * w.max(axis=-1, keepdims=True)] = 0.0
     w = w ** t
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _frac_power_raw(data: np.ndarray, t: float) -> np.ndarray:
@@ -290,8 +335,13 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.d != b.d:
         raise DimensionMismatch(f"state dimensions differ: {a.d} vs {b.d}")
-    vals = np.linalg.eigvalsh(a.data - b.data)
-    return float(np.abs(vals).sum() / 2)
+    return _half_trace_norms(a.data - b.data)
+
+
+def _half_trace_norms(x: np.ndarray):
+    """Half the trace norm of a Hermitian matrix, over leading axes: a float,
+    or a list of floats for a stack."""
+    return (np.abs(np.linalg.eigvalsh(x)).sum(axis=-1) / 2).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +363,22 @@ def random_pure(dims, seed) -> PureState:
 
 def random_mixed(dims, rank, seed) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / Tr(G G^dag) of the given rank."""
+    return _random_mixed(dims, [rank], [seed])[0]
+
+
+def _random_mixed(dims, ranks, seeds) -> list[DensityMatrix]:
+    """:func:`random_mixed` for each (rank, seed), drawn one at a time and
+    validated as one stack."""
     d = prod(dims)
-    if not 1 <= rank <= d:
-        raise DimensionMismatch(f"rank {rank} out of range for dimension {d}")
-    rng = _rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return validate(m / np.real(np.trace(m)), dims)
+    grams = []
+    for rank, seed in zip(ranks, seeds):
+        if not 1 <= rank <= d:
+            raise DimensionMismatch(f"rank {rank} out of range for dimension {d}")
+        rng = _rng(seed)
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        grams.append(g @ g.conj().T)
+    m = np.array(grams)
+    return _validated(m / np.real(np.trace(m, axis1=1, axis2=2))[:, None, None], dims)
 
 
 def random_unitary(d: int, seed) -> np.ndarray:

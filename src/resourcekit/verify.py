@@ -8,6 +8,11 @@ optimizer outputs are one-sided bounds: scoring the mapped witness on the
 second side makes the claimed inequality hold by construction whenever the
 mapping is sound, so a violated certificate is a genuine counterexample and
 never an optimizer artifact.
+
+The suites without a solver (``affinity-props``, ``appendix-b``, the
+order-2 part of ``theorem1`` and the affinity preservation of
+``embedding``) evaluate their samples in groups of one shape, as stacks;
+see "Samples as stacks" below.
 """
 
 from __future__ import annotations
@@ -21,21 +26,23 @@ from .affinity import (
     InequalityCertificate,
     _cert,
     _channel_certificates,
+    _clamped,
+    _loss,
+    _outcomes,
     _state_affinity,
-    alpha_affinity,
     holder_negative_exponent_bound,
     power_mean_bound,
-    selective_loss_bound,
 )
 from .channels import (
     OUTCOME_THRESHOLD,
     _conjugates,
+    _post_states,
+    _summed,
     apply as channel_apply,
     make_local_product,
     make_monomial_incoherent,
     random_channel,
     random_projective,
-    selective_apply,
 )
 from .embedding import (
     build_embedding,
@@ -45,15 +52,17 @@ from .embedding import (
 )
 from .errors import FeasibilityCheckFailed, WitnessEncodingError
 from .feasible import WitnessComponent, _assemble_product, build_family
-from .indicators import _scored, _seed_key, _variant_value, closed_form_k2, max_affinity
+from .indicators import _closed_forms, _scored, _seed_key, _variant_value, max_affinity
 from .states import (
     PureState,
+    _half_trace_norms,
+    _random_mixed,
     _rng,
+    _validated,
     pure_state,
     random_mixed,
     random_unitary,
     tensor,
-    trace_distance,
     validate,
 )
 
@@ -134,59 +143,113 @@ def all_passed(certs) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Samples as stacks.  A suite draws each sample's inputs one sample at a
+# time from its own seeded streams, then evaluates the samples whose shapes
+# and exponents agree together: one validation (one eigh) per stack of
+# states, one power and trace product per stack of affinities.  Certificates
+# are emitted in sample order, so a report does not depend on the grouping.
+# ---------------------------------------------------------------------------
+
+def _groups(keys):
+    """Positions 0..len(keys)-1 grouped by equal key, each group in order."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+def _split(keys, fn, *columns):
+    """``fn`` on the rows of ``columns`` (equal-length sequences) whose keys
+    are equal, one call per key; its per-row results, in row order."""
+    out = [None] * len(keys)
+    for rows in _groups(keys):
+        for k, result in zip(rows, fn(*([col[k] for k in rows] for col in columns))):
+            out[k] = result
+    return out
+
+
+def _data(states) -> np.ndarray:
+    return np.array([rho.data for rho in states])
+
+
+def _affinities(rhos, sigmas, alpha):
+    """alpha_affinity of each pair, with one power per side."""
+    return [_clamped(a) for a in _state_affinity(rhos, sigmas, alpha)]
+
+
+def _mixtures(lam, first, second, dims):
+    """lam[k, 0] first[k] + lam[k, 1] second[k], validated as one stack."""
+    return _validated(lam[:, :1, None] * _data(first) + lam[:, 1:, None] * _data(second), dims)
+
+
+def _applied(channels, states, dims):
+    """channels.apply of each channel (of one outcome count) to its state,
+    validated as one stack; also the stacked traces and conjugates."""
+    p, parts = _conjugates(np.array([ch.kraus for ch in channels]), _data(states))
+    return _validated(_summed(parts), dims), p, parts
+
+
+# ---------------------------------------------------------------------------
 # Suite: core affinity identities and monotonicity properties.
 # ---------------------------------------------------------------------------
 
 def run_affinity_props(seed, n_samples=None):
+    """Bounds, self-affinity, separation, unitary invariance,
+    multiplicativity, joint concavity and CPTP/selective monotonicity of the
+    affinity on seeded states.  Samples are evaluated in groups by i % 3,
+    which fixes d and alpha; the channel part splits a group by outcome
+    count (2 + i % 2).  Certificates are emitted in sample order."""
     n = 500 if n_samples is None else int(n_samples)
-    certs = []
-    for i in range(n):
-        alpha = ALPHA_GRID[i % 3]
-        d = 2 + i % 3
-        rho = random_mixed((d,), 1 + i % d, [seed, 0, i, 0])
-        sig = random_mixed((d,), d, [seed, 0, i, 1])
-
+    rows = [None] * n
+    for idx in _groups([i % 3 for i in range(n)]):
+        alpha, d = ALPHA_GRID[idx[0] % 3], 2 + idx[0] % 3
+        dims = (d,)
+        seeds = lambda tag: [[seed, 0, i, tag] for i in idx]
+        draw = lambda tag, space=dims: _random_mixed(space, [prod(space)] * len(idx), seeds(tag))
+        rho = _random_mixed(dims, [1 + i % d for i in idx], seeds(0))
+        sig = draw(1)
         a = _state_affinity(rho, sig, alpha)
-        certs.append(_cert("bounds", 0.0, a, alpha=alpha, seed=seed))
-        certs.append(_cert("bounds", a, 1.0, alpha=alpha, seed=seed))
-        certs.append(_cert("self-affinity", alpha_affinity(rho, rho, alpha), 1.0,
-                           equality=True, alpha=alpha, seed=seed))
-        if trace_distance(rho, sig) > 1e-3:
-            certs.append(_cert("separation", a, 1.0 - 1e-6, alpha=alpha, seed=seed))
+        aff = [_clamped(x) for x in a]    # alpha_affinity(rho, sig, alpha)
+        selfs = _affinities(rho, rho, alpha)
+        dist = _half_trace_norms(_data(rho) - _data(sig))
 
-        u = random_unitary(d, [seed, 0, i, 2])
-        rot = lambda m: validate(u @ m.data @ u.conj().T, m.dims)
-        certs.append(_cert("unitary-invariance",
-                           alpha_affinity(rot(rho), rot(sig), alpha),
-                           alpha_affinity(rho, sig, alpha),
-                           equality=True, alpha=alpha, seed=seed))
+        u = np.array([random_unitary(d, s) for s in seeds(2)])
+        rot = lambda states: _validated(u @ _data(states) @ u.conj().swapaxes(1, 2), dims)
+        rotated = _affinities(rot(rho), rot(sig), alpha)
 
-        rho2 = random_mixed((2,), 2, [seed, 0, i, 3])
-        sig2 = random_mixed((2,), 2, [seed, 0, i, 4])
-        certs.append(_cert("multiplicativity",
-                           alpha_affinity(tensor(rho, rho2), tensor(sig, sig2), alpha),
-                           alpha_affinity(rho, sig, alpha) * alpha_affinity(rho2, sig2, alpha),
-                           equality=True, alpha=alpha, seed=seed))
+        rho2, sig2 = draw(3, (2,)), draw(4, (2,))
+        joint = _affinities([tensor(x, y) for x, y in zip(rho, rho2)],
+                            [tensor(x, y) for x, y in zip(sig, sig2)], alpha)
+        aff2 = _affinities(rho2, sig2, alpha)
 
-        lam = _rng([seed, 0, i, 5]).dirichlet(np.ones(2))
-        rho_b = random_mixed((d,), d, [seed, 0, i, 6])
-        sig_b = random_mixed((d,), d, [seed, 0, i, 7])
-        mix_r = validate(lam[0] * rho.data + lam[1] * rho_b.data, (d,))
-        mix_s = validate(lam[0] * sig.data + lam[1] * sig_b.data, (d,))
-        certs.append(_cert("joint-concavity",
-                           lam[0] * alpha_affinity(rho, sig, alpha)
-                           + lam[1] * alpha_affinity(rho_b, sig_b, alpha),
-                           alpha_affinity(mix_r, mix_s, alpha),
-                           alpha=alpha, seed=seed))
+        lam = np.array([_rng(s).dirichlet(np.ones(2)) for s in seeds(5)])
+        rho_b, sig_b = draw(6), draw(7)
+        aff_b = _affinities(rho_b, sig_b, alpha)
+        mixed = _affinities(_mixtures(lam, rho, rho_b, dims),
+                            _mixtures(lam, sig, sig_b, dims), alpha)
 
-        chan = random_channel(d, 2 + i % 2, [seed, 0, i, 8])
-        certs.append(_cert("cptp-monotonicity",
-                           alpha_affinity(rho, sig, alpha),
-                           alpha_affinity(channel_apply(chan, rho),
-                                          channel_apply(chan, sig), alpha),
-                           alpha=alpha, seed=seed))
-        certs.append(selective_loss_bound(rho, sig, chan, alpha, seed=seed))
-    return certs
+        chans = [random_channel(d, 2 + i % 2, s) for i, s in zip(idx, seeds(8))]
+        shapes = [ch.outcomes for ch in chans]
+        moved = _split(shapes, lambda c, r, s: _affinities(
+            _applied(c, r, dims)[0], _applied(c, s, dims)[0], alpha), chans, rho, sig)
+        outcomes = _split(shapes, lambda c, r, s: _outcomes(c, r, s, alpha), chans, rho, sig)
+
+        for k, i in enumerate(idx):
+            row = [_cert("bounds", 0.0, a[k], alpha=alpha, seed=seed),
+                   _cert("bounds", a[k], 1.0, alpha=alpha, seed=seed),
+                   _cert("self-affinity", selfs[k], 1.0, equality=True, alpha=alpha, seed=seed)]
+            if dist[k] > 1e-3:
+                row.append(_cert("separation", a[k], 1.0 - 1e-6, alpha=alpha, seed=seed))
+            row += [_cert("unitary-invariance", rotated[k], aff[k],
+                          equality=True, alpha=alpha, seed=seed),
+                    _cert("multiplicativity", joint[k], aff[k] * aff2[k],
+                          equality=True, alpha=alpha, seed=seed),
+                    _cert("joint-concavity", lam[k, 0] * aff[k] + lam[k, 1] * aff_b[k],
+                          mixed[k], alpha=alpha, seed=seed),
+                    _cert("cptp-monotonicity", aff[k], moved[k], alpha=alpha, seed=seed),
+                    _loss(outcomes[k], a[k], alpha, seed)]
+            rows[i] = row
+    return [c for row in rows for c in row]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +257,13 @@ def run_affinity_props(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 
 def run_appendix_b(seed, n_samples=None):
+    """Reverse-Hoelder and power-mean certificates on seeded vectors (one
+    sample at a time), and the four channel certificates on seeded states
+    and channels, in groups by i % 3, which fixes d and alpha, split by
+    outcome count (projective measurements for even i, three-outcome
+    channels for odd i).  Certificates are emitted in sample order."""
     n = 500 if n_samples is None else int(n_samples)
-    certs = []
+    rows = []
     for i in range(n):
         rng = _rng([seed, 1, i])
         size = 1 + int(rng.integers(8))
@@ -203,23 +271,23 @@ def run_appendix_b(seed, n_samples=None):
         b = np.abs(rng.standard_normal(size)) + 0.05
         p = float(0.1 + 2.9 * rng.random())
         q = float(-0.1 - 2.9 * rng.random())
-        certs.append(holder_negative_exponent_bound(a, b, p, q, seed=seed))
-
         x = np.abs(rng.standard_normal(size)) + 0.05
         qvec = rng.dirichlet(np.ones(size))
         t = float(1.0 + 3.0 * rng.random()) + 1e-6
-        certs.append(power_mean_bound(x, qvec, t, seed=seed))
+        rows.append([holder_negative_exponent_bound(a, b, p, q, seed=seed),
+                     power_mean_bound(x, qvec, t, seed=seed)])
 
-        alpha = ALPHA_GRID[i % 3]
-        d = 2 + i % 3
-        rho = random_mixed((d,), d, [seed, 1, i, 0])
-        sig = random_mixed((d,), d, [seed, 1, i, 1])
-        if i % 2:
-            chan = random_channel(d, 2 + i % 2, [seed, 1, i, 2])
-        else:
-            chan = random_projective(d, 1 + i % (d - 1), [seed, 1, i, 2])
-        certs.extend(_channel_certificates(rho, sig, chan, alpha, seed=seed))
-    return certs
+    for idx in _groups([i % 3 for i in range(n)]):
+        alpha, d = ALPHA_GRID[idx[0] % 3], 2 + idx[0] % 3
+        rho = _random_mixed((d,), [d] * len(idx), [[seed, 1, i, 0] for i in idx])
+        sig = _random_mixed((d,), [d] * len(idx), [[seed, 1, i, 1] for i in idx])
+        chans = [random_channel(d, 2 + i % 2, [seed, 1, i, 2]) if i % 2
+                 else random_projective(d, 1 + i % (d - 1), [seed, 1, i, 2]) for i in idx]
+        certs = _split([ch.outcomes for ch in chans], lambda r, s, c: _channel_certificates(
+            r, s, c, alpha, seed=seed), rho, sig, chans)
+        for i, four in zip(idx, certs):
+            rows[i] += four
+    return [c for row in rows for c in row]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +323,8 @@ def _apply_to_components(channel, comps):
 def _selective_witnesses(channel, rho, comps):
     """Yield (p_i, rho_i, witness_i) for every outcome that both the state
     and the witness reach; witness_i is the normalized pushed witness."""
-    for op, (p, out) in zip(channel.kraus, _conjugates(channel, rho.data)):
+    probs, outs = _conjugates(np.array(channel.kraus), rho.data)
+    for op, p, out in zip(channel.kraus, probs.tolist(), outs):
         if p <= OUTCOME_THRESHOLD:
             continue
         pushed = _pushed(op, comps)
@@ -295,44 +364,53 @@ def _subadditivity_certs(label, joint, left, right, alpha, seed):
 # ---------------------------------------------------------------------------
 
 def run_theorem1(seed, n_samples=None, n_constructive=None):
+    """Order-2 convexity, channel and average monotonicity and tensor
+    subadditivity of the coherence indicators (closed form), then the
+    order-3 checks on transported witnesses (:func:`_theorem1_constructive`).
+    The order-2 samples are evaluated in groups by i % 3, which fixes d,
+    alpha and the channel's outcome count; the small systems split a group
+    by their dims (i % 2).  Certificates are emitted in sample order."""
     n = 300 if n_samples is None else int(n_samples)
     if n_constructive is None:
         nc = 30 if n_samples is None else max(1, n // 10)
     else:
         nc = int(n_constructive)
-    certs = []
-    for i in range(n):
-        alpha = ALPHA_GRID[i % 3]
-        d = 2 + i % 3
-        rho1 = random_mixed((d,), d, [seed, 2, i, 0])
-        rho2 = random_mixed((d,), d, [seed, 2, i, 1])
+    rows = [None] * n
+    for idx in _groups([i % 3 for i in range(n)]):
+        alpha, d = ALPHA_GRID[idx[0] % 3], 2 + idx[0] % 3
+        dims = (d,)
+        draw = lambda space, tag, ids=idx: _random_mixed(
+            space, [prod(space)] * len(ids), [[seed, 2, i, tag] for i in ids])
+        rho1, rho2 = draw(dims, 0), draw(dims, 1)
+        lam = np.array([_rng([seed, 2, i, 2]).dirichlet(np.ones(2)) for i in idx])
+        c_mix = _closed_forms(_mixtures(lam, rho1, rho2, dims), alpha)
+        c1, c2 = _closed_forms(rho1, alpha), _closed_forms(rho2, alpha)
 
-        lam = _rng([seed, 2, i, 2]).dirichlet(np.ones(2))
-        mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
-        c_mix = closed_form_k2(mix, alpha)[0]
-        certs.append(_cert("order2-convexity", c_mix,
-                           lam[0] * closed_form_k2(rho1, alpha)[0]
-                           + lam[1] * closed_form_k2(rho2, alpha)[0],
-                           alpha=alpha, seed=seed))
+        chans = [make_monomial_incoherent(d, 1 + i % 3, [seed, 2, i, 3]) for i in idx]
+        out, p, parts = _applied(chans, rho1, dims)
+        c_out = _closed_forms(out, alpha)
+        posts = [_post_states(pk, parts_k, dims) for pk, parts_k in zip(p, parts)]
+        c_post = iter(_closed_forms([r for post in posts for _, r in post], alpha))
 
-        chan = make_monomial_incoherent(d, 1 + i % 3, [seed, 2, i, 3])
-        plain, avg = closed_form_k2(rho1, alpha)
-        out_plain, out_avg = closed_form_k2(channel_apply(chan, rho1), alpha)
-        certs.append(_cert("order2-channel-monotonicity", out_plain, plain,
-                           alpha=alpha, seed=seed))
-        certs.append(_cert("order2-channel-monotonicity", out_avg, avg,
-                           alpha=alpha, seed=seed))
-        lhs_avg = sum(p * closed_form_k2(r, alpha)[1]
-                      for p, r in selective_apply(chan, rho1))
-        certs.append(_cert("order2-avg-monotonicity", lhs_avg, avg,
-                           alpha=alpha, seed=seed))
+        def subadditivity(ids):
+            small1 = draw((2 + ids[0] % 2,), 4, ids)
+            small2 = draw((2 + (ids[0] + 1) % 2,), 5, ids)
+            return zip(_closed_forms([tensor(x, y) for x, y in zip(small1, small2)], alpha),
+                       _closed_forms(small1, alpha), _closed_forms(small2, alpha))
+        small = _split([i % 2 for i in idx], subadditivity, idx)
 
-        small1 = random_mixed((2 + i % 2,), 2 + i % 2, [seed, 2, i, 4])
-        small2 = random_mixed((2 + (i + 1) % 2,), 2 + (i + 1) % 2, [seed, 2, i, 5])
-        certs.extend(_subadditivity_certs(
-            "order2-tensor-subadditivity", closed_form_k2(tensor(small1, small2), alpha),
-            closed_form_k2(small1, alpha), closed_form_k2(small2, alpha), alpha, seed))
+        for k, i in enumerate(idx):
+            (plain, avg), (out_plain, out_avg) = c1[k], c_out[k]
+            lhs_avg = sum(pi * next(c_post)[1] for pi, _ in posts[k])
+            rows[i] = [
+                _cert("order2-convexity", c_mix[k][0],
+                      lam[k, 0] * plain + lam[k, 1] * c2[k][0], alpha=alpha, seed=seed),
+                _cert("order2-channel-monotonicity", out_plain, plain, alpha=alpha, seed=seed),
+                _cert("order2-channel-monotonicity", out_avg, avg, alpha=alpha, seed=seed),
+                _cert("order2-avg-monotonicity", lhs_avg, avg, alpha=alpha, seed=seed),
+                *_subadditivity_certs("order2-tensor-subadditivity", *small[k], alpha, seed)]
 
+    certs = [c for row in rows for c in row]
     certs.extend(_theorem1_constructive(seed, nc))
     return certs
 
@@ -543,16 +621,20 @@ def run_embedding(seed, n_samples=None):
             certs.append(_cert("depth-entanglement", float(info["ent_depth"]),
                                float(expect_ent), equality=True, seed=seed))
 
-    for i in range(2 * n):
-        alpha = ALPHA_GRID[i % 3]
-        d = 2 + i % 2
+    # affinity preservation, in groups by i % 6 (d and alpha), in sample order
+    rows = [None] * (2 * n)
+    for idx in _groups([i % 6 for i in range(2 * n)]):
+        alpha, d = ALPHA_GRID[idx[0] % 3], 2 + idx[0] % 2
         emb = build_embedding(d)
-        rho = random_mixed((d,), d, [seed, 5, 9, i, 0])
-        sig = random_mixed((d,), d, [seed, 5, 9, i, 1])
-        a_src = alpha_affinity(rho, sig, alpha)
-        a_emb = alpha_affinity(embed_state(emb, rho), embed_state(emb, sig), alpha)
-        certs.append(_cert("affinity-preservation", a_emb, a_src,
-                           equality=True, alpha=alpha, seed=seed))
+        rho = _random_mixed((d,), [d] * len(idx), [[seed, 5, 9, i, 0] for i in idx])
+        sig = _random_mixed((d,), [d] * len(idx), [[seed, 5, 9, i, 1] for i in idx])
+        a_src = _affinities(rho, sig, alpha)
+        a_emb = _affinities([embed_state(emb, x) for x in rho],
+                            [embed_state(emb, x) for x in sig], alpha)
+        for i, lhs, rhs in zip(idx, a_emb, a_src):
+            rows[i] = _cert("affinity-preservation", lhs, rhs,
+                            equality=True, alpha=alpha, seed=seed)
+    certs.extend(rows)
     return certs
 
 

@@ -269,7 +269,7 @@ def test_shared_outcome_pass_matches_each_certificate():
                   rk.random_mixed([2], 2, seed=38)))
     for i, (chan, rho, sig) in enumerate(cases):
         alpha = ALPHAS[i % 3]
-        shared = _channel_certificates(rho, sig, chan, alpha, seed=i)
+        shared = _channel_certificates([rho], [sig], [chan], alpha, seed=i)[0]
         assert shared == [f(rho, sig, chan, alpha, seed=i)
                           for f in (rk.selective_power_sum, rk.data_processing_sum,
                                     rk.selective_loss_bound, rk.block_diagonal_affinity)]

@@ -29,6 +29,15 @@ def test_embedding_dimension_limits():
         rk.build_embedding(1)
 
 
+def test_build_embedding_is_built_once_per_d():
+    # the map is immutable, so one is shared per d
+    emb = rk.build_embedding(3)
+    assert rk.build_embedding(3) is emb
+    assert not emb.unitary.flags.writeable
+    with pytest.raises(ValueError):
+        emb.unitary[0, 0] = 2.0
+
+
 def test_flag_action_on_basis_states():
     emb = rk.build_embedding(2)
     # |0>|00> -> |0>|10>: ancilla qubit 0 flips on level 0

@@ -16,6 +16,7 @@ from resourcekit.feasible import (
     _Blocks,
     _decode_raw,
     _Products,
+    _reduced,
     is_feasible_pure,
     structure_pool,
 )
@@ -265,6 +266,28 @@ def test_factorize_pure_near_the_purity_threshold(dims, seed, x, spectator):
         assert 1.0 - abs(np.vdot(rebuilt, psi.amps)) <= RECONSTRUCT_TOL
     else:
         assert fac.parts == ((0, 1),) + tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_reduced_equals_tensordot_bit_for_bit(dims, seed, data):
+    # _reduced runs tensordot's transpose, reshape and dot itself; on every
+    # subset of up to 6 subsystems its bytes equal tensordot's
+    from itertools import combinations
+    n = len(dims)
+    size = prod(dims)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    subsets = [s for r in range(1, n + 1) for s in combinations(range(n), r)]
+    for subset in subsets:
+        rest = [i for i in range(n) if i not in subset]
+        shaped = amps.reshape(dims)
+        dk = prod(dims[i] for i in subset)
+        expected = np.tensordot(shaped, shaped.conj(), axes=(rest, rest)).reshape(dk, dk)
+        got = _reduced(amps, dims, data.draw(st.permutations(subset)))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from resourcekit.errors import (
     NotPSD,
     TraceDeviation,
 )
-from resourcekit.states import _FLUSH, _frac_power_raw, _trusted
+from resourcekit.states import _FLUSH, _frac_power_raw, _power, _spectra, _trusted, _validated
 
 from oracles import brute_force_partial_trace
 
@@ -91,7 +93,6 @@ def test_pure_state_refuses_non_finite_amplitudes(amps):
         rk.pure_state(amps)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("amps,expected", [([1e200, 1], [1, 1e-200]),
                                            ([1e300, 1e300], [2 ** -0.5, 2 ** -0.5])])
 def test_pure_state_normalizes_amplitudes_whose_norm_overflows(amps, expected):
@@ -357,3 +358,102 @@ def test_spectral_reads_equal_a_fresh_decomposition(path, d, seed, t, alpha):
         assert spec.eigenvalues.tobytes() == w[order].tobytes()
         assert spec.eigenvectors.tobytes() == v[:, order].tobytes()
         assert rk.alpha_affinity(rho, sigma, alpha) == min(max(raw, 0.0), 1.0)
+
+
+def _band_matrix(kind, d, seed):
+    """A d x d matrix that validate keeps, renormalizes, clamps or refuses."""
+    pos = np.random.default_rng(seed).uniform(0.05, 1.0, d - 1)
+    low = {"kept": -1e-14, "renormalized": 1e-3, "clamped": -1e-11, "not-psd": -1e-3,
+           "trace": 1e-3}[kind]
+    m = _rotated(np.append(pos / pos.sum() * (1.0 - low), low), seed)
+    if kind == "renormalized":
+        m = m * (1.0 + 1e-10)
+    if kind == "trace":
+        m = m * 1.1
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 31),
+       st.lists(st.sampled_from(("kept", "renormalized", "clamped")), min_size=1, max_size=6),
+       st.floats(0.05, 1.0))
+def test_a_validated_stack_equals_validating_each_matrix(d, seed, kinds, t):
+    # one eigh for the stack: every state, its cached spectrum and its power
+    # equal validate's on the matrix alone, bit for bit
+    matrices = [_band_matrix(kind, d, seed + j) for j, kind in enumerate(kinds)]
+    stacked = _validated(np.array(matrices), (d,))
+    alone = [rk.validate(m, [d]) for m in matrices]
+    for rho, ref in zip(stacked, alone):
+        assert rho.dims == ref.dims and rho.data.tobytes() == ref.data.tobytes()
+        assert not rho.data.flags.writeable
+        assert rk.frac_power(rho, t).tobytes() == rk.frac_power(ref, t).tobytes()
+    powers = _power(*_spectra(alone), t)
+    assert all(p.tobytes() == rk.frac_power(ref, t).tobytes() for p, ref in zip(powers, alone))
+
+
+@pytest.mark.parametrize("kinds", [("kept", "not-psd", "hermitian"),
+                                   ("kept", "hermitian", "not-psd"),
+                                   ("clamped", "trace", "nan"),
+                                   ("nan", "not-psd"),
+                                   ("kept", "kept", "clamped-too-far", "not-psd")])
+def test_a_stack_raises_what_its_first_failing_matrix_raises(kinds):
+    d = 12
+
+    def matrix(kind, seed):
+        if kind == "hermitian":
+            m = _band_matrix("kept", d, seed).copy()
+            m[0, 1] += 1e-6
+            return m
+        if kind == "nan":
+            m = _band_matrix("kept", d, seed).copy()
+            m[2, 2] = NAN
+            return m
+        if kind == "clamped-too-far":   # each eigenvalue > -1e-10, their sum < -1e-9
+            return _rotated(np.append([1.0 + 11 * 0.95e-10], [-0.95e-10] * (d - 1)), seed)
+        return _band_matrix(kind, d, seed)
+
+    matrices = [matrix(kind, seed) for seed, kind in enumerate(kinds)]
+    errors = [_raises(m, d) for m in matrices]
+    first = next(exc for exc in errors if exc is not None)
+    with pytest.raises(type(first), match=re.escape(str(first))):
+        _validated(np.array(matrices), (d,))
+
+
+def _raises(matrix, d):
+    try:
+        rk.validate(matrix, [d])
+    except rk.ResourceKitError as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 6), st.sampled_from((0.3, 0.5, 0.7)),
+       st.integers(0, 2 ** 31))
+def test_stacked_kernels_equal_the_per_matrix_formulas(d, n, alpha, seed):
+    # eigh, power, trace product and order-2 weights over a stack equal the
+    # per-matrix formulas written out here, bit for bit; each power takes
+    # one scalar exponent (x ** 0.5 is a square root, an array of exponents
+    # is not)
+    from resourcekit.affinity import _trace_product
+    from resourcekit.indicators import _k2_weights
+    from resourcekit.states import _eigh
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, n, d, d)) + 1j * rng.standard_normal((2, n, d, d))
+    m = g @ g.conj().swapaxes(-1, -2)
+    pa = _power(*_eigh(m[0]), alpha)
+    pb = _power(*_eigh(m[1]), 1.0 - alpha)
+    products = _trace_product(pa, pb)
+    s = _k2_weights(pa, alpha)[1]
+    for i in range(n):
+        one = []
+        for x, t in ((m[0, i], alpha), (m[1, i], 1.0 - alpha)):
+            w, v = np.linalg.eigh((x + x.conj().T) / 2)
+            w = np.clip(w, 0.0, None)
+            w[w < _FLUSH * w.max()] = 0.0
+            one.append((v * w ** t) @ v.conj().T)
+        assert pa[i].tobytes() == one[0].tobytes() and pb[i].tobytes() == one[1].tobytes()
+        assert products[i] == float(np.trace(one[0] @ one[1]).real)
+        a = np.clip(np.real(np.diag(one[0])), 0.0, None)
+        assert s[i] == float((a ** (1.0 / alpha)).sum())

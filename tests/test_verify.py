@@ -155,19 +155,24 @@ def test_depth_violation_fails_a_certificate(monkeypatch):
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Counts every eigh/eigvalsh call made through numpy.linalg."""
+    """Counts the matrices decomposed through numpy.linalg's eigh and
+    eigvalsh in [0] (a stack counts each of its matrices) and the calls
+    in [1]."""
+    from math import prod
+
     import numpy as np
 
-    calls = [0]
+    counts = [0, 0]
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counting(*args, _original=original, **kwargs):
-            calls[0] += 1
-            return _original(*args, **kwargs)
+        def counting(a, *args, _original=original, **kwargs):
+            counts[0] += prod(np.shape(a)[:-2])
+            counts[1] += 1
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    return calls
+    return counts
 
 
 def test_channel_certificates_decompose_each_state_once(eig_calls):
@@ -189,3 +194,53 @@ def test_affinity_props_reuse_each_state_spectrum(eig_calls):
     from resourcekit.verify import run_affinity_props
     run_affinity_props(SEED, 1)
     assert eig_calls[0] == 12 + 2 + 1 + 4
+
+
+# The suites evaluate their samples in groups, as stacks; the per-sample
+# loops they replaced are kept in reference_suites.py.
+def _stacked(name, seed, n):
+    from resourcekit.verify import run_theorem1
+    if name == "theorem1":
+        return run_theorem1(seed, n, n_constructive=0)
+    return run_suite(name, seed, n)
+
+
+def _reference(name):
+    import reference_suites
+    return {"affinity-props": reference_suites.affinity_props,
+            "appendix-b": reference_suites.appendix_b,
+            "theorem1": reference_suites.theorem1_order2,
+            "embedding": reference_suites.embedding}[name]
+
+
+STACKED_SUITES = ("affinity-props", "appendix-b", "theorem1", "embedding")
+
+
+@pytest.mark.parametrize("name", STACKED_SUITES)
+@pytest.mark.parametrize("seed", [SEED, 3, 77])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_stacked_suites_equal_the_per_sample_loops(name, seed, n):
+    assert _stacked(name, seed, n) == _reference(name)(seed, n)
+
+
+@pytest.mark.parametrize("name,n", [("affinity-props", 24), ("appendix-b", 36),
+                                    ("theorem1", 44), ("embedding", 21)])
+@pytest.mark.parametrize("seed", [5, 2 ** 40 + 11])
+def test_stacked_suites_equal_the_per_sample_loops_at_workload_size(name, n, seed):
+    from resourcekit.affinity import certificates_to_csv
+    stacked, reference = _stacked(name, seed, n), _reference(name)(seed, n)
+    assert stacked == reference
+    assert certificates_to_csv(stacked) == certificates_to_csv(reference)
+
+
+@pytest.mark.parametrize("name,n", [("affinity-props", 24), ("appendix-b", 36),
+                                    ("theorem1", 44)])
+def test_suites_decompose_per_group_not_per_sample(eig_calls, name, n):
+    # a workload-sized call decomposes several matrices per eigh call, and
+    # twice the samples take the same eigh calls: their count is fixed by
+    # the groups (shapes and exponents), not by the samples
+    _stacked(name, SEED, n)
+    matrices, calls = eig_calls
+    assert 5 * calls < matrices
+    _stacked(name, SEED, 2 * n)
+    assert eig_calls[1] == 2 * calls
