@@ -217,6 +217,11 @@ class WitnessComponent(NamedTuple):
     state: PureState
 
 
+def _mixture(components) -> np.ndarray:
+    """The unnormalized mixture: the sum of w |psi><psi| over (w, psi)."""
+    return sum(w * np.outer(psi.amps, psi.amps.conj()) for w, psi in components)
+
+
 @dataclass(frozen=True, eq=False)
 class FeasibleFamily:
     """A restricted state set: its kind, order k and dims, and the pool of

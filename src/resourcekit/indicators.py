@@ -45,6 +45,7 @@ from .feasible import (
     _Blocks,
     _decode_raw,  # unused here; its last reader is perfbench/sweep.py
     _diagonal_components,
+    _mixture,
     _Products,
     build_family,
     encode,
@@ -289,8 +290,7 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
         gap = hull.oracle(g0, tr0)[0] - tr0 if hull.certified else np.inf
 
     comps = tuple(hull.components((z, layout)))
-    member = _trusted(sum(c.weight * np.outer(c.state.amps, c.state.amps.conj())
-                          for c in comps), hull.dims)
+    member = _trusted(_mixture(comps), hull.dims)
     affinity = _clamped(_trace_product(rho_a, frac_power(member, beta)))
     upper = min(1.0, f + gap) if hull.certified and w[0] >= _FULL_RANK * w[-1] else 1.0
     return MaxAffinityResult(affinity, member, comps, iterations,
@@ -476,7 +476,7 @@ def _scored(rho, kind, k, comps, alpha):
 def _mixed(rho, comps, alpha):
     """Affinity of rho with the normalized mixture of ``comps``, unchecked."""
     total = sum(w for w, _ in comps)
-    mixture = sum(w / total * np.outer(psi.amps, psi.amps.conj()) for w, psi in comps)
+    mixture = _mixture((w / total, psi) for w, psi in comps)
     return alpha_affinity(rho, _trusted(mixture, rho.dims), alpha)
 
 
@@ -487,9 +487,7 @@ def check_witness(result: IndicatorResult, rho: DensityMatrix) -> bool:
     kind, shift = _FAMILY_OF[result.label.removesuffix("_avg")]
     if not all(is_feasible_pure(kind, result.k + shift, c.state) for c in result.components):
         return False
-    mixture = sum(c.weight * np.outer(c.state.amps, c.state.amps.conj())
-                  for c in result.components)
-    if np.abs(mixture - result.witness.data).max() > _WITNESS_TOL:
+    if np.abs(_mixture(result.components) - result.witness.data).max() > _WITNESS_TOL:
         return False
     return abs(alpha_affinity(rho, result.witness, result.alpha)
                - result.best_affinity) <= _WITNESS_TOL

@@ -51,7 +51,7 @@ from .embedding import (
     theorem3_check,
 )
 from .errors import FeasibilityCheckFailed, WitnessEncodingError
-from .feasible import WitnessComponent, _assemble_product, build_family
+from .feasible import WitnessComponent, _assemble_product, _mixture, build_family
 from .indicators import _closed_forms, _scored, _seed_key, _variant_value, max_affinity
 from .states import (
     PureState,
@@ -291,10 +291,10 @@ def run_appendix_b(seed, n_samples=None):
 
 
 # ---------------------------------------------------------------------------
-# Witness transport shared by the theorem suites: each step (channel, local
-# unitary, selective outcome, tensor product) maps an explicit witness to a
-# feasible one for the image state, and ``_scored`` scores it there, so the
-# claimed inequality holds by construction.
+# Witness transport shared by the theorem suites: ``_mixing``, ``_monotone``
+# and ``_subadditive`` map explicit witnesses (mixed, pushed through a channel
+# or its outcomes, tensored) to feasible ones for the image state and score
+# them there (``_scored``), so each claimed inequality holds by construction.
 # ---------------------------------------------------------------------------
 
 def _solve(rho, kind, k, alpha, tags, **effort):
@@ -315,11 +315,6 @@ def _pushed(op: np.ndarray, comps):
     return out
 
 
-def _apply_to_components(channel, comps):
-    """Unnormalized witness image under the full channel, component-wise."""
-    return [c for op in channel.kraus for c in _pushed(op, comps)]
-
-
 def _selective_witnesses(channel, rho, comps):
     """Yield (p_i, rho_i, witness_i) for every outcome that both the state
     and the witness reach; witness_i is the normalized pushed witness."""
@@ -335,22 +330,58 @@ def _selective_witnesses(channel, rho, comps):
                                                for w, psi in pushed]
 
 
-def _rotated(u, comps):
-    return [WitnessComponent(w, pure_state(u @ psi.amps, psi.dims)) for w, psi in comps]
+def _solved(tags, dims, kind, k, alpha, **effort):
+    """A seeded state on ``dims`` (stream ``tags``) and its solve against
+    kind(k), seeded by ``tags + (0,)``."""
+    rho = random_mixed(dims, prod(dims), list(tags))
+    return rho, _solve(rho, kind, k, alpha, tags + (0,), **effort)
 
 
-def _scaled(comps, factor):
-    return [WitnessComponent(w * factor, psi) for w, psi in comps]
+def _pair(tags, dims, kind, k, alpha, **effort):
+    """Two seeded states (streams ``tags + (0|1,)``) and their solves,
+    seeded by ``tags + (2|3,)``."""
+    rhos = [random_mixed(dims, prod(dims), [*tags, j]) for j in (0, 1)]
+    return [(rho, _solve(rho, kind, k, alpha, tags + (2 + j,), **effort))
+            for j, rho in enumerate(rhos)]
 
 
-def _tensor_components(left, right, dims):
-    return [WitnessComponent(wa * wb, pure_state(np.kron(a.amps, b.amps), dims))
-            for wa, a in left for wb, b in right]
+def _mixing(label, tags, pair, kind, k, alpha, seed):
+    """Convexity of the plain indicator: the lam-mixed witness (lam drawn
+    from ``tags + (4,)``) is feasible for the lam-mixed state."""
+    (rho1, r1), (rho2, r2) = pair
+    lam = _rng([*tags, 4]).dirichlet(np.ones(2))
+    mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, rho1.dims)
+    wit = [WitnessComponent(w * lam[j], psi)
+           for j, r in enumerate((r1, r2)) for w, psi in r.components]
+    return _cert(label, 1.0 - _scored(mix, kind, k, wit, alpha),
+                 lam[0] * (1.0 - r1.affinity) + lam[1] * (1.0 - r2.affinity),
+                 alpha=alpha, seed=seed)
 
 
-def _values(affinity, alpha):
-    """(plain, avg) indicator values of a maximal affinity."""
-    return _variant_value(affinity, alpha, "plain"), _variant_value(affinity, alpha, "avg")
+def _monotone(labels, rho, r, channel, kind, k, alpha, seed):
+    """Monotonicity of the plain indicator under ``channel`` (the witness
+    pushed through every Kraus operator) and of the averaged indicator over
+    its selective outcomes; ``labels`` names the two certificates."""
+    moved = [c for op in channel.kraus for c in _pushed(op, r.components)]
+    ro = _scored(channel_apply(channel, rho), kind, k, moved, alpha)
+    lhs = 0.0
+    for p, rho_i, wit in _selective_witnesses(channel, rho, r.components):
+        lhs += p * _variant_value(_scored(rho_i, kind, k, wit, alpha), alpha, "avg")
+    return [_cert(labels[0], 1.0 - ro, 1.0 - r.affinity, alpha=alpha, seed=seed),
+            _cert(labels[1], lhs, _variant_value(r.affinity, alpha, "avg"),
+                  alpha=alpha, seed=seed)]
+
+
+def _subadditive(label, pair, kind, k, alpha, seed):
+    """Tensor subadditivity of both variants: the product witness is
+    feasible for the product state in kind(k)."""
+    (rho1, r1), (rho2, r2) = pair
+    joint = tensor(rho1, rho2)
+    wit = [WitnessComponent(wa * wb, pure_state(np.kron(a.amps, b.amps), joint.dims))
+           for wa, a in r1.components for wb, b in r2.components]
+    rj = _scored(joint, kind, k, wit, alpha)
+    return _subadditivity_certs(label, *([_variant_value(a, alpha, v) for v in ("plain", "avg")]
+                                         for a in (rj, r1.affinity, r2.affinity)), alpha, seed)
 
 
 def _subadditivity_certs(label, joint, left, right, alpha, seed):
@@ -372,7 +403,7 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
     by their dims (i % 2).  Certificates are emitted in sample order."""
     n = 300 if n_samples is None else int(n_samples)
     if n_constructive is None:
-        nc = 30 if n_samples is None else max(1, n // 10)
+        nc = 30 if n_samples is None else min(n, max(1, n // 10))
     else:
         nc = int(n_constructive)
     rows = [None] * n
@@ -418,47 +449,20 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
 def _theorem1_constructive(seed, nc):
     """Order-3 checks on qutrits: every comparison transports the witness."""
     certs = []
-    d, k = 3, 3
-    opts = {"max_iter": 300}
     for i in range(nc):
-        alpha = ALPHA_GRID[i % 3]
-        rho1 = random_mixed((d,), d, [seed, 3, i, 0])
-        rho2 = random_mixed((d,), d, [seed, 3, i, 1])
-        r1 = _solve(rho1, "multilevel", k - 1, alpha, (seed, 3, i, 2), **opts)
-        r2 = _solve(rho2, "multilevel", k - 1, alpha, (seed, 3, i, 3), **opts)
-
+        alpha, tags = ALPHA_GRID[i % 3], (seed, 3, i)
+        pair = _pair(tags, (3,), "multilevel", 2, alpha, max_iter=300)
+        chan = make_monomial_incoherent(3, 2, [seed, 3, i, 6])
         # convexity of the plain indicator via mixed witnesses
-        lam = _rng([seed, 3, i, 4]).dirichlet(np.ones(2))
-        mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
-        mixed_wit = _scaled(r1.components, lam[0]) + _scaled(r2.components, lam[1])
-        rm = _scored(mix, "multilevel", k - 1, mixed_wit, alpha)
-        certs.append(_cert("order3-witness-convexity", 1.0 - rm,
-                           lam[0] * (1.0 - r1.affinity) + lam[1] * (1.0 - r2.affinity),
-                           alpha=alpha, seed=seed))
-
+        certs.append(_mixing("order3-witness-convexity", tags, pair, "multilevel", 2,
+                             alpha, seed))
         # channel monotonicity and average monotonicity under monomial maps
-        chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
-        moved = _apply_to_components(chan, r1.components)
-        ro = _scored(channel_apply(chan, rho1), "multilevel", k - 1, moved, alpha)
-        certs.append(_cert("order3-witness-channel-monotonicity",
-                           1.0 - ro, 1.0 - r1.affinity,
-                           alpha=alpha, seed=seed))
-
-        lhs = 0.0
-        for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components):
-            ri = _scored(rho_i, "multilevel", k - 1, wit, alpha)
-            lhs += p * _variant_value(ri, alpha, "avg")
-        certs.append(_cert("order3-witness-avg-monotonicity", lhs,
-                           _variant_value(r1.affinity, alpha, "avg"),
-                           alpha=alpha, seed=seed))
-
+        certs += _monotone(("order3-witness-channel-monotonicity",
+                            "order3-witness-avg-monotonicity"),
+                           *pair[0], chan, "multilevel", 2, alpha, seed)
         # tensor subadditivity: order (k-1)^2 + 1 on the 9-level product
-        joint = tensor(rho1, rho2)
-        tens_wit = _tensor_components(r1.components, r2.components, joint.dims)
-        rt = _scored(joint, "multilevel", (k - 1) ** 2, tens_wit, alpha)
-        certs.extend(_subadditivity_certs(
-            "order3-witness-tensor-subadditivity", _values(rt, alpha),
-            _values(r1.affinity, alpha), _values(r2.affinity, alpha), alpha, seed))
+        certs += _subadditive("order3-witness-tensor-subadditivity", pair, "multilevel", 4,
+                              alpha, seed)
     return certs
 
 
@@ -489,7 +493,7 @@ def run_theorem2(seed, n_samples=None):
                        for part in parts]
             atoms.append(pure_state(_assemble_product(dims, parts, factors), dims))
         member_comps = list(zip(rng.dirichlet(np.ones(len(atoms))), atoms))
-        member = validate(sum(w * psi.projector().data for w, psi in member_comps), dims)
+        member = validate(_mixture(member_comps), dims)
         rz = _scored(member, kind, famk, member_comps, alpha)
         certs.append(_cert("zero-on-members", 1.0 - rz, 0.0,
                            alpha=alpha, seed=seed))
@@ -497,72 +501,45 @@ def run_theorem2(seed, n_samples=None):
     # local-unitary covariance at the witness level
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        rho = random_mixed(dims, prod(dims), [seed, 4, 1, i])
-        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 0), **opts)
+        rho, r1 = _solved((seed, 4, 1, i), dims, kind, famk, alpha, **opts)
         u_full = reduce(np.kron, [random_unitary(2, [seed, 4, 1, i, j])
                                   for j in range(len(dims))])
         rho_u = validate(u_full @ rho.data @ u_full.conj().T, dims)
-        r2 = _scored(rho_u, kind, famk, _rotated(u_full, r1.components), alpha)
+        rotated = [WitnessComponent(w, pure_state(u_full @ psi.amps, dims))
+                   for w, psi in r1.components]
+        r2 = _scored(rho_u, kind, famk, rotated, alpha)
         certs.append(_cert("local-unitary-witness", 1.0 - r1.affinity, 1.0 - r2,
                            equality=True, alpha=alpha, seed=seed))
 
     # convexity of the plain indicators via witness mixing
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        rho_a = random_mixed(dims, prod(dims), [seed, 4, 2, i, 0])
-        rho_b = random_mixed(dims, prod(dims), [seed, 4, 2, i, 1])
-        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 2, i, 2), **opts)
-        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 2, i, 3), **opts)
-        lam = _rng([seed, 4, 2, i, 4]).dirichlet(np.ones(2))
-        mix = validate(lam[0] * rho_a.data + lam[1] * rho_b.data, dims)
-        rmix = _scored(mix, kind, famk,
-                       _scaled(ra.components, lam[0]) + _scaled(rb.components, lam[1]), alpha)
-        certs.append(_cert("witness-mixing-convexity", 1.0 - rmix,
-                           lam[0] * (1.0 - ra.affinity) + lam[1] * (1.0 - rb.affinity),
-                           alpha=alpha, seed=seed))
+        tags = (seed, 4, 2, i)
+        certs.append(_mixing("witness-mixing-convexity", tags,
+                             _pair(tags, dims, kind, famk, alpha, **opts),
+                             kind, famk, alpha, seed))
 
     # monotonicity under one-round product channels, direct and on average
     for i in range(n):
         alpha, dims, kind, famk = _t2_config(i)
-        rho = random_mixed(dims, prod(dims), [seed, 4, 3, i])
-        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 3, i, 0), **opts)
         locc = make_local_product([random_channel(2, 2, [seed, 4, 3, i, j])
                                    for j in range(len(dims))])
-        moved = _apply_to_components(locc, r1.components)
-        rl = _scored(channel_apply(locc, rho), kind, famk, moved, alpha)
-        certs.append(_cert("locc-monotonicity", 1.0 - rl,
-                           1.0 - r1.affinity, alpha=alpha, seed=seed))
-
-        lhs = 0.0
-        for p, rho_i, wit in _selective_witnesses(locc, rho, r1.components):
-            ri = _scored(rho_i, kind, famk, wit, alpha)
-            lhs += p * _variant_value(ri, alpha, "avg")
-        certs.append(_cert("locc-avg-monotonicity", lhs,
-                           _variant_value(r1.affinity, alpha, "avg"),
-                           alpha=alpha, seed=seed))
+        certs += _monotone(("locc-monotonicity", "locc-avg-monotonicity"),
+                           *_solved((seed, 4, 3, i), dims, kind, famk, alpha, **opts),
+                           locc, kind, famk, alpha, seed)
 
     # tensor subadditivity on two 2-qubit factors (4 qubits total)
     for i in range(n):
         alpha = ALPHA_GRID[i % 3]
-        dims = (2, 2)
         kind, famk = ("separable", 2) if i % 2 == 0 else ("producible", 1)
-        rho_a = random_mixed(dims, prod(dims), [seed, 4, 4, i, 0])
-        rho_b = random_mixed(dims, prod(dims), [seed, 4, 4, i, 1])
-        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 4, i, 2), **opts)
-        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 4, i, 3), **opts)
-        joint = tensor(rho_a, rho_b)
-        tens_wit = _tensor_components(ra.components, rb.components, joint.dims)
-        rj = _scored(joint, kind, famk, tens_wit, alpha)
-        certs.extend(_subadditivity_certs(
-            "tensor-subadditivity", _values(rj, alpha),
-            _values(ra.affinity, alpha), _values(rb.affinity, alpha), alpha, seed))
+        certs += _subadditive("tensor-subadditivity",
+                              _pair((seed, 4, 4, i), (2, 2), kind, famk, alpha, **opts),
+                              kind, famk, alpha, seed)
 
     # nesting: a finer separability witness serves every coarser order
     for i in range(n):
         alpha = ALPHA_GRID[i % 3]
-        dims = (2, 2, 2)
-        rho = random_mixed(dims, prod(dims), [seed, 4, 5, i])
-        rf = _solve(rho, "separable", 3, alpha, (seed, 4, 5, i, 0), **opts)
+        rho, rf = _solved((seed, 4, 5, i), (2, 2, 2), "separable", 3, alpha, **opts)
         rn = _scored(rho, "separable", 2, rf.components, alpha)
         certs.append(_cert("family-nesting",
                            _variant_value(rn, alpha, "avg"),

@@ -1,10 +1,9 @@
 """Independent oracles used to derive (and re-derive) expected test values.
 
 Everything here works on raw numpy arrays and deliberately shares no code
-with the library paths it checks: partial traces by explicit index loops,
-restricted-set affinity maxima by Frank-Wolfe ascent with an exact linear
-subproblem and a duality-gap certificate, and product-state maxima by
-alternating eigenvector iterations, whose bracket is not certified.
+with the library paths it checks: partial traces by explicit index loops
+and restricted-set affinity maxima by Frank-Wolfe ascent with an exact
+linear subproblem and a duality-gap certificate.
 """
 
 import itertools
@@ -113,31 +112,6 @@ def _support_atom(grad, k):
     return best, best_v
 
 
-def _product_atom(grad, dims, seed=0, n_starts=8, sweeps=40):
-    """Approximate argmax over product unit vectors by alternating
-    eigenvector updates from several random starts."""
-    da, db = dims
-    g = grad.reshape(da, db, da, db)
-    rng = np.random.default_rng(seed)
-    best, best_v = -np.inf, None
-    for _ in range(n_starts):
-        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-        b /= np.linalg.norm(b)
-        a_vec = None
-        for _ in range(sweeps):
-            ma = np.einsum('j,ijkl,l->ik', b.conj(), g, b, optimize=True)
-            _, va = np.linalg.eigh((ma + ma.conj().T) / 2)
-            a_vec = va[:, -1]
-            mb = np.einsum('i,ijkl,k->jl', a_vec.conj(), g, a_vec, optimize=True)
-            _, vb = np.linalg.eigh((mb + mb.conj().T) / 2)
-            b = vb[:, -1]
-        v = np.kron(a_vec, b)
-        val = float(np.real(v.conj() @ grad @ v))
-        if val > best:
-            best, best_v = val, v
-    return best, best_v
-
-
 def frank_wolfe_max(rho_data, alpha, atom_oracle, iters=2000, gap_stop=2e-6):
     """Maximize Tr(rho^alpha sigma^(1-alpha)) over the convex hull of the
     oracle's atoms; returns (achieved value, upper bound).
@@ -172,16 +146,6 @@ def max_affinity_support(rho_data, alpha, k, iters=2000, gap_stop=2e-6):
                            lambda g: _support_atom(g, k), iters, gap_stop)
 
 
-def max_affinity_product(rho_data, alpha, dims, iters=400, gap_stop=2e-4):
-    """Frank-Wolfe over two-party product states with the alternating
-    oracle ``_product_atom``, which can undershoot the linear maximum, so
-    the returned upper bound is not certified.  On the isotropic two-qubit
-    state with fidelity 0.9 to (|00> + |11>)/sqrt(2), at alpha = 0.5, the
-    bracket is [0.8937734, 0.8940455], below the exact maximum 0.8944272."""
-    return frank_wolfe_max(rho_data, alpha,
-                           lambda g: _product_atom(g, dims), iters, gap_stop)
-
-
 # Frozen anchor optima, derived before the library existed and re-derivable
 # with the searches above (see the slow oracle tests):
 #
@@ -191,9 +155,9 @@ def max_affinity_product(rho_data, alpha, dims, iters=400, gap_stop=2e-4):
 #   0.3/0.5/0.7: [0.7528798, 0.7529226], [0.8164664, 0.8165268],
 #   [0.8854373, 0.8854977].
 # * two-qubit Bell state against separable states at alpha = 1/2: the
-#   symmetric-state family caps at 2^(-1/2).  The product-oracle bracket
-#   [0.7069391, 0.7071747] agrees but is not certified (see
-#   max_affinity_product).
+#   symmetric-state family caps at 2^(-1/2), from symmetric-state analysis;
+#   no search here certifies it (an alternating product-state oracle can
+#   undershoot the linear maximum, so its Frank-Wolfe bracket is no bound).
 
 def qutrit_two_level_max(alpha):
     return (2.0 / 3.0) ** (1.0 - alpha)

@@ -1,11 +1,21 @@
-"""Per-sample reference loops of the suites that evaluate samples as stacks.
+"""Reference loops for the certificate suites.
 
 These are the loops of ``run_affinity_props``, ``run_appendix_b``, the
 order-2 part of ``run_theorem1`` and ``run_embedding`` as they were before
 the suites grouped their samples: one sample at a time, through the
 per-state API only.  ``tests/test_verify.py`` requires the suites to emit
 the same certificates, bit for bit.
+
+``theorem1_constructive`` and ``theorem2`` are the order-3 checks of
+``run_theorem1`` and ``run_theorem2`` as they were before the suites shared
+one definition of each transported claim (``verify._mixing``,
+``verify._monotone`` and ``verify._subadditive``): each suite wrote its own
+convexity, monotonicity and subadditivity transports, with the witness
+helpers below.
 """
+
+from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -22,22 +32,33 @@ from resourcekit.affinity import (
 )
 from resourcekit.channels import (
     apply as channel_apply,
+    make_local_product,
     make_monomial_incoherent,
     random_channel,
     random_projective,
     selective_apply,
 )
 from resourcekit.embedding import build_embedding, depth_correspondence_pure, embed_state
-from resourcekit.indicators import closed_form_k2
+from resourcekit.feasible import WitnessComponent, _assemble_product, build_family
+from resourcekit.indicators import _scored, _variant_value, closed_form_k2
 from resourcekit.states import (
     _rng,
+    pure_state,
     random_mixed,
     random_unitary,
     tensor,
     trace_distance,
     validate,
 )
-from resourcekit.verify import ALPHA_GRID, _subadditivity_certs, _unambiguous_pure
+from resourcekit.verify import (
+    ALPHA_GRID,
+    _pushed,
+    _selective_witnesses,
+    _solve,
+    _subadditivity_certs,
+    _t2_config,
+    _unambiguous_pure,
+)
 
 
 def affinity_props(seed, n):
@@ -199,4 +220,172 @@ def embedding(seed, n):
         a_emb = alpha_affinity(embed_state(emb, rho), embed_state(emb, sig), alpha)
         certs.append(_cert("affinity-preservation", a_emb, a_src,
                            equality=True, alpha=alpha, seed=seed))
+    return certs
+
+
+def _apply_to_components(channel, comps):
+    """Unnormalized witness image under the full channel, component-wise."""
+    return [c for op in channel.kraus for c in _pushed(op, comps)]
+
+
+def _rotated(u, comps):
+    return [WitnessComponent(w, pure_state(u @ psi.amps, psi.dims)) for w, psi in comps]
+
+
+def _scaled(comps, factor):
+    return [WitnessComponent(w * factor, psi) for w, psi in comps]
+
+
+def _tensor_components(left, right, dims):
+    return [WitnessComponent(wa * wb, pure_state(np.kron(a.amps, b.amps), dims))
+            for wa, a in left for wb, b in right]
+
+
+def _values(affinity, alpha):
+    """(plain, avg) indicator values of a maximal affinity."""
+    return _variant_value(affinity, alpha, "plain"), _variant_value(affinity, alpha, "avg")
+
+
+def theorem1_constructive(seed, nc):
+    """Order-3 checks on qutrits: every comparison transports the witness."""
+    certs = []
+    d, k = 3, 3
+    opts = {"max_iter": 300}
+    for i in range(nc):
+        alpha = ALPHA_GRID[i % 3]
+        rho1 = random_mixed((d,), d, [seed, 3, i, 0])
+        rho2 = random_mixed((d,), d, [seed, 3, i, 1])
+        r1 = _solve(rho1, "multilevel", k - 1, alpha, (seed, 3, i, 2), **opts)
+        r2 = _solve(rho2, "multilevel", k - 1, alpha, (seed, 3, i, 3), **opts)
+
+        # convexity of the plain indicator via mixed witnesses
+        lam = _rng([seed, 3, i, 4]).dirichlet(np.ones(2))
+        mix = validate(lam[0] * rho1.data + lam[1] * rho2.data, (d,))
+        mixed_wit = _scaled(r1.components, lam[0]) + _scaled(r2.components, lam[1])
+        rm = _scored(mix, "multilevel", k - 1, mixed_wit, alpha)
+        certs.append(_cert("order3-witness-convexity", 1.0 - rm,
+                           lam[0] * (1.0 - r1.affinity) + lam[1] * (1.0 - r2.affinity),
+                           alpha=alpha, seed=seed))
+
+        # channel monotonicity and average monotonicity under monomial maps
+        chan = make_monomial_incoherent(d, 2, [seed, 3, i, 6])
+        moved = _apply_to_components(chan, r1.components)
+        ro = _scored(channel_apply(chan, rho1), "multilevel", k - 1, moved, alpha)
+        certs.append(_cert("order3-witness-channel-monotonicity",
+                           1.0 - ro, 1.0 - r1.affinity,
+                           alpha=alpha, seed=seed))
+
+        lhs = 0.0
+        for p, rho_i, wit in _selective_witnesses(chan, rho1, r1.components):
+            ri = _scored(rho_i, "multilevel", k - 1, wit, alpha)
+            lhs += p * _variant_value(ri, alpha, "avg")
+        certs.append(_cert("order3-witness-avg-monotonicity", lhs,
+                           _variant_value(r1.affinity, alpha, "avg"),
+                           alpha=alpha, seed=seed))
+
+        # tensor subadditivity: order (k-1)^2 + 1 on the 9-level product
+        joint = tensor(rho1, rho2)
+        tens_wit = _tensor_components(r1.components, r2.components, joint.dims)
+        rt = _scored(joint, "multilevel", (k - 1) ** 2, tens_wit, alpha)
+        certs.extend(_subadditivity_certs(
+            "order3-witness-tensor-subadditivity", _values(rt, alpha),
+            _values(r1.affinity, alpha), _values(r2.affinity, alpha), alpha, seed))
+    return certs
+
+
+def theorem2(seed, n_samples=None):
+    n = 30 if n_samples is None else int(n_samples)
+    certs = []
+    opts = {"max_iter": 200}
+
+    # members of each family score (numerically) zero: two random product
+    # atoms per partition of the pool, in random proportions
+    for i in range(n):
+        alpha, dims, kind, famk = _t2_config(i)
+        rng, pool = _rng([seed, 4, 0, i]), build_family(kind, dims, famk).pool
+        atoms = []
+        for parts in pool + pool:
+            factors = [rng.standard_normal(2 * prod(dims[j] for j in part)).view(complex)
+                       for part in parts]
+            atoms.append(pure_state(_assemble_product(dims, parts, factors), dims))
+        member_comps = list(zip(rng.dirichlet(np.ones(len(atoms))), atoms))
+        member = validate(sum(w * psi.projector().data for w, psi in member_comps), dims)
+        rz = _scored(member, kind, famk, member_comps, alpha)
+        certs.append(_cert("zero-on-members", 1.0 - rz, 0.0,
+                           alpha=alpha, seed=seed))
+
+    # local-unitary covariance at the witness level
+    for i in range(n):
+        alpha, dims, kind, famk = _t2_config(i)
+        rho = random_mixed(dims, prod(dims), [seed, 4, 1, i])
+        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 1, i, 0), **opts)
+        u_full = reduce(np.kron, [random_unitary(2, [seed, 4, 1, i, j])
+                                  for j in range(len(dims))])
+        rho_u = validate(u_full @ rho.data @ u_full.conj().T, dims)
+        r2 = _scored(rho_u, kind, famk, _rotated(u_full, r1.components), alpha)
+        certs.append(_cert("local-unitary-witness", 1.0 - r1.affinity, 1.0 - r2,
+                           equality=True, alpha=alpha, seed=seed))
+
+    # convexity of the plain indicators via witness mixing
+    for i in range(n):
+        alpha, dims, kind, famk = _t2_config(i)
+        rho_a = random_mixed(dims, prod(dims), [seed, 4, 2, i, 0])
+        rho_b = random_mixed(dims, prod(dims), [seed, 4, 2, i, 1])
+        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 2, i, 2), **opts)
+        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 2, i, 3), **opts)
+        lam = _rng([seed, 4, 2, i, 4]).dirichlet(np.ones(2))
+        mix = validate(lam[0] * rho_a.data + lam[1] * rho_b.data, dims)
+        rmix = _scored(mix, kind, famk,
+                       _scaled(ra.components, lam[0]) + _scaled(rb.components, lam[1]), alpha)
+        certs.append(_cert("witness-mixing-convexity", 1.0 - rmix,
+                           lam[0] * (1.0 - ra.affinity) + lam[1] * (1.0 - rb.affinity),
+                           alpha=alpha, seed=seed))
+
+    # monotonicity under one-round product channels, direct and on average
+    for i in range(n):
+        alpha, dims, kind, famk = _t2_config(i)
+        rho = random_mixed(dims, prod(dims), [seed, 4, 3, i])
+        r1 = _solve(rho, kind, famk, alpha, (seed, 4, 3, i, 0), **opts)
+        locc = make_local_product([random_channel(2, 2, [seed, 4, 3, i, j])
+                                   for j in range(len(dims))])
+        moved = _apply_to_components(locc, r1.components)
+        rl = _scored(channel_apply(locc, rho), kind, famk, moved, alpha)
+        certs.append(_cert("locc-monotonicity", 1.0 - rl,
+                           1.0 - r1.affinity, alpha=alpha, seed=seed))
+
+        lhs = 0.0
+        for p, rho_i, wit in _selective_witnesses(locc, rho, r1.components):
+            ri = _scored(rho_i, kind, famk, wit, alpha)
+            lhs += p * _variant_value(ri, alpha, "avg")
+        certs.append(_cert("locc-avg-monotonicity", lhs,
+                           _variant_value(r1.affinity, alpha, "avg"),
+                           alpha=alpha, seed=seed))
+
+    # tensor subadditivity on two 2-qubit factors (4 qubits total)
+    for i in range(n):
+        alpha = ALPHA_GRID[i % 3]
+        dims = (2, 2)
+        kind, famk = ("separable", 2) if i % 2 == 0 else ("producible", 1)
+        rho_a = random_mixed(dims, prod(dims), [seed, 4, 4, i, 0])
+        rho_b = random_mixed(dims, prod(dims), [seed, 4, 4, i, 1])
+        ra = _solve(rho_a, kind, famk, alpha, (seed, 4, 4, i, 2), **opts)
+        rb = _solve(rho_b, kind, famk, alpha, (seed, 4, 4, i, 3), **opts)
+        joint = tensor(rho_a, rho_b)
+        tens_wit = _tensor_components(ra.components, rb.components, joint.dims)
+        rj = _scored(joint, kind, famk, tens_wit, alpha)
+        certs.extend(_subadditivity_certs(
+            "tensor-subadditivity", _values(rj, alpha),
+            _values(ra.affinity, alpha), _values(rb.affinity, alpha), alpha, seed))
+
+    # nesting: a finer separability witness serves every coarser order
+    for i in range(n):
+        alpha = ALPHA_GRID[i % 3]
+        dims = (2, 2, 2)
+        rho = random_mixed(dims, prod(dims), [seed, 4, 5, i])
+        rf = _solve(rho, "separable", 3, alpha, (seed, 4, 5, i, 0), **opts)
+        rn = _scored(rho, "separable", 2, rf.components, alpha)
+        certs.append(_cert("family-nesting",
+                           _variant_value(rn, alpha, "avg"),
+                           _variant_value(rf.affinity, alpha, "avg"),
+                           alpha=alpha, seed=seed))
     return certs

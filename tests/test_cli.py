@@ -145,10 +145,12 @@ def test_verify_inject_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_zero_samples_vacuous_pass(capsys):
-    code = main(["verify", "--suite", "appendix-b", "--seed", "11",
-                 "--n-samples", "0"])
-    assert code == 0
-    assert "vacuous" in capsys.readouterr().err
+    # zero samples run nothing, theorem1's order-3 solves included
+    for suite in ("appendix-b", "theorem1"):
+        code = main(["verify", "--suite", suite, "--seed", "11", "--n-samples", "0"])
+        assert code == 0
+        assert "vacuous" in capsys.readouterr().err
+        assert rk.run_suite(suite, 11, 0) == []
 
 
 def test_verify_negative_samples_exits_two(capsys):

@@ -280,8 +280,8 @@ def test_correlation_zero_on_product_state():
 
 
 def test_bell_nonseparability_anchor():
-    # from symmetric-state analysis; the product-oracle Frank-Wolfe bracket
-    # agrees but is not certified (tests/oracles.py, max_affinity_product)
+    # from symmetric-state analysis (tests/oracles.py, BELL_SEPARABLE_MAX_HALF);
+    # no certified search re-derives it
     bell = rk.pure_state([1, 0, 0, 1], (2, 2)).projector()
     res = rk.multipartite_correlation(bell, "nonseparability", 2, 0.5,
                                       seed=70, max_iter=2000)

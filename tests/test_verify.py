@@ -244,3 +244,17 @@ def test_suites_decompose_per_group_not_per_sample(eig_calls, name, n):
     assert 5 * calls < matrices
     _stacked(name, SEED, 2 * n)
     assert eig_calls[1] == 2 * calls
+
+
+# Both theorem suites check convexity, monotonicity and subadditivity through
+# one definition of each transported claim; reference_suites.py keeps the two
+# suites' own transports they replaced.
+@pytest.mark.parametrize("seed", [SEED, 77])
+def test_shared_claims_equal_each_suites_own_transports(seed):
+    import reference_suites
+    from resourcekit.verify import run_theorem1, run_theorem2
+    assert run_theorem1(seed, 6, n_constructive=3) == (
+        reference_suites.theorem1_order2(seed, 6)
+        + reference_suites.theorem1_constructive(seed, 3))
+    # n = 4 covers both dims and both family kinds of every theorem2 claim
+    assert run_theorem2(seed, 4) == reference_suites.theorem2(seed, 4)
