@@ -127,7 +127,11 @@ def _cmd_indicator(args) -> int:
 def _cmd_verify(args) -> int:
     certs = run_suite(args.suite, args.seed, args.n_samples)
     if args.n_samples == 0:
-        sys.stderr.write("warning: n-samples=0, the pass is vacuous\n")
+        if certs:
+            sys.stderr.write(f"warning: n-samples=0, only the {len(certs)} "
+                             "sample-independent checks ran\n")
+        else:
+            sys.stderr.write("warning: n-samples=0, the pass is vacuous\n")
     summary = summarize(certs)
     width = max((len(label) for label in summary), default=10)
     ok = True

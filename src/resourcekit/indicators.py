@@ -26,16 +26,15 @@ and the optimal diagonal mixture is the witness.  No search runs there.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import (
-    minimize,  # unused here; its last reader is perfbench/tracing.py
-    minimize_scalar,
-)
-from scipy.optimize._lbfgsb import setulb
 
 from .affinity import _check_alpha, _clamped, _trace_product, alpha_affinity
 from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingError
@@ -53,6 +52,7 @@ from .feasible import (
 )
 from .states import (
     DensityMatrix,
+    _flushed,
     _frac_power_raw,  # unused here; its last reader is perfbench/sweep.py
     _power,
     _spectra,
@@ -67,6 +67,8 @@ _STALL = 1e-14        # hull solve: a Frank-Wolfe gain below this is roundoff
 _EIG_FLOOR = 1e-12    # hull gradient: eigenvalue floor, relative to the largest
 _FULL_RANK = 1e-8     # hull upper bound: smallest eigenvalue it needs, relative
 _STEPS = np.arange(-28.0, 1.0)   # Frank-Wolfe line search: log-steps u, step e^u
+_REFINE_XATOL = 1e-2  # Frank-Wolfe line search: tolerance in u of the refinement
+_REFINE_MAXFUN = 500  # Frank-Wolfe line search: evaluations that end the refinement
 _LBFGS_M = 10         # L-BFGS-B: stored correction pairs
 _LBFGS_MAXLS = 20     # L-BFGS-B: line-search steps per iteration
 _LBFGS_FACTR = 1e-15 / np.finfo(float).eps   # L-BFGS-B: relative reduction 1e-15
@@ -81,6 +83,38 @@ LABELS = ("coherence", "coherence_avg",
 _FAMILY_OF = {"coherence": ("multilevel", -1),
               "nonseparability": ("separable", 0),
               "entanglement": ("producible", -1)}
+
+
+def _load_setulb():
+    """L-BFGS-B's compiled core ``setulb`` from scipy's ``_lbfgsb`` extension,
+    loaded by file: importing the ``scipy.optimize`` package costs most of a
+    cold start, and the solver runs nothing else of it.  The extension
+    enters itself in sys.modules; that parentless entry is dropped so that a
+    later ``import scipy.optimize`` loads and binds its own module (whose
+    ``setulb`` is this same function object).  Once scipy.optimize is
+    loaded, its module is used as it is."""
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name].setulb
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.machinery.FileFinder(
+        os.path.join(scipy_dir, "optimize"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module.setulb
+
+
+setulb = _load_setulb()
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported when called.  No solve calls it;
+    perfbench/tracing.py, its last reader, wraps this name."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 class MaxAffinityResult(NamedTuple):
@@ -154,15 +188,16 @@ def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _evaluate(s, rho_a, beta):
-    """f(sigma) = Tr(rho_a sigma^beta), its gradient G (Daleckii-Krein,
-    eigenvalues floored), Tr(G sigma) and eig(sigma), from one eigh.
+    """f(sigma) = Tr(rho_a sigma^beta) (eigenvalues flushed, as for every
+    power: :func:`_flushed`), its gradient G (Daleckii-Krein, eigenvalues
+    floored), Tr(G sigma) and eig(sigma), from one eigh.
     Tr(G sigma) is the sum of G * sigma^T in memory order: its roundoff
     steers every L-BFGS path, so another order (np.vdot) moves each
     solve's last digits and its certified width."""
     w, v = np.linalg.eigh(s)
     vh = v.conj().T
     r = vh @ rho_a @ v
-    f = float(np.maximum(w, 0.0) ** beta @ r.diagonal().real)
+    f = float(_flushed(w) ** beta @ r.diagonal().real)
     g = v @ (_power_slopes(np.maximum(w, _EIG_FLOOR * w[-1]), beta) * r) @ vh
     return f, g, float((g * s.T).sum().real), w
 
@@ -171,7 +206,7 @@ def _value(s, rho_a, beta):
     """f alone, for one sigma or a stack of them, from one (stacked) eigh."""
     w, v = np.linalg.eigh(s)
     r = np.einsum("...ji,...ji->...i", v.conj(), rho_a @ v).real
-    return (np.maximum(w, 0.0) ** beta * r).sum(-1)
+    return (_flushed(w) ** beta * r).sum(-1)
 
 
 def _line_search(s, atom, f, rho_a, beta):
@@ -183,28 +218,95 @@ def _line_search(s, atom, f, rho_a, beta):
     phi(e^j) - f >= (phi(t*) - f) / e: when the best node gains at most
     _STALL, no step in [e^-28, 1] gains more than e * _STALL, and that node
     is returned unrefined.  Otherwise phi, unimodal in u, peaks within one
-    grid step of the best node, where a bounded search refines it; the
-    better of the refined step and the node is returned."""
+    grid step of the best node, where a bounded search refines it
+    (:func:`_bounded_min`); the better of the refined step and the node is
+    returned."""
     phi = _value(s + np.exp(_STEPS)[:, None, None] * (atom - s), rho_a, beta)
     b = int(np.argmax(phi))
     t, best = float(np.exp(_STEPS[b])), float(phi[b])
     if best - f > _STALL:
-        line = minimize_scalar(lambda u: -_value(s + np.exp(u) * (atom - s), rho_a, beta),
-                               bounds=(_STEPS[b] - 1.0, min(_STEPS[b] + 1.0, 0.0)),
-                               method="bounded", options={"xatol": 1e-2})
-        if -line.fun > best:
-            t, best = float(np.exp(line.x)), float(-line.fun)
+        u, fu, _ = _bounded_min(lambda u: -_value(s + np.exp(u) * (atom - s), rho_a, beta),
+                                _STEPS[b] - 1.0, min(_STEPS[b] + 1.0, 0.0))
+        if -fu > best:
+            t, best = float(np.exp(u)), float(-fu)
     return t, best - f
+
+
+def _bounded_min(func, a, b):
+    """Minimize a scalar function on [a, b] by Brent's bounded search
+    (golden sections and parabolic steps; Brent 1973), to _REFINE_XATOL and
+    at most _REFINE_MAXFUN evaluations.  A port of the loop of scipy's
+    ``minimize_scalar(method="bounded")``: the same operations in the same
+    order, so the same x, f(x) and evaluation count.  Returns (x, f(x),
+    evaluations)."""
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + _REFINE_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if np.abs(e) > tol1:    # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + _REFINE_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _REFINE_MAXFUN:
+            break
+    return xf, fx, num
 
 
 def _lbfgs(fun, x, maxiter):
     """Minimize ``fun(x) -> (f, gradient)`` from x by unbounded L-BFGS-B
     (Byrd, Lu, Nocedal & Zhu 1995), run by scipy's compiled core ``setulb``
-    in the reverse-communication loop of scipy's ``minimize``: the same
-    iterates and evaluations, without that wrapper's per-evaluation layers.
-    Task 3 asks for f and the gradient at x; a step too small to move x
-    reuses the last ones, as the wrapper's cache does.  Task 1 reports a
-    new iterate.  The run stops at ``maxiter`` iterates or past
+    (:func:`_load_setulb`) in the reverse-communication loop of scipy's
+    ``minimize``: the same iterates and evaluations, without that wrapper's
+    per-evaluation layers.  Task 3 asks for f and the gradient at x; a step
+    too small to move x reuses the last ones, as the wrapper's cache does.
+    Task 1 reports a new iterate.  The run stops at ``maxiter`` iterates or past
     _LBFGS_MAXFUN evaluations (task 5), or when setulb converges or gives
     up.  ``fun`` must not keep x, which setulb overwrites.  Returns
     (x, iterations)."""

@@ -285,13 +285,22 @@ def _spectra(states) -> tuple[np.ndarray, np.ndarray]:
     return np.array([rho._eig[0] for rho in states]), np.array([rho._eig[1] for rho in states])
 
 
+def _flushed(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues w, ascending along the last axis as eigh returns them,
+    clipped at zero and with those below _FLUSH of the largest set to an
+    exact zero, over leading axes: the spectrum that may be raised to a
+    power.  One spectrum with nothing to clip or flush is returned as it is
+    (the hull objective's common case, checked in two scalar steps)."""
+    if w.ndim == 1 and w[0] >= _FLUSH * w[-1] > 0.0:
+        return w
+    return np.where(w < _FLUSH * w[..., -1:], 0.0, w)
+
+
 def _power(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """v diag(w^t) v^dag with w clipped at zero and flushed below the floor,
-    over leading axes.  ``t`` is one scalar for the stack: numpy's ``**``
-    with an array of exponents is not bit-identical to it."""
-    w = w.clip(0.0)    # np.clip(w, 0.0, None) without its wrapper
-    w[w < _FLUSH * w.max(axis=-1, keepdims=True)] = 0.0
-    w = w ** t
+    """v diag(w^t) v^dag with w flushed (:func:`_flushed`), over leading
+    axes.  ``t`` is one scalar for the stack: numpy's ``**`` with an array
+    of exponents is not bit-identical to it."""
+    w = _flushed(w) ** t
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

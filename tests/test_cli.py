@@ -153,6 +153,17 @@ def test_verify_zero_samples_vacuous_pass(capsys):
         assert rk.run_suite(suite, 11, 0) == []
 
 
+def test_verify_zero_samples_counts_sample_independent_checks(capsys):
+    # the embedding suite's flag checks of d = 2, 3, 4 do not depend on the
+    # sample count: they run, and the warning says so instead of "vacuous"
+    code = main(["verify", "--suite", "embedding", "--seed", "11", "--n-samples", "0"])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "only the 15 sample-independent checks ran" in err
+    assert "vacuous" not in err
+    assert len(rk.run_suite("embedding", 11, 0)) == 15
+
+
 def test_verify_negative_samples_exits_two(capsys):
     assert main(["verify", "--suite", "affinity-props", "--seed", "1",
                  "--n-samples", "-3"]) == 2
