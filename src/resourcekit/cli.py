@@ -25,7 +25,7 @@ import sys
 from .affinity import alpha_affinity, certificates_to_csv
 from .embedding import (
     build_embedding,
-    depth_correspondence_pure,
+    depth_correspondence,
     theorem3_check,
     transport_report_json,
 )
@@ -153,13 +153,10 @@ def _cmd_embed(args) -> int:
         raise ResourceKitError("embed expects a single-system state file")
     emb = build_embedding(rho.d)
     spec = spectral(rho)
-    depth_rows = []
-    for lam, col in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if lam <= 1e-12:
-            continue
-        psi = PureState(rho.dims, col.copy())
-        info = depth_correspondence_pure(emb, psi)
-        depth_rows.append({"weight": float(lam), **info})
+    kept = [(float(lam), PureState(rho.dims, col.copy()))
+            for lam, col in zip(spec.eigenvalues, spec.eigenvectors.T) if lam > 1e-12]
+    infos = depth_correspondence(emb, [psi for _, psi in kept])
+    depth_rows = [{"weight": lam, **info} for (lam, _), info in zip(kept, infos)]
     reports = {}
     for k in args.k:
         for a in args.alpha:

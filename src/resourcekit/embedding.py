@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOfRange,
                      WitnessEncodingError)
-from .feasible import WitnessComponent, _coarsens, _effective_support, factorize_pure
+from .feasible import WitnessComponent, _coarsens, _effective_support, _finest_parts
 from .indicators import _mixed, _variant_value, multilevel_coherence
 from .states import DensityMatrix, PureState, _trusted, pure_state
 
@@ -71,13 +71,22 @@ def build_embedding(d: int) -> EmbeddingMap:
     return EmbeddingMap(d, u, (d,) + (2,) * d)
 
 
+def _check_d(emb: EmbeddingMap, d: int) -> None:
+    if d != emb.d:
+        raise DimensionMismatch(f"state dimension {d} != embedding dimension {emb.d}")
+
+
+def _embedded(emb: EmbeddingMap, amps: np.ndarray) -> np.ndarray:
+    """The flag rule on amplitude vectors, over leading axes."""
+    out = np.zeros(amps.shape[:-1] + (emb.total_dim,), dtype=complex)
+    out[..., _flagged(emb.d, np.arange(emb.d), 0)] = amps
+    return out
+
+
 def embed_pure(emb: EmbeddingMap, psi: PureState) -> PureState:
     """|i> -> |i> (x) |0..010..0> with the 1 on ancilla qubit i."""
-    if psi.d != emb.d:
-        raise DimensionMismatch(f"state dimension {psi.d} != embedding dimension {emb.d}")
-    out = np.zeros(emb.total_dim, dtype=complex)
-    out[_flagged(emb.d, np.arange(emb.d), 0)] = psi.amps
-    return pure_state(out, emb.dims)
+    _check_d(emb, psi.d)
+    return pure_state(_embedded(emb, psi.amps), emb.dims)
 
 
 def embed_state(emb: EmbeddingMap, rho: DensityMatrix) -> DensityMatrix:
@@ -88,8 +97,7 @@ def embed_state(emb: EmbeddingMap, rho: DensityMatrix) -> DensityMatrix:
     (unitary invariance plus multiplicativity with the pure ancilla), so
     witnesses embed the same way as states.
     """
-    if rho.d != emb.d:
-        raise DimensionMismatch(f"state dimension {rho.d} != embedding dimension {emb.d}")
+    _check_d(emb, rho.d)
     idx = _flagged(emb.d, np.arange(emb.d), 0)  # source levels, ancillas in |0..0>
     out = np.zeros((emb.total_dim, emb.total_dim), dtype=complex)
     out[np.ix_(idx, idx)] = rho.data
@@ -110,20 +118,32 @@ def map_components(emb: EmbeddingMap, components):
     return [WitnessComponent(w, embed_pure(emb, psi)) for w, psi in components]
 
 
-def depth_correspondence_pure(emb: EmbeddingMap, psi: PureState) -> dict:
-    """Rank of the source state and both depths of its embedding, all read
-    off one structure, the embedding's finest factorization: the rank is 1
-    when it is fully product, else the entanglement depth - 1.
+def depth_correspondence(emb: EmbeddingMap, states) -> list[dict]:
+    """Rank of each source state and both depths of its embedding, all read
+    off one structure, the embedding's finest partition: the rank is 1 when
+    it is fully product, else the entanglement depth - 1.  The states are
+    embedded as one stack and their partitions read off one table
+    (``feasible._finest_parts``); no factor is built.
 
     Only measures; the claimed correspondence (rank r >= 2 gives
     separability depth d - r + 1 and entanglement depth r + 1, rank 1 a
     fully product embedding with depths d + 1 and 1) is certified by the
     embedding suite against the sampled rank.
     """
-    fac = factorize_pure(embed_pure(emb, psi))
-    ent = fac.entanglement_depth
-    return {"rank": 1 if ent == 1 else ent - 1,
-            "sep_depth": fac.separability_depth, "ent_depth": ent}
+    for psi in states:
+        _check_d(emb, psi.d)
+    amps = np.array([psi.amps for psi in states]).reshape(-1, emb.d)
+    out = []
+    for parts in _finest_parts(_embedded(emb, amps), emb.dims):
+        ent = max(map(len, parts))
+        out.append({"rank": 1 if ent == 1 else ent - 1, "sep_depth": len(parts),
+                    "ent_depth": ent})
+    return out
+
+
+def depth_correspondence_pure(emb: EmbeddingMap, psi: PureState) -> dict:
+    """:func:`depth_correspondence` of one state."""
+    return depth_correspondence(emb, [psi])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +160,21 @@ class TransportRow:
 
 
 def _check_mapped_feasibility(emb, sources, mapped) -> list:
-    """Re-derive each mapped component's factorization and verify it against
-    the partition predicted from its source's support; failures raise
-    rather than being dropped.  Returns the factorizations.
+    """Re-derive each mapped component's finest partition, all off one table,
+    and verify it against the partition predicted from its source's support;
+    failures raise rather than being dropped.  Returns the partitions.
 
-    The recomputed factorization may be finer than the predicted one (a
-    support amplitude can be numerically zero); it must never be coarser.
+    The recomputed partition may be finer than the predicted one (a support
+    amplitude can be numerically zero); it must never be coarser.
     """
-    factorizations = [factorize_pure(comp.state) for comp in mapped]
-    for src, fac in zip(sources, factorizations):
+    partitions = _finest_parts([comp.state.amps for comp in mapped], emb.dims)
+    for src, parts in zip(sources, partitions):
         predicted = _embedded_partition(emb, _effective_support(src.state))
-        if not _coarsens(predicted, fac.parts):
+        if not _coarsens(predicted, parts):
             raise FeasibilityCheckFailed(
-                f"mapped component factorizes as {fac.parts}, which does not "
+                f"mapped component factorizes as {parts}, which does not "
                 f"refine the predicted partition {predicted}")
-    return factorizations
+    return partitions
 
 
 def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
@@ -163,10 +183,11 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     certify the four induced correlation bounds on the embedded state.
 
     Each mapped component's partition is predicted from its source's
-    support and checked against its recomputed factorization
-    (FeasibilityCheckFailed); membership in separable(d - k + 2) and
-    producible(k), read off it, fails with WitnessEncodingError.  The one
-    mapped mixture is then scored on the embedded state for both.  No
+    support and checked against its recomputed finest partition, all read
+    off one table (FeasibilityCheckFailed); membership in
+    separable(d - k + 2) and producible(k), read off it, fails with
+    WitnessEncodingError.  The one mapped mixture is then scored on the
+    embedded state for both.  No
     correlation search runs: the mapped witness is feasible and, by
     affinity preservation, reproduces the coherence affinity, so every
     bound comes out at the coherence bound up to roundoff.  ``max_iter``
@@ -184,10 +205,10 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     mapped = map_components(emb, coh.components)
     sep_k = d - k + 2
     prod_k = k
-    # is_feasible_pure's rule on the factorizations: separable(K) takes K
-    # parts or more, producible(k) parts of at most k subsystems
-    for fac in _check_mapped_feasibility(emb, coh.components, mapped):
-        if fac.separability_depth < sep_k or fac.entanglement_depth > prod_k:
+    # is_feasible_pure's rule on the partitions: separable(K) takes K parts
+    # or more, producible(k) parts of at most k subsystems
+    for parts in _check_mapped_feasibility(emb, coh.components, mapped):
+        if len(parts) < sep_k or max(map(len, parts)) > prod_k:
             raise WitnessEncodingError(f"a transported component is outside separable"
                                        f"({sep_k}) or producible({prod_k})")
     aff = _mixed(embed_state(emb, rho), mapped, alpha)

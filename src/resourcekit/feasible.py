@@ -150,50 +150,69 @@ def _top_eigvec(mat: np.ndarray) -> np.ndarray:
     return v[:, -1]
 
 
-def _split_recursive(amps, dims, labels):
-    """Finest factorization of a pure state given as (amps, local dims)."""
+def _finest_parts(stack, dims) -> list[tuple[tuple[int, ...], ...]]:
+    """Finest tensor partition of each pure state of a stack (amplitude
+    vectors as rows, local dims ``dims``), the one partition rule.
+
+    Split off the smallest subset of the remaining subsystems whose reduced
+    purity is at least 1 - FACTOR_PURITY_TOL, the first of its size in
+    ``itertools.combinations`` order, until none splits.  A subset of a
+    product state's remainder has the same reduced state as in the whole
+    state, so every purity is read off one table over the whole stack: the
+    first time a subset is asked about, one batched ``_reduced`` gives the
+    purity of that subset in every state.
+    """
     n = len(dims)
-    if n == 1:
-        return [(labels, amps)]
-    for size in range(1, n // 2 + 1):
-        for subset in itertools.combinations(range(n), size):
-            red = _reduced(amps, dims, subset)
-            purity = float((np.abs(red) ** 2).sum())  # Tr(red^2) for Hermitian red
-            if purity >= 1.0 - FACTOR_PURITY_TOL:
-                phi = _top_eigvec(red)
-                comp = [i for i in range(n) if i not in subset]
-                shaped = amps.reshape(dims)
-                rest = np.tensordot(phi.conj().reshape([dims[i] for i in subset]),
-                                    shaped.transpose(list(subset) + comp),
-                                    axes=(range(size), range(size)))
-                rest = rest.reshape(-1)
-                rest = rest / np.linalg.norm(rest)
-                left = _split_recursive(phi, [dims[i] for i in subset],
-                                        [labels[i] for i in subset])
-                right = _split_recursive(rest, [dims[i] for i in comp],
-                                         [labels[i] for i in comp])
-                return left + right
-    return [(labels, amps)]
+    if n > MAX_SUBSYSTEMS:
+        raise NTooLarge(f"factorization capped at n={MAX_SUBSYSTEMS}, got {n}")
+    shaped = np.asarray(stack).reshape(-1, *dims)
+    table = {}
+
+    def splits(subset):
+        if subset not in table:
+            others = [1 + i for i in range(n) if i not in subset]
+            m = shaped.transpose([0, *(1 + i for i in subset), *others]).reshape(
+                len(shaped), prod(dims[i] for i in subset), -1)
+            red = m @ m.conj().transpose(0, 2, 1)
+            table[subset] = ((np.abs(red) ** 2).sum(axis=(1, 2))  # Tr(red^2), red Hermitian
+                             >= 1.0 - FACTOR_PURITY_TOL).tolist()
+        return table[subset]
+
+    out = []
+    for s in range(len(shaped)):
+        rest, parts = tuple(range(n)), []
+        while rest:
+            part = next((c for size in range(1, len(rest) // 2 + 1)
+                         for c in itertools.combinations(rest, size) if splits(c)[s]), rest)
+            parts.append(part)
+            rest = tuple(i for i in rest if i not in part)
+        out.append(tuple(sorted(parts)))
+    return out
 
 
 def factorize_pure(psi: PureState) -> Factorization:
-    """Finest tensor factorization found by recursive bipartition search.
+    """Finest tensor factorization: the partition :func:`_finest_parts`
+    reads off the state, the top eigenvector of each part's reduced state as
+    its factor, except that the part of largest dimension takes what the
+    other factors leave of the state (no eigh on the largest block, none at
+    all for one part).
 
-    A subset of subsystems splits off iff its reduced state has purity at
-    least 1 - FACTOR_PURITY_TOL.  The tensor product of the returned factors
-    reproduces the input up to global phase, with fidelity gap below 1e-8
-    (guaranteed whenever splits happen well clear of the threshold, which
-    holds for eigensolver noise ~1e-12 on one side and physical entanglement
-    on the other).
+    The tensor product of the returned factors reproduces the input up to
+    global phase, with fidelity gap below 1e-8 (guaranteed whenever splits
+    happen well clear of the threshold, which holds for eigensolver noise
+    ~1e-12 on one side and physical entanglement on the other).  Callers
+    that need only partitions or depths read them off :func:`_finest_parts`
+    for a whole stack.
     """
-    n = len(psi.dims)
-    if n > MAX_SUBSYSTEMS:
-        raise NTooLarge(f"factorization capped at n={MAX_SUBSYSTEMS}, got {n}")
-    pieces = _split_recursive(psi.amps, list(psi.dims), list(range(n)))
-    pieces.sort(key=lambda item: min(item[0]))
-    parts = tuple(tuple(labels) for labels, _ in pieces)
-    factors = tuple(pure_state(amps, tuple(psi.dims[i] for i in labels))
-                    for labels, amps in pieces)
+    dims = psi.dims
+    parts = _finest_parts(psi.amps, dims)[0]
+    big = max(parts, key=lambda part: prod(dims[i] for i in part))
+    amps = {part: _top_eigvec(_reduced(psi.amps, dims, part)) for part in parts if part != big}
+    rest = [i for part in amps for i in part]
+    shaped = psi.amps.reshape(dims).transpose(rest + list(big)).reshape(
+        -1, prod(dims[i] for i in big))
+    amps[big] = np.ravel(reduce(np.multiply.outer, amps.values(), 1.0)).conj() @ shaped
+    factors = tuple(pure_state(amps[part], tuple(dims[i] for i in part)) for part in parts)
     rebuilt = _assemble_product(psi.dims, parts, [f.amps for f in factors])
     fid_gap = 1.0 - abs(np.vdot(rebuilt, psi.amps))
     if fid_gap > RECONSTRUCT_TOL:
@@ -315,11 +334,15 @@ def _coarsens(coarse_partition, fine_partition) -> bool:
     return True
 
 
-def _structure(kind: str, psi: PureState):
-    """The support (multilevel) or finest factorization of a component."""
+def _structures(kind: str, states) -> list:
+    """The support (multilevel) or finest partition of each component; the
+    partitions of the components of one dims come off one table."""
     if kind == "multilevel":
-        return _effective_support(psi)
-    return factorize_pure(psi).parts
+        return [_effective_support(psi) for psi in states]
+    keys = [tuple(psi.dims) for psi in states]
+    tables = {dims: iter(_finest_parts([psi.amps for psi, key in zip(states, keys) if key == dims],
+                                       dims)) for dims in set(keys)}
+    return [next(tables[key]) for key in keys]
 
 
 def _fits(kind: str, structure, pooled) -> bool:
@@ -336,20 +359,18 @@ def encode(family: FeasibleFamily, components) -> list[int]:
     none raises WitnessEncodingError: the mixture is never altered to fit,
     so a witness start reproduces its affinity.  Both hulls' witness starts
     call it, and perfbench/tracing.py traces it as a layer."""
-    placed = []
-    for _, psi in components:
-        if (j := _first_fit(family.kind, family.pool, psi)) is None:
-            raise WitnessEncodingError(
-                f"a witness component is outside {family.kind}({family.k})")
-        placed.append(j)
+    placed = _first_fits(family.kind, family.pool, [psi for _, psi in components])
+    if None in placed:
+        raise WitnessEncodingError(
+            f"a witness component is outside {family.kind}({family.k})")
     return placed
 
 
-def _first_fit(kind: str, pool, psi: PureState):
-    """Index of the first structure in ``pool`` that the component's
+def _first_fits(kind: str, pool, states) -> list:
+    """Index of the first structure in ``pool`` that each component's
     structure fits, or None."""
-    structure = _structure(kind, psi)
-    return next((j for j, pooled in enumerate(pool) if _fits(kind, structure, pooled)), None)
+    return [next((j for j, pooled in enumerate(pool) if _fits(kind, structure, pooled)), None)
+            for structure in _structures(kind, states)]
 
 
 def is_feasible_pure(kind: str, k: int, psi: PureState) -> bool:
@@ -357,7 +378,14 @@ def is_feasible_pure(kind: str, k: int, psi: PureState) -> bool:
     (support or finest factorization) fits a structure of the family's pool.
     :func:`encode` places witness components by it and ``check_witness``
     checks by it.  An order outside the family's range raises EmptySet."""
-    return _first_fit(kind, structure_pool(kind, psi.dims, k), psi) is not None
+    return _all_feasible(kind, k, [psi])
+
+
+def _all_feasible(kind: str, k: int, states) -> bool:
+    """:func:`is_feasible_pure` of every state of a list of one dims, the
+    partitions read off one table; an empty list is feasible."""
+    return not states or None not in _first_fits(
+        kind, structure_pool(kind, states[0].dims, k), states)
 
 
 # ---------------------------------------------------------------------------

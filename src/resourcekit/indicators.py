@@ -41,6 +41,7 @@ from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingE
 from .feasible import (
     FeasibleFamily,
     WitnessComponent,
+    _all_feasible,
     _Blocks,
     _decode_raw,  # unused here; its last reader is perfbench/sweep.py
     _diagonal_components,
@@ -48,7 +49,6 @@ from .feasible import (
     _Products,
     build_family,
     encode,
-    is_feasible_pure,
 )
 from .states import (
     DensityMatrix,
@@ -570,7 +570,7 @@ def results_to_json(results) -> str:
 def _scored(rho, kind, k, comps, alpha):
     """Affinity of rho with the normalized mixture of ``comps``; a component
     outside the family (:func:`is_feasible_pure`) raises WitnessEncodingError."""
-    if not all(is_feasible_pure(kind, k, psi) for _, psi in comps):
+    if not _all_feasible(kind, k, [psi for _, psi in comps]):
         raise WitnessEncodingError(f"a transported component is outside {kind}({k})")
     return _mixed(rho, comps, alpha)
 
@@ -587,7 +587,7 @@ def check_witness(result: IndicatorResult, rho: DensityMatrix) -> bool:
     :func:`is_feasible_pure` (the rule the hull solver places by), the witness
     equals the component mixture and the affinity recomputes, both within 1e-9."""
     kind, shift = _FAMILY_OF[result.label.removesuffix("_avg")]
-    if not all(is_feasible_pure(kind, result.k + shift, c.state) for c in result.components):
+    if not _all_feasible(kind, result.k + shift, [c.state for c in result.components]):
         return False
     if np.abs(_mixture(result.components) - result.witness.data).max() > _WITNESS_TOL:
         return False

@@ -359,6 +359,12 @@ def _half_trace_norms(x: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``.  A list of Python ints in [0, 2^32)
+    enters SeedSequence as one uint32 array: numpy assembles the same entropy
+    words from it, without coercing each int.  Any other seed goes to
+    ``default_rng`` as it is, so its errors stay numpy's."""
+    if type(seed) is list and all(type(w) is int and 0 <= w <= 0xFFFFFFFF for w in seed):
+        seed = np.random.SeedSequence(np.array(seed, dtype=np.uint32))
     return np.random.default_rng(seed)
 
 

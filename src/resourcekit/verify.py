@@ -46,7 +46,7 @@ from .channels import (
 )
 from .embedding import (
     build_embedding,
-    depth_correspondence_pure,
+    depth_correspondence,
     embed_state,
     theorem3_check,
 )
@@ -587,10 +587,9 @@ def run_embedding(seed, n_samples=None):
             certs.append(_cert("flag-action", float(np.abs(out - expect).max()), 0.0,
                                equality=True, seed=seed))
 
-        for i in range(n):
+        psis = [_unambiguous_pure(seed, (5, d, i), d, 1 + i % d) for i in range(n)]
+        for i, info in enumerate(depth_correspondence(emb, psis)):
             rank = 1 + i % d
-            psi = _unambiguous_pure(seed, (5, d, i), d, rank)
-            info = depth_correspondence_pure(emb, psi)
             expect_sep = d + 1 if rank == 1 else d - rank + 1
             expect_ent = 1 if rank == 1 else rank + 1
             certs.append(_cert("depth-separability", float(info["sep_depth"]),

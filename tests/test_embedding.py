@@ -217,21 +217,30 @@ def test_theorem3_scores_the_transported_witness_without_search(monkeypatch):
 
 
 def test_theorem3_factorizes_each_mapped_component_once(monkeypatch):
-    # one factorization per mapped component gives both its partition check
-    # and its membership in both families
+    # one partition table per transport, covering every mapped component,
+    # gives both its partition check and its membership in both families;
+    # no factor is built
     import resourcekit.embedding as embedding
     import resourcekit.feasible as feasible
-    calls = []
+    from resourcekit.feasible import _finest_parts
+    tables = []
 
-    def counted(psi):
-        calls.append(psi)
-        return factorize_pure(psi)
+    def counted(stack, dims):
+        tables.append(np.array(stack))
+        return _finest_parts(stack, dims)
 
-    monkeypatch.setattr(embedding, "factorize_pure", counted)
-    monkeypatch.setattr(feasible, "factorize_pure", counted)
+    def refused(psi):
+        raise AssertionError("factorize_pure called")
+
+    monkeypatch.setattr(embedding, "_finest_parts", counted)
+    monkeypatch.setattr(feasible, "_finest_parts", counted)
+    monkeypatch.setattr(feasible, "factorize_pure", refused)
     for k in (2, 3):
         rho = rk.random_mixed([3], 3, seed=[18, k])
         coh = rk.multilevel_coherence(rho, k, 0.5, seed=19, max_iter=200)
-        calls.clear()
+        tables.clear()
         theorem3_check(rho, k, 0.5, seed=19, max_iter=200)
-        assert len(calls) == len(coh.components) > 0
+        mapped = map_components(rk.build_embedding(3), coh.components)
+        assert len(tables) == 1
+        assert len(coh.components) > 0
+        assert np.array_equal(tables[0], [c.state.amps for c in mapped])

@@ -15,6 +15,7 @@ from resourcekit.feasible import (
     _assemble_product,
     _Blocks,
     _decode_raw,
+    _finest_parts,
     _Products,
     _reduced,
     is_feasible_pure,
@@ -266,6 +267,37 @@ def test_factorize_pure_near_the_purity_threshold(dims, seed, x, spectator):
         assert 1.0 - abs(np.vdot(rebuilt, psi.amps)) <= RECONSTRUCT_TOL
     else:
         assert fac.parts == ((0, 1),) + tail
+
+
+@st.composite
+def _product_stacks(draw):
+    """(dims, partitions, stack): 1-4 products of Haar-random blocks on one
+    dims, each over its own random partition of the 2-6 subsystems."""
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=6)
+                      .filter(lambda dims: prod(dims) <= 216)))
+    n, seed = len(dims), draw(st.integers(0, 2 ** 32 - 1))
+    partitions, rows = [], []
+    for s in range(draw(st.integers(1, 4))):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        parts = tuple(sorted(tuple(i for i in range(n) if labels[i] == b)
+                             for b in set(labels)))
+        blocks = [rk.random_pure([dims[i] for i in part], [seed, s, j]).amps
+                  for j, part in enumerate(parts)]
+        partitions.append(parts)
+        rows.append(_assemble_product(dims, parts, blocks))
+    return dims, partitions, np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_stacks())
+def test_finest_parts_reads_each_constructed_partition(case):
+    # a stack mixing partitions: the stacked call, the one-state call and
+    # factorize_pure each return the partition the state was built on
+    dims, partitions, stack = case
+    assert _finest_parts(stack, dims) == partitions
+    for amps, parts in zip(stack, partitions):
+        assert _finest_parts(amps, dims) == [parts]
+        assert rk.factorize_pure(rk.pure_state(amps, dims)).parts == parts
 
 
 @settings(max_examples=150, deadline=None)

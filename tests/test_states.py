@@ -14,7 +14,15 @@ from resourcekit.errors import (
     NotPSD,
     TraceDeviation,
 )
-from resourcekit.states import _FLUSH, _frac_power_raw, _power, _spectra, _trusted, _validated
+from resourcekit.states import (
+    _FLUSH,
+    _frac_power_raw,
+    _power,
+    _rng,
+    _spectra,
+    _trusted,
+    _validated,
+)
 
 from oracles import brute_force_partial_trace
 
@@ -190,6 +198,32 @@ def test_random_generation_deterministic():
     pa = rk.random_pure([4], seed=17)
     pb = rk.random_pure([4], seed=17)
     assert pa.amps.tobytes() == pb.amps.tobytes()
+
+
+_WORDS = st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64]).flatmap(
+    lambda w: st.integers(max(w - 3, 0), w + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WORDS, min_size=1, max_size=6))
+def test_rng_draws_what_default_rng_draws(seed):
+    # a list of words below 2^32 enters SeedSequence as one uint32 array,
+    # any other list as it is: the generator state and its draws are numpy's
+    got, expected = _rng(seed), np.random.default_rng(seed)
+    assert got.bit_generator.state == expected.bit_generator.state
+    assert got.integers(0, 2 ** 63, 4).tolist() == expected.integers(0, 2 ** 63, 4).tolist()
+    assert got.standard_normal(3).tobytes() == expected.standard_normal(3).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_WORDS, max_size=5), st.integers(-2 ** 64, -1), st.data())
+def test_rng_refuses_a_negative_word_as_default_rng_does(words, negative, data):
+    seed = list(words)
+    seed.insert(data.draw(st.integers(0, len(seed))), negative)
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(seed)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        _rng(seed)
 
 
 def test_random_mixed_rank_one_is_pure():

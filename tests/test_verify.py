@@ -140,14 +140,12 @@ def test_scored_rejects_a_component_outside_the_family():
 
 
 def test_depth_violation_fails_a_certificate(monkeypatch):
-    # a factorization that merges every part breaks the depth correspondence;
-    # the suite must report failing certificates, not raise
-    from resourcekit.feasible import Factorization
+    # a partition table that merges every part breaks the depth
+    # correspondence; the suite must report failing certificates, not raise
+    def merged(stack, dims):
+        return [(tuple(range(len(dims))),)] * len(stack)
 
-    def merged(psi):
-        return Factorization((tuple(range(len(psi.dims))),), (psi,))
-
-    monkeypatch.setattr("resourcekit.embedding.factorize_pure", merged)
+    monkeypatch.setattr("resourcekit.embedding._finest_parts", merged)
     certs = run_suite("embedding", 1, 2)
     assert all_passed(certs) is False
     assert not summarize(certs)["depth-separability"]["passed"]
@@ -244,6 +242,15 @@ def test_suites_decompose_per_group_not_per_sample(eig_calls, name, n):
     assert 5 * calls < matrices
     _stacked(name, SEED, 2 * n)
     assert eig_calls[1] == 2 * calls
+
+
+# The embedding suite reads every sample's depths off one partition table;
+# reference_suites.py keeps the recursive factorization it ran per sample.
+@pytest.mark.parametrize("seed", [1, 5, 77])
+@pytest.mark.parametrize("n", [0, 1, 7, 21])
+def test_embedding_depths_equal_the_recursive_factorization(seed, n):
+    import reference_suites
+    assert run_suite("embedding", seed, n) == reference_suites.embedding(seed, n)
 
 
 # Both theorem suites check convexity, monotonicity and subadditivity through
