@@ -8,7 +8,8 @@ the family, so it certifies an upper bound on the indicator.  Every family
 but multilevel(1) is solved on its convex hull by one solver
 (:func:`_hull_max`): L-BFGS on the family's factor layout (``feasible``),
 one flat complex vector of the witness components' factors, with
-Frank-Wolfe steps that add the atom of the layout's linear oracle.
+Frank-Wolfe steps that add the atom of the layout's linear oracle at the
+best node of a log-step grid (at least 1/e of the best step's gain).
 Multilevel (coherence) families have an exact oracle and so also carry a
 certified upper bound (``affinity_upper``); the correlation families'
 product oracle is a heuristic, and their ``affinity_upper`` is 1.0.
@@ -67,8 +68,6 @@ _STALL = 1e-14        # hull solve: a Frank-Wolfe gain below this is roundoff
 _EIG_FLOOR = 1e-12    # hull gradient: eigenvalue floor, relative to the largest
 _FULL_RANK = 1e-8     # hull upper bound: smallest eigenvalue it needs, relative
 _STEPS = np.arange(-28.0, 1.0)   # Frank-Wolfe line search: log-steps u, step e^u
-_REFINE_XATOL = 1e-2  # Frank-Wolfe line search: tolerance in u of the refinement
-_REFINE_MAXFUN = 500  # Frank-Wolfe line search: evaluations that end the refinement
 _LBFGS_M = 10         # L-BFGS-B: stored correction pairs
 _LBFGS_MAXLS = 20     # L-BFGS-B: line-search steps per iteration
 _LBFGS_FACTR = 1e-15 / np.finfo(float).eps   # L-BFGS-B: relative reduction 1e-15
@@ -211,92 +210,17 @@ def _value(s, rho_a, beta):
 
 def _line_search(s, atom, f, rho_a, beta):
     """Frank-Wolfe step t from sigma toward the atom's projector A, and its
-    gain phi(t) - f, where phi(t) = f(sigma + t (A - sigma)).
+    gain phi(t) - f, where phi(t) = f(sigma + t (A - sigma)): the best of
+    the log-steps u in _STEPS (t = e^u), scored by one stacked eigh.
 
-    One stacked eigh scores the log-steps u in _STEPS (t = e^u).  phi is
-    concave, so for the best step t* and the largest grid step e^j <= t*,
-    phi(e^j) - f >= (phi(t*) - f) / e: when the best node gains at most
-    _STALL, no step in [e^-28, 1] gains more than e * _STALL, and that node
-    is returned unrefined.  Otherwise phi, unimodal in u, peaks within one
-    grid step of the best node, where a bounded search refines it
-    (:func:`_bounded_min`); the better of the refined step and the node is
-    returned."""
+    phi is concave, so for the best step t* in [e^-28, 1] and the largest
+    grid step e^j <= t*, phi(e^j) - f >= (phi(t*) - f) / e: the step gains
+    at least 1/e of the best gain, which keeps Frank-Wolfe's rate up to
+    that factor (Jaggi 2013), and a best node gaining at most _STALL
+    leaves no step in [e^-28, 1] gaining more than e * _STALL."""
     phi = _value(s + np.exp(_STEPS)[:, None, None] * (atom - s), rho_a, beta)
     b = int(np.argmax(phi))
-    t, best = float(np.exp(_STEPS[b])), float(phi[b])
-    if best - f > _STALL:
-        u, fu, _ = _bounded_min(lambda u: -_value(s + np.exp(u) * (atom - s), rho_a, beta),
-                                _STEPS[b] - 1.0, min(_STEPS[b] + 1.0, 0.0))
-        if -fu > best:
-            t, best = float(np.exp(u)), float(-fu)
-    return t, best - f
-
-
-def _bounded_min(func, a, b):
-    """Minimize a scalar function on [a, b] by Brent's bounded search
-    (golden sections and parabolic steps; Brent 1973), to _REFINE_XATOL and
-    at most _REFINE_MAXFUN evaluations.  A port of the loop of scipy's
-    ``minimize_scalar(method="bounded")``: the same operations in the same
-    order, so the same x, f(x) and evaluation count.  Returns (x, f(x),
-    evaluations)."""
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + _REFINE_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if np.abs(e) > tol1:    # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r, e = e, rat
-            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + _REFINE_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _REFINE_MAXFUN:
-            break
-    return xf, fx, num
+    return float(np.exp(_STEPS[b])), float(phi[b]) - f
 
 
 def _lbfgs(fun, x, maxiter):
@@ -347,9 +271,10 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     with G its gradient, gap = max over atoms of <atom|G|atom> - Tr(G sigma)
     bounds the distance to the maximum when the hull's oracle is exact.
     Where L-BFGS stalls (a zero factor keeps a zero gradient, or too few
-    components) a Frank-Wolfe step adds the oracle's atom.  One stacked
-    evaluation on a log-step grid decides the step (:func:`_line_search`):
-    a best grid gain of at most _STALL, which bounds every step's gain by
+    components) a Frank-Wolfe step adds the oracle's atom, at the best node
+    of a log-step grid, scored by one stacked evaluation; by concavity it
+    gains at least 1/e of the best step (:func:`_line_search`).  A best
+    grid gain of at most _STALL, which bounds every step's gain by
     e * _STALL, ends the solve.  At the cap only a certified hull asks the
     oracle."""
     beta = 1.0 - alpha

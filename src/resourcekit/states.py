@@ -408,7 +408,8 @@ def random_unitary(d: int, seed) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"dims": [...], "matrix": [[[re, im], ...], ...]}
-# row-major; files whose matrix fails validate() are refused.
+# row-major; a file of another shape raises ValueError, and one whose
+# matrix fails validate() is refused as validate() refuses it.
 # ---------------------------------------------------------------------------
 
 def _matrix_to_pairs(m: np.ndarray):
@@ -416,7 +417,10 @@ def _matrix_to_pairs(m: np.ndarray):
 
 
 def _matrix_from_pairs(raw) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in raw])
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in raw])
+    except (TypeError, ValueError):
+        raise ValueError("matrix must be a grid of [re, im] number pairs") from None
 
 
 def state_to_json(rho: DensityMatrix) -> str:
@@ -425,6 +429,8 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 def state_from_json(text: str) -> DensityMatrix:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a state must be a JSON object, got {type(doc).__name__}")
     return validate(_matrix_from_pairs(doc["matrix"]), doc["dims"])
 
 

@@ -73,11 +73,22 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_invalid_state_file_exits_two(tmp_path, capsys):
+    # a matrix that fails validation, and files of the wrong shape: numbers
+    # where [re, im] pairs belong, a top level that is not an object, a
+    # string or null entry, ragged rows, a scalar matrix
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dims": [2], "matrix": [[[1.0, 0], [0, 0]], [[0, 0], [1.0, 0]]]}')
-    code = main(["indicator", "--state", str(bad), "--label", "coherence",
-                 "--k", "2", "--alpha", "0.5", "--seed", "1"])
-    assert code == 2
+    for text in ('{"dims": [2], "matrix": [[[1.0, 0], [0, 0]], [[0, 0], [1.0, 0]]]}',
+                 '{"dims": [2], "matrix": [[1, 0], [0, 0]]}',
+                 '[1, 2]', '"state"',
+                 '{"dims": [2], "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}',
+                 '{"dims": [2], "matrix": [[[null, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+                 '{"dims": [2], "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}',
+                 '{"dims": [2], "matrix": 5}'):
+        bad.write_text(text)
+        code = main(["indicator", "--state", str(bad), "--label", "coherence",
+                     "--k", "2", "--alpha", "0.5", "--seed", "1"])
+        assert code == 2, text
+        assert capsys.readouterr().err.startswith("error: "), text
 
 
 def test_non_finite_state_file_exits_two(tmp_path, capsys):

@@ -383,17 +383,18 @@ import sys
 import resourcekit as rk
 from resourcekit import indicators
 from resourcekit.verify import all_passed
-refined, search = [], indicators._bounded_min
+gains, search = [], indicators._line_search
 
 def counted(*args):
-    refined.append(args)
-    return search(*args)
+    t, gain = search(*args)
+    gains.append(gain)
+    return t, gain
 
-indicators._bounded_min = counted
+indicators._line_search = counted
 rk.compute_indicator(rk.random_mixed([3], 3, seed=11), "coherence", 3, 0.5, seed=1)
 rk.compute_indicator(rk.random_mixed([2, 2, 2], 8, seed=1), "entanglement", 2, 0.5,
                      seed=1, max_iter=200)
-assert refined, "no refined Frank-Wolfe step"
+assert max(gains) > indicators._STALL, "no Frank-Wolfe step taken"
 assert all_passed(rk.run_suite("theorem1", 1, 1))
 assert "scipy.optimize" not in sys.modules, "scipy.optimize imported"
 import scipy.optimize._lbfgsb
@@ -411,10 +412,10 @@ assert sys.modules["scipy.optimize._lbfgsb"] is loaded
 
 @pytest.mark.parametrize("script", [IMPORT_GUARD, SCIPY_FIRST], ids=["guard", "scipy-first"])
 def test_solves_never_import_scipy_optimize(script):
-    # setulb is loaded from its extension file and the line search's
-    # refinement is a port, so neither the import nor an order-3 coherence
-    # solve, a producible solve with a refined Frank-Wolfe step or a
-    # theorem1 pass imports the scipy.optimize package; a later import
+    # setulb is loaded from its extension file and the line search is a
+    # grid, so neither the import nor an order-3 coherence solve, a
+    # producible solve that takes Frank-Wolfe steps or a theorem1 pass
+    # imports the scipy.optimize package; a later import
     # of it still binds its _lbfgsb module, with the same setulb.  Where
     # scipy.optimize came first, its own module is used.
     root = Path(__file__).resolve().parents[1]
@@ -581,8 +582,8 @@ def test_grid_gain_bounds_every_step(d, seed, alpha, full_rank, gradient_atom):
     # phi(t) = f(sigma + t (A - sigma)) is concave, so the best of the grid's
     # log-steps gains at least 1/e of the best step of a dense scan of the
     # same range: a grid gain <= _STALL leaves no step gaining > e * _STALL.
-    # The step taken scores at least the best grid node.  The example has a
-    # singular sigma: eigensolver noise raised to beta must not enter phi.
+    # The step taken is the best grid node.  The example has a singular
+    # sigma: eigensolver noise raised to beta must not enter phi.
     beta = 1.0 - alpha
     rank = d if full_rank else 1 + seed % (d - 1)
     sigma = rk.random_mixed([d], rank, seed=[seed, 0]).data
@@ -599,60 +600,15 @@ def test_grid_gain_bounds_every_step(d, seed, alpha, full_rank, gradient_atom):
     assert np.e * max(grid, 0.0) + 1e-15 >= dense
     t, gain = _line_search(sigma, atom, f, rho_a, beta)
     assert 0.0 < t <= 1.0
-    assert gain >= grid
+    assert gain == grid
     assert gain == pytest.approx(gains(np.log([t]))[0], abs=1e-15)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 0.95),
-       st.integers(0, len(_STEPS) - 1), st.booleans())
-@example(d=3, seed=7, alpha=0.5, node=len(_STEPS) - 1, gradient_atom=True)    # [-1, 0]
-@example(d=2, seed=8, alpha=0.3, node=len(_STEPS) - 2, gradient_atom=False)   # [-2, 0]
-def test_bounded_search_matches_scipy_bit_for_bit(d, seed, alpha, node, gradient_atom):
-    # _bounded_min ports the loop of scipy's bounded minimize_scalar; on the
-    # line search's phi, over the bracket _line_search puts around a grid
-    # node (cut at u = 0 around the top nodes), both return the same x,
-    # f(x) and evaluation count
-    from scipy.optimize import minimize_scalar
-
-    from resourcekit.indicators import _bounded_min
-    beta = 1.0 - alpha
-    sigma = rk.random_mixed([d], 1 + seed % d, seed=[seed, 0]).data
-    rho_a = rk.frac_power(rk.random_mixed([d], d, seed=[seed, 1]), alpha)
-    g = _evaluate(sigma, rho_a, beta)[1]
-    psi = np.linalg.eigh(g)[1][:, -1] if gradient_atom else rk.random_pure([d], [seed, 2]).amps
-    atom = np.outer(psi, psi.conj())
-
-    def phi(u):
-        return -_value(sigma + np.exp(u) * (atom - sigma), rho_a, beta)
-
-    lo, hi = _STEPS[node] - 1.0, min(_STEPS[node] + 1.0, 0.0)
-    x, fx, nfev = _bounded_min(phi, lo, hi)
-    ref = minimize_scalar(phi, bounds=(lo, hi), method="bounded", options={"xatol": 1e-2})
-    assert np.float64(x).tobytes() == np.float64(ref.x).tobytes()
-    assert np.float64(fx).tobytes() == np.float64(ref.fun).tobytes()
-    assert nfev == ref.nfev
-
-
-def test_bounded_search_matches_scipy_on_rough_functions():
-    # kinks, plateaus (ties between points) and many local minima steer the
-    # search through golden sections and rejected parabolas that phi,
-    # smooth and unimodal, rarely reaches
-    from scipy.optimize import minimize_scalar
-
-    from resourcekit.indicators import _bounded_min
-    for func in (lambda u: abs(u + 0.3), lambda u: np.floor(4 * u) ** 2,
-                 lambda u: (u + 0.7) ** 4, lambda u: np.sin(7 * u)):
-        for lo, hi in ((-2.0, 0.0), (-29.0, -27.0), (-1.0, 0.0), (-3.0, -1.0)):
-            x, fx, nfev = _bounded_min(func, lo, hi)
-            ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-2})
-            assert (x, fx, nfev) == (ref.x, ref.fun, ref.nfev)
-
-
 def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
-    # a Frank-Wolfe attempt that gains nothing costs one eigh of the stacked
-    # grid and no scalar search, and it ends the solve
+    # every Frank-Wolfe attempt costs one eigh of the stacked grid and takes
+    # a grid node: one that gains nothing ends the solve (the rank-2
+    # ququart's coherence solve), and the producible solve takes steps that
+    # gain
     from resourcekit import indicators
     shapes, attempts = [], []
     eigh, search = np.linalg.eigh, indicators._line_search
@@ -664,7 +620,7 @@ def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
     def recorded(*args):
         start = len(shapes)
         t, gain = search(*args)
-        attempts.append((gain, shapes[start:]))
+        attempts.append((t, gain, shapes[start:]))
         return t, gain
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -672,9 +628,18 @@ def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
     rk.compute_indicator(rk.random_mixed([4], 2, seed=0), "coherence", 3, 0.5, seed=1,
                          max_iter=300)
     assert len(attempts) == 1
-    gain, calls = attempts[0]
+    t, gain, calls = attempts.pop()
     assert gain <= _STALL
+    assert t in np.exp(_STEPS)
     assert calls == [(len(_STEPS), 4, 4)]
+
+    rk.compute_indicator(rk.random_mixed([2, 2, 2], 8, seed=1), "entanglement", 2, 0.5,
+                         seed=1, max_iter=200)
+    assert attempts
+    for t, _, calls in attempts:
+        assert t in np.exp(_STEPS)
+        assert calls == [(len(_STEPS), 8, 8)]
+    assert max(gain for _, gain, _ in attempts) > _STALL
 
 
 def test_product_hull_starts_on_the_coarsest_partitions():
