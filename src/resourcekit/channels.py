@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ChannelInvalid, DimensionMismatch, NonFinite
 from .states import (
     DensityMatrix,
+    _json_fields,
     _matrix_from_pairs,
     _matrix_to_pairs,
     _rng,
@@ -228,5 +229,7 @@ def channel_to_json(channel: KrausChannel) -> str:
 def channel_from_json(text: str) -> KrausChannel:
     """Load a channel; keys other than ``kraus`` (older files also carry the
     operation class and per-site factors) are ignored."""
-    doc = json.loads(text)
-    return kraus_channel([_matrix_from_pairs(k) for k in doc["kraus"]])
+    (kraus,) = _json_fields(text, "channel", "kraus")
+    if not isinstance(kraus, list):
+        raise ValueError(f"kraus must be a list of matrices, got {type(kraus).__name__}")
+    return kraus_channel([_matrix_from_pairs(k) for k in kraus])

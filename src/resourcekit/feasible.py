@@ -9,13 +9,14 @@ states:
 * ``producible(k)``   -- components that factor across a partition whose
                          parts hold at most k subsystems each.
 
-A family has one parameterization, its factor layout: one complex vector
-of PSD block factors on the size-k supports (:class:`_Blocks`), or of rows
-of product factors over the pool's partitions (:class:`_Products`), which
-maps onto a member by construction (Burer & Monteiro).  The hull solver in
-``indicators`` ascends on that vector; a witness enters it through
-:func:`encode`, the one placement rule, which :func:`is_feasible_pure`
-states and ``check_witness`` checks.
+A family has one parameterization, its factor layout (:class:`_Rows`):
+one complex vector of rows, each a pure component on one structure of the
+pool, k amplitudes on a size-k support (:class:`_Supports`) or a product
+of factors over a partition (:class:`_Products`), which maps onto a member
+by construction (Burer & Monteiro).  The hull solver in ``indicators``
+ascends on that vector; a witness enters it through :func:`encode`, the
+one placement rule, which :func:`is_feasible_pure` states and
+``check_witness`` checks.
 
 The module also provides set-partition enumeration, the coherence rank of
 pure states, and the finest tensor factorization of a pure state, from
@@ -44,7 +45,7 @@ from .states import PureState, basis_pure, pure_state
 MAX_SUBSYSTEMS = 6
 FACTOR_PURITY_TOL = 1e-9     # reduced-state purity threshold for a split
 RECONSTRUCT_TOL = 1e-8       # fidelity gap allowed for factor reconstruction
-_DROP_WEIGHT = 1e-15  # hull readout: components and pivots below this are roundoff
+_DROP_WEIGHT = 1e-15  # hull readout: rows below this weight are roundoff
 _ORACLE_STARTS = 4    # product oracle: seeded starts per partition
 _ORACLE_SWEEPS = 50   # product oracle: most alternating sweeps per start
 _ORACLE_TOL = 1e-12   # product oracle: a sweep gaining less, relative, ends it
@@ -259,7 +260,7 @@ class FeasibleFamily:
     def _default(self):
         """The hull at its default start (seed 0), built once, so that
         :func:`_decode_raw` reuses its gather tables."""
-        return _Blocks(self) if self.kind == "multilevel" else _Products(self)
+        return _Supports(self) if self.kind == "multilevel" else _Products(self)
 
     @property
     def param_len(self) -> int:
@@ -392,94 +393,12 @@ def _all_feasible(kind: str, k: int, states) -> bool:
 # Factor layouts: a family's convex hull as the image of one complex vector.
 # ---------------------------------------------------------------------------
 
-def _factor(x: np.ndarray) -> np.ndarray:
-    """A square factor b of a PSD matrix, x = b b^dagger."""
-    w, v = np.linalg.eigh(x)
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _cholesky_columns(x: np.ndarray):
-    """Pivoted-Cholesky columns c of a PSD block, x = sum c c^dagger.  Each
-    column vanishes on the earlier pivots, so supports strictly shrink."""
-    x = x.copy()
-    for _ in range(len(x)):
-        diag = np.real(np.diag(x))
-        p = int(np.argmax(diag))
-        if diag[p] <= _DROP_WEIGHT:
-            return
-        c = x[:, p] / np.sqrt(diag[p])
-        yield c
-        x -= np.outer(c, c.conj())
-        x[p, :] = x[:, p] = 0.0
-
-
-class _Blocks:
-    """multilevel(k): sigma = sum_S B_S B_S^dagger / N over the size-k
-    supports S, N = sum |B_S|^2, B = z.reshape(supports, k, k).  Its oracle,
-    an eigh per block, is exact."""
-
-    certified = True
-
-    def __init__(self, family, witness=None):
-        self.dims, self.d, k = family.dims, family.d, family.k
-        self.pool = pool = np.array(family.pool)
-        self.shape = (len(pool), k, k)
-        self.rows, self.cols = pool[:, :, None], pool[:, None, :]
-        self.flat = (self.rows * self.d + self.cols).ravel()
-        if not witness:     # I/d, as the identity on every block: no zero block
-            self.start = np.tile(np.eye(k, dtype=complex), (len(pool), 1, 1)).ravel(), None
-            return
-        blocks = np.zeros(self.shape, dtype=complex)
-        for j, (weight, psi) in zip(encode(family, witness), witness):
-            a = psi.amps[pool[j]]
-            blocks[j] += weight * np.outer(a, a.conj())
-        self.start = np.array([_factor(x) for x in blocks]).ravel(), None
-
-    def map(self, x):
-        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z."""
-        b, d = x[0].reshape(self.shape), self.d
-        m = (b @ b.conj().transpose(0, 2, 1)).ravel()
-        m = np.bincount(self.flat, m.real, d * d) + 1j * np.bincount(self.flat, m.imag, d * d)
-        return (m.reshape(d, d) / m[::d + 1].real.sum(),
-                lambda g, tr: (2.0 * (g[self.rows, self.cols] @ b - tr * b)
-                               / np.vdot(b, b).real).ravel())
-
-    def oracle(self, g, tr):
-        """(top eigenvalue, its atom as a vector, where it goes) over the blocks."""
-        lam, vec = np.linalg.eigh(g[self.rows, self.cols])
-        j = int(np.argmax(lam[:, -1]))
-        atom = np.zeros(self.d, dtype=complex)
-        atom[self.pool[j]] = vec[j, :, -1]
-        return lam[j, -1], atom, (j, vec[j, :, -1])
-
-    def add(self, x, t, where):
-        (j, top), b = where, np.sqrt(1.0 - t) * x[0].reshape(self.shape)
-        b /= np.sqrt(np.vdot(x[0], x[0]).real)
-        b[j] = _factor(b[j] @ b[j].conj().T + t * np.outer(top, top.conj()))
-        return b.ravel(), None
-
-    def components(self, x):
-        """Pivoted-Cholesky columns of each block, basis atoms merged, listed
-        by decreasing support size."""
-        atoms, basis, b = [], np.zeros(self.d), x[0].reshape(self.shape)
-        for support, bs in zip(self.pool, b / np.sqrt(np.vdot(b, b).real)):
-            for c in _cholesky_columns(bs @ bs.conj().T):
-                psi = pure_state(np.eye(self.d)[:, support] @ c, self.dims)
-                level = _effective_support(psi)
-                if len(level) == 1:
-                    basis[level[0]] += np.vdot(c, c).real
-                else:
-                    atoms.append(WitnessComponent(np.vdot(c, c).real, psi))
-        atoms.sort(key=lambda c: -len(_effective_support(c.state)))
-        return atoms + _diagonal_components(basis, self.dims)
-
-
 def _gathered(z: np.ndarray, idx: np.ndarray):
     """Products psi (rows, d) of the entries that the table idx (rows, slots,
-    d) gathers from z with a trailing 1, and per slot the product of the
+    d) gathers from z followed by [1, 0], and per slot the product of the
     other slots' entries, from running products: no division, so that
     exact-zero factor entries keep finite gradients."""
-    f = np.concatenate((z, [1.0]))[idx]
+    f = np.concatenate((z, [1.0, 0.0]))[idx]
     if f.shape[1] == 2:
         return f[:, 0] * f[:, 1], f[:, ::-1]
     rest, psi = np.ones_like(f), f[:, -1]
@@ -489,6 +408,93 @@ def _gathered(z: np.ndarray, idx: np.ndarray):
         rest[:, s] *= psi
         psi = psi * f[:, s]
     return psi, rest
+
+
+class _Rows:
+    """sigma = sum_j psi_j psi_j^dagger / N, N = sum |psi_j|^2, each psi_j
+    the product of a row of factors laid out on one structure of the
+    family's pool (Burer & Monteiro).  The state is (z, layout): the rows
+    end to end in one complex vector z, and the pool index of each row.
+    Per structure, ``counts`` holds a row's factors, ``widths`` its length
+    and ``tmpls`` (slots, d), per slot and amplitude, the row entry that
+    multiplies into it: -1 gathers the trailing 1 (a slot past the parts),
+    -2 the trailing 0 (a level off the support)."""
+
+    layout = None
+
+    def _table(self, layout):
+        """Gather table (rows, slots, d) of the rows laid out as ``layout``."""
+        widths, tmpl = self.widths[list(layout)], self.tmpls[list(layout)]
+        return np.where(tmpl < 0, widths.sum() - 1 - tmpl,
+                        (np.cumsum(widths) - widths)[:, None, None] + tmpl)
+
+    def map(self, x):
+        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z: d f / d
+        conj(psi_j) = (G - Tr(G sigma)) psi_j / N times each entry's cofactor."""
+        z, layout = x
+        if layout != self.layout:       # kept for the length of an L-BFGS run
+            self.layout, self.idx = layout, self._table(layout)
+            self.scatter = (2 * self.idx[..., None] + np.arange(2)).ravel()
+        psi, rest = _gathered(z, self.idx)
+        n = np.vdot(psi, psi).real
+
+        def pullback(g, tr):
+            dpsi = (2.0 / n) * (psi @ g.T - tr * psi)
+            w = dpsi[:, None, :] * rest.conj()      # real, imaginary parts interleaved
+            return np.bincount(self.scatter, w.view(float).ravel(),
+                               2 * len(z) + 4)[:-4].view(complex)
+        return psi.T @ psi.conj() / n, pullback
+
+    def _weights(self, x):
+        psi = _gathered(x[0], self._table(x[1]))[0]
+        return np.sum(np.abs(psi) ** 2, axis=1), psi
+
+    def add(self, x, t, where):
+        """Scale sigma by 1 - t, add the atom's row at weight t, and prune rows
+        below _DROP_WEIGHT."""
+        (z, layout), (j, row) = x, where
+        layout += (j,)
+        counts, widths = self.counts[list(layout)], self.widths[list(layout)]
+        scale = np.append(np.full(len(x[1]), (1.0 - t) / self._weights(x)[0].sum()), t)
+        z = np.append(z, row) * np.repeat(scale ** (0.5 / counts), widths)
+        keep = self._weights((z, layout))[0] > _DROP_WEIGHT
+        return z[np.repeat(keep, widths)], tuple(np.compress(keep, layout).tolist())
+
+    def components(self, x):
+        weights, psi = self._weights(x)
+        total = weights.sum()
+        return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), self.dims))
+                for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]
+
+
+class _Supports(_Rows):
+    """multilevel(k): rows of k amplitudes on the size-k supports.  Its
+    oracle, an eigh per support, is exact."""
+
+    certified = True
+
+    def __init__(self, family, witness=None):
+        self.dims, self.d, k = family.dims, family.d, family.k
+        self.pool = pool = np.array(family.pool)
+        self.counts, self.widths = np.ones(len(pool), int), np.full(len(pool), k)
+        self.tmpls = np.full((len(pool), 1, self.d), -2)
+        self.tmpls[np.arange(len(pool))[:, None], 0, pool] = np.arange(k)
+        self.rows, self.cols = pool[:, :, None], pool[:, None, :]
+        if not witness:     # I/d, as the identity's k columns on every support
+            self.start = (np.tile(np.eye(k, dtype=complex).ravel(), len(pool)),
+                          tuple(np.repeat(range(len(pool)), k).tolist()))
+            return
+        layout = tuple(encode(family, witness))
+        self.start = np.concatenate([np.sqrt(weight) * psi.amps[pool[j]] for j, (weight, psi)
+                                     in zip(layout, witness)]).astype(complex), layout
+
+    def oracle(self, g, tr):
+        """(top eigenvalue, its atom as a vector, where it goes) over the supports."""
+        lam, vec = np.linalg.eigh(g[self.rows, self.cols])
+        j = int(np.argmax(lam[:, -1]))
+        atom = np.zeros(self.d, dtype=complex)
+        atom[self.pool[j]] = vec[j, :, -1]
+        return lam[j, -1], atom, (j, vec[j, :, -1])
 
 
 class _Partition:
@@ -519,52 +525,30 @@ class _Partition:
                          ).reshape(-1, self.sizes[q], self.sizes[q])
 
 
-class _Products:
-    """separable(k) and producible(k): sigma = sum_j psi_j psi_j^dagger / N,
-    N = sum |psi_j|^2, each psi_j a tensor product of unnormalized factors
-    over one partition of the family's pool.  The state is (z, layout): the rows of factors end to
-    end in one complex vector z, and the partition of each row.  The
-    oracle, alternating maximization over product vectors from a few seeded
-    starts, is a heuristic: its gap only decides when to stop."""
+class _Products(_Rows):
+    """separable(k) and producible(k): rows of unnormalized factors, one
+    per part of a partition of the family's pool, each row's psi their
+    tensor product.  The oracle, alternating maximization over product
+    vectors from a few seeded starts, is a heuristic: its gap only decides
+    when to stop."""
 
     certified = False
 
     def __init__(self, family, witness=None, key=0):
-        self.dims, self.d, self.layout = family.dims, family.d, None
+        self.dims, self.d = family.dims, family.d
         self.pool, self.rng = family.pool, np.random.default_rng([key, 1])
         self.parts = [_Partition(self.dims, p, max(map(len, self.pool))) for p in self.pool]
+        self.counts, self.widths = np.array([(p.count, p.width) for p in self.parts]).T
+        self.tmpls = np.array([p.tmpl for p in self.parts])
         if not witness:     # d random components per partition: sigma starts full rank
             layout = tuple(np.repeat(range(len(self.pool)), self.d).tolist())
-            n = 2 * sum(self.parts[j].width for j in layout)
+            n = 2 * self.widths[list(layout)].sum()
             self.start = np.random.default_rng([key, 0]).standard_normal(n).view(complex), layout
             return
         layout = tuple(encode(family, witness))
         z = [weight ** (0.5 / len(self.pool[j])) * _top_eigvec(_reduced(psi.amps, self.dims, part))
              for j, (weight, psi) in zip(layout, witness) for part in self.pool[j]]
         self.start = np.concatenate(z).astype(complex), layout
-
-    def _table(self, layout):
-        """Gather table (rows, slots, d) of the rows laid out as ``layout``."""
-        widths = np.array([self.parts[j].width for j in layout])
-        tmpl = np.array([self.parts[j].tmpl for j in layout])
-        return np.where(tmpl < 0, widths.sum(), (np.cumsum(widths) - widths)[:, None, None] + tmpl)
-
-    def map(self, x):
-        """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z: d f / d
-        conj(psi_j) = (G - Tr(G sigma)) psi_j / N times each entry's cofactor."""
-        z, layout = x
-        if layout != self.layout:       # kept for the length of an L-BFGS run
-            self.layout, self.idx = layout, self._table(layout)
-            self.scatter = (2 * self.idx[..., None] + np.arange(2)).ravel()
-        psi, rest = _gathered(z, self.idx)
-        n = np.vdot(psi, psi).real
-
-        def pullback(g, tr):
-            dpsi = (2.0 / n) * (psi @ g.T - tr * psi)
-            w = dpsi[:, None, :] * rest.conj()      # real, imaginary parts interleaved
-            return np.bincount(self.scatter, w.view(float).ravel(),
-                               2 * len(z) + 2)[:-2].view(complex)
-        return psi.T @ psi.conj() / n, pullback
 
     def oracle(self, g, tr):
         """(largest <phi|G|phi> found over product phi, phi, where it goes); a
@@ -587,27 +571,6 @@ class _Products:
                 row = np.concatenate([phi[z] for phi in phis])
                 best = (value[z], _gathered(row, self._table((j,)))[0][0], (j, row))
         return best
-
-    def _weights(self, x):
-        psi = _gathered(x[0], self._table(x[1]))[0]
-        return np.sum(np.abs(psi) ** 2, axis=1), psi
-
-    def add(self, x, t, where):
-        """Scale sigma by 1 - t, add the atom's row at weight t, and prune rows
-        below _DROP_WEIGHT."""
-        (z, layout), (j, row) = x, where
-        layout += (j,)
-        counts, widths = np.array([(self.parts[i].count, self.parts[i].width) for i in layout]).T
-        scale = np.append(np.full(len(x[1]), (1.0 - t) / self._weights(x)[0].sum()), t)
-        z = np.append(z, row) * np.repeat(scale ** (0.5 / counts), widths)
-        keep = self._weights((z, layout))[0] > _DROP_WEIGHT
-        return z[np.repeat(keep, widths)], tuple(np.compress(keep, layout).tolist())
-
-    def components(self, x):
-        weights, psi = self._weights(x)
-        total = weights.sum()
-        return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), self.dims))
-                for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]
 
 
 def _diagonal_components(q: np.ndarray, dims) -> list[WitnessComponent]:

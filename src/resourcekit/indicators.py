@@ -43,11 +43,11 @@ from .feasible import (
     FeasibleFamily,
     WitnessComponent,
     _all_feasible,
-    _Blocks,
     _decode_raw,  # unused here; its last reader is perfbench/sweep.py
     _diagonal_components,
     _mixture,
     _Products,
+    _Supports,
     build_family,
     encode,
 )
@@ -162,7 +162,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     if family.kind == "multilevel" and family.k == 1:
         return _diagonal_max(rho, rho_a, alpha, family, witness)
     if family.kind == "multilevel":
-        hull = _Blocks(family, witness)
+        hull = _Supports(family, witness)
     else:
         hull = _Products(family, witness, _seed_key(seed))
     return _hull_max(rho, rho_a, alpha, hull, max_iter)

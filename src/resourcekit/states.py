@@ -113,10 +113,16 @@ class Spectrum(NamedTuple):
 
 
 def _check_dims(dims, side) -> tuple[int, ...]:
+    """``dims`` as ints, each entry an integer already: a bool, a string or
+    a fraction is refused, never truncated."""
     try:
-        dims = tuple(int(x) for x in dims)
-    except TypeError:
+        raw = list(dims)
+        ints = tuple(int(x) for x in raw)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or any(isinstance(x, (bool, np.bool_)) or n != x for n, x in zip(ints, raw)):
         raise DimensionMismatch(f"dims must be a sequence of ints, got {dims!r}")
+    dims = ints
     if not dims or any(x <= 0 for x in dims):
         raise DimensionMismatch(f"dims must be positive, got {dims}")
     if prod(dims) != side:
@@ -418,9 +424,24 @@ def _matrix_to_pairs(m: np.ndarray):
 
 def _matrix_from_pairs(raw) -> np.ndarray:
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in raw])
+        pairs = [[(re, im) for re, im in row] for row in raw]
+        if any(isinstance(x, bool) for row in pairs for pair in row for x in pair):
+            raise TypeError("a bool is not a number")
+        return np.array([[complex(re, im) for re, im in row] for row in pairs])
     except (TypeError, ValueError):
         raise ValueError("matrix must be a grid of [re, im] number pairs") from None
+
+
+def _json_fields(text: str, what: str, *keys):
+    """The values of ``keys`` in the JSON object ``text``; a document that is
+    not an object, or lacks one of them, raises ValueError naming it."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"a {what} needs the field {key!r}")
+    return [doc[key] for key in keys]
 
 
 def state_to_json(rho: DensityMatrix) -> str:
@@ -428,10 +449,8 @@ def state_to_json(rho: DensityMatrix) -> str:
 
 
 def state_from_json(text: str) -> DensityMatrix:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a state must be a JSON object, got {type(doc).__name__}")
-    return validate(_matrix_from_pairs(doc["matrix"]), doc["dims"])
+    matrix, dims = _json_fields(text, "state", "matrix", "dims")
+    return validate(_matrix_from_pairs(matrix), dims)
 
 
 def save_state(rho: DensityMatrix, path) -> None:

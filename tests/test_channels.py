@@ -156,6 +156,17 @@ def test_channel_json_refuses_the_nan_literal():
         rk.channel_from_json('{"kraus": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
 
 
+def test_channel_json_names_what_is_wrong():
+    # a document that is not an object, has no kraus field or a kraus that
+    # is not a list raises ValueError naming it, as a state file does
+    with pytest.raises(ValueError, match="JSON object"):
+        rk.channel_from_json("[1, 2]")
+    with pytest.raises(ValueError, match="'kraus'"):
+        rk.channel_from_json('{"ops": []}')
+    with pytest.raises(ValueError, match="list of matrices"):
+        rk.channel_from_json('{"kraus": 5}')
+
+
 def _monomial(chan):
     return all((np.count_nonzero(k, axis=0) <= 1).all() for k in chan.kraus)
 

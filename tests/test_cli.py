@@ -75,7 +75,8 @@ def test_missing_file_exits_two(tmp_path, capsys):
 def test_invalid_state_file_exits_two(tmp_path, capsys):
     # a matrix that fails validation, and files of the wrong shape: numbers
     # where [re, im] pairs belong, a top level that is not an object, a
-    # string or null entry, ragged rows, a scalar matrix
+    # string or null entry, ragged rows, a scalar matrix; dims that are not
+    # integers (a fraction, a bool, a string), a bool entry, no matrix
     bad = tmp_path / "bad.json"
     for text in ('{"dims": [2], "matrix": [[[1.0, 0], [0, 0]], [[0, 0], [1.0, 0]]]}',
                  '{"dims": [2], "matrix": [[1, 0], [0, 0]]}',
@@ -83,7 +84,12 @@ def test_invalid_state_file_exits_two(tmp_path, capsys):
                  '{"dims": [2], "matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}',
                  '{"dims": [2], "matrix": [[[null, 0], [0, 0]], [[0, 0], [1, 0]]]}',
                  '{"dims": [2], "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}',
-                 '{"dims": [2], "matrix": 5}'):
+                 '{"dims": [2], "matrix": 5}',
+                 '{"dims": [2.5], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+                 '{"dims": [true, 2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+                 '{"dims": ["2"], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+                 '{"dims": [2], "matrix": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+                 '{"dims": [2]}'):
         bad.write_text(text)
         code = main(["indicator", "--state", str(bad), "--label", "coherence",
                      "--k", "2", "--alpha", "0.5", "--seed", "1"])

@@ -13,11 +13,11 @@ from resourcekit.feasible import (
     RECONSTRUCT_TOL,
     WitnessComponent,
     _assemble_product,
-    _Blocks,
     _decode_raw,
     _finest_parts,
     _Products,
     _reduced,
+    _Supports,
     is_feasible_pure,
     structure_pool,
 )
@@ -93,7 +93,7 @@ def test_decode_components_respect_support():
     # the multilevel layout's readout: every component lies on one support
     fam = rk.build_family("multilevel", (4,), 2)
     theta = np.random.default_rng(1).standard_normal(fam.param_len)
-    comps = fam._default.components((theta.view(complex), None))
+    comps = fam._default.components((theta.view(complex), fam._default.start[1]))
     assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-12)
     for comp in comps:
         support = set(np.flatnonzero(np.abs(comp.state.amps) > 0))
@@ -137,7 +137,7 @@ def test_family_nesting_of_members():
 
 def _started(fam, comps):
     """sigma at the hull's witness start."""
-    hull = _Blocks(fam, comps) if fam.kind == "multilevel" else _Products(fam, comps)
+    hull = _Supports(fam, comps) if fam.kind == "multilevel" else _Products(fam, comps)
     return hull.map(hull.start)[0]
 
 

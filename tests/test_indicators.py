@@ -464,12 +464,12 @@ def test_lbfgs_driver_matches_scipy_bit_for_bit(kind, dims, k, seed, maxiter, re
     # and runs with steps rejected as (inf, 0)
     from scipy.optimize import minimize
 
-    from resourcekit.feasible import _Blocks, _Products
+    from resourcekit.feasible import _Products, _Supports
     from resourcekit.indicators import _lbfgs
     d, alpha = int(np.prod(dims)), 0.5
     rho_a = rk.frac_power(rk.random_mixed(list(dims), d, seed=seed), alpha)
     family = rk.build_family(kind, dims, k)
-    hull = _Blocks(family) if kind == "multilevel" else _Products(family, None, 75)
+    hull = _Supports(family) if kind == "multilevel" else _Products(family, None, 75)
     x0 = hull.start[0].view(float)
     ours, mine = _hull_objective(hull, rho_a, 1.0 - alpha, REJECTS[reject](x0))
     theirs, ref = _hull_objective(hull, rho_a, 1.0 - alpha, REJECTS[reject](x0))
@@ -487,19 +487,21 @@ def test_lbfgs_driver_matches_scipy_bit_for_bit(kind, dims, k, seed, maxiter, re
 @pytest.mark.parametrize("kind,dims,k", [
     ("separable", (2, 2), 2), ("separable", (2, 3), 2), ("separable", (2, 2, 2), 2),
     ("separable", (2, 2, 2), 3), ("producible", (2, 2, 2), 1),
-    ("producible", (2, 2, 2, 2), 2)])
+    ("producible", (2, 2, 2, 2), 2), ("multilevel", (3,), 2), ("multilevel", (4,), 3)])
 def test_product_pullback_matches_central_differences(kind, dims, k):
     # the pullback of a fixed Hermitian H is the gradient of Tr(H sigma(z))
-    # on z's float view, also from basis product states, whose factors
-    # hold exact zeros
-    from resourcekit.feasible import _Products
+    # on z's float view, also from basis states, whose rows hold exact
+    # zeros (product factors, or amplitudes on a support)
+    from resourcekit.feasible import _Products, _Supports
     d = int(np.prod(dims))
     rng = np.random.default_rng([120, d, k])
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = h + h.conj().T
     basis = [(0.5, rk.basis_pure(dims, 0)), (0.5, rk.basis_pure(dims, d - 1))]
     for witness in (None, basis):
-        hull = _Products(rk.build_family(kind, dims, k), witness, 121)
+        family = rk.build_family(kind, dims, k)
+        hull = (_Supports(family, witness) if kind == "multilevel"
+                else _Products(family, witness, 121))
         z, layout = hull.start
 
         def value(theta):
@@ -513,12 +515,33 @@ def test_product_pullback_matches_central_differences(kind, dims, k):
         assert np.abs(grad - diffs).max() <= 1e-7 * np.abs(diffs).max()
 
 
+@pytest.mark.parametrize("d,k", [(3, 2), (4, 2), (4, 3)])
+def test_multilevel_frank_wolfe_reaches_the_maximum(d, k, monkeypatch):
+    # from one basis state, L-BFGS cannot leave the start's support: only
+    # Frank-Wolfe steps add the rows that reach the maximum found from I/d
+    from resourcekit import feasible
+    calls = []
+
+    def counted(self, x, t, where, original=feasible._Supports.add):
+        calls.append(t)
+        return original(self, x, t, where)
+    monkeypatch.setattr(feasible._Supports, "add", counted)
+    rho, family = rk.random_mixed([d], 2, seed=[125, d, k]), rk.build_family("multilevel", (d,), k)
+    best = rk.max_affinity(rho, family, 0.5, seed=0).affinity
+    calls.clear()
+    res = rk.max_affinity(rho, family, 0.5, seed=0, witness=[(1.0, rk.basis_pure((d,), 0))],
+                          max_iter=2000)
+    assert calls
+    assert abs(res.affinity - best) <= 1e-12
+    assert res.upper >= best
+
+
 def test_no_oracle_answer_is_discarded(monkeypatch):
     # the oracle runs where its answer decides a step or certifies the
     # upper bound; a correlation solve stopped at its cap has neither
     from resourcekit import feasible
     calls = []
-    for hull in (feasible._Blocks, feasible._Products):
+    for hull in (feasible._Supports, feasible._Products):
         def counted(self, g, tr, original=hull.oracle):
             calls.append(type(self).__name__)
             return original(self, g, tr)
@@ -529,9 +552,9 @@ def test_no_oracle_answer_is_discarded(monkeypatch):
     assert calls == []
     rk.compute_indicator(rk.random_mixed([3], 3, seed=124), "coherence", 3, 0.5, seed=123,
                          max_iter=0)
-    assert calls == ["_Blocks"]
+    assert calls == ["_Supports"]
     res = rk.compute_indicator(rho, "entanglement", 2, 0.5, seed=123, max_iter=20)
-    assert res.iterations == 20 and calls == ["_Blocks"]
+    assert res.iterations == 20 and calls == ["_Supports"]
 
 
 def _reference_evaluate(s, rho_a, beta):

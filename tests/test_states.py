@@ -266,6 +266,23 @@ def test_json_round_trip_is_bitwise():
     assert again.data.tobytes() == rho.data.tobytes()
 
 
+@pytest.mark.parametrize("dims", [[2.5], [True, 2], ["2"], [np.True_, 2], [INF]])
+def test_dims_are_refused_not_truncated(dims):
+    # each entry must already be an integer: int() would read 2.5 and "2"
+    # as 2 and a bool as 1, which all fit a qubit
+    with pytest.raises(DimensionMismatch):
+        rk.validate(np.eye(2) / 2, dims)
+
+
+def test_json_refuses_bool_entries_and_names_missing_fields():
+    with pytest.raises(ValueError, match="number pairs"):
+        rk.state_from_json('{"dims": [2], "matrix": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}')
+    for text, field in (('{"dims": [2]}', "'matrix'"),
+                        ('{"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}', "'dims'")):
+        with pytest.raises(ValueError, match=field):
+            rk.state_from_json(text)
+
+
 def test_json_refuses_invalid_matrix(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [2], "matrix": [[[0.5, 0], [0.6, 0]], [[0.6, 0], [0.5, 0]]]}')
