@@ -16,7 +16,11 @@ of factors over a partition (:class:`_Products`), which maps onto a member
 by construction (Burer & Monteiro).  The hull solver in ``indicators``
 ascends on that vector; a witness enters it through :func:`encode`, the
 one placement rule, which :func:`is_feasible_pure` states and
-``check_witness`` checks.
+``check_witness`` checks.  An evaluation gathers the rows' factors from a
+buffer kept per layout, and one-slot rows (every multilevel row) are
+their factor, with no cofactors to multiply; the readout normalizes the
+kept rows as :func:`pure_state` does, bit for bit, without its per-row
+checks.
 
 The module also provides set-partition enumeration, the coherence rank of
 pure states, and the finest tensor factorization of a pure state, from
@@ -29,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import prod
+from math import prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +44,7 @@ from .errors import (
     NTooLarge,
     WitnessEncodingError,
 )
-from .states import PureState, basis_pure, pure_state
+from .states import PureState, _freeze, basis_pure, pure_state
 
 MAX_SUBSYSTEMS = 6
 FACTOR_PURITY_TOL = 1e-9     # reduced-state purity threshold for a split
@@ -393,12 +397,14 @@ def _all_feasible(kind: str, k: int, states) -> bool:
 # Factor layouts: a family's convex hull as the image of one complex vector.
 # ---------------------------------------------------------------------------
 
-def _gathered(z: np.ndarray, idx: np.ndarray):
-    """Products psi (rows, d) of the entries that the table idx (rows, slots,
-    d) gathers from z followed by [1, 0], and per slot the product of the
-    other slots' entries, from running products: no division, so that
-    exact-zero factor entries keep finite gradients."""
-    f = np.concatenate((z, [1.0, 0.0]))[idx]
+def _gathered(f: np.ndarray):
+    """Products psi (rows, d) of the factors f (rows, slots, d) that a gather
+    table reads, and per slot the product of the other slots' entries, from
+    running products: no division, so that exact-zero factor entries keep
+    finite gradients.  A one-slot row is its factor and has no cofactors
+    (None)."""
+    if f.shape[1] == 1:
+        return f[:, 0], None
     if f.shape[1] == 2:
         return f[:, 0] * f[:, 1], f[:, ::-1]
     rest, psi = np.ones_like(f), f[:, -1]
@@ -430,23 +436,37 @@ class _Rows:
 
     def map(self, x):
         """sigma, and its pullback (G, Tr(G sigma)) -> gradient on z: d f / d
-        conj(psi_j) = (G - Tr(G sigma)) psi_j / N times each entry's cofactor."""
+        conj(psi_j) = (G - Tr(G sigma)) psi_j / N times each entry's cofactor
+        (none for one-slot rows).  Per layout, kept for the length of an
+        L-BFGS run, it holds the gather table and a buffer of z followed by
+        [1, 0], which each call copies z into.  Where N is zero or not
+        finite, sigma is NaN, which the eigensolver rejects."""
         z, layout = x
-        if layout != self.layout:       # kept for the length of an L-BFGS run
+        if layout != self.layout:
             self.layout, self.idx = layout, self._table(layout)
             self.scatter = (2 * self.idx[..., None] + np.arange(2)).ravel()
-        psi, rest = _gathered(z, self.idx)
-        n = np.vdot(psi, psi).real
+            self.padded = np.zeros(len(z) + 2, complex)
+            self.padded[-2] = 1.0
+        self.padded[:-2] = z
+        psi, rest = _gathered(self.padded[self.idx])
+        n, scatter = np.vdot(psi, psi).real, self.scatter
 
         def pullback(g, tr):
             dpsi = (2.0 / n) * (psi @ g.T - tr * psi)
-            w = dpsi[:, None, :] * rest.conj()      # real, imaginary parts interleaved
-            return np.bincount(self.scatter, w.view(float).ravel(),
-                               2 * len(z) + 4)[:-4].view(complex)
+            if rest is not None:
+                dpsi = dpsi[:, None, :] * rest.conj()
+            return np.bincount(scatter, dpsi.view(float).ravel(),   # real, imaginary
+                               2 * len(z) + 4)[:-4].view(complex)   # parts interleaved
+        if not 0.0 < n < np.inf:    # no sigma: NaN, without the division's warning
+            return np.full((self.d, self.d), np.nan + 0j), pullback
         return psi.T @ psi.conj() / n, pullback
 
+    def _psi(self, z, layout):
+        """The rows' vectors psi of (z, layout), off a table of their own."""
+        return _gathered(np.concatenate((z, [1.0, 0.0]))[self._table(layout)])[0]
+
     def _weights(self, x):
-        psi = _gathered(x[0], self._table(x[1]))[0]
+        psi = self._psi(*x)
         return np.sum(np.abs(psi) ** 2, axis=1), psi
 
     def add(self, x, t, where):
@@ -461,10 +481,21 @@ class _Rows:
         return z[np.repeat(keep, widths)], tuple(np.compress(keep, layout).tolist())
 
     def components(self, x):
+        """The rows above _DROP_WEIGHT as (weight, pure state) pairs, each
+        row normalized as :func:`pure_state` does it, bit for bit: divided by
+        its root weight, then by the norm of that (its dot formula, as
+        :func:`states._norm`), and multiplied by the phase that makes its
+        first entry above 1e-12 real, taken row by row as a scalar.  A kept
+        row is finite with a norm near 1, so none of pure_state's checks
+        applies."""
         weights, psi = self._weights(x)
         total = weights.sum()
-        return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), self.dims))
-                for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]
+        keep = weights / total > _DROP_WEIGHT
+        a = psi[keep] / np.sqrt(weights[keep])[:, None]
+        a /= np.array([sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in a])[:, None]
+        leads = a[np.arange(len(a)), np.argmax(np.abs(a) > 1e-12, axis=1)]
+        return [WitnessComponent(float(w / total), PureState(self.dims, _freeze(v * (abs(c) / c))))
+                for w, v, c in zip(weights[keep], a, leads)]
 
 
 class _Supports(_Rows):
@@ -569,7 +600,7 @@ class _Products(_Rows):
             z = int(np.argmax(value))
             if value[z] > best[0]:
                 row = np.concatenate([phi[z] for phi in phis])
-                best = (value[z], _gathered(row, self._table((j,)))[0][0], (j, row))
+                best = (value[z], self._psi(row, (j,))[0], (j, row))
         return best
 
 

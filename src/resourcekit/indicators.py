@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .affinity import _check_alpha, _clamped, _trace_product, alpha_affinity
 from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingError
@@ -53,6 +54,7 @@ from .feasible import (
 )
 from .states import (
     DensityMatrix,
+    _count,
     _flushed,
     _frac_power_raw,  # unused here; its last reader is perfbench/sweep.py
     _power,
@@ -146,12 +148,11 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     ``max_iter`` caps the ascent's iterations, and ``max_iter=0`` scores the
     start.  Witness weights must be finite and >= 0 with a positive total
     (BadWeights); a witness component that fits no structure of the pool
-    raises WitnessEncodingError (:func:`encode`); a negative ``max_iter``
-    raises ValueError.
+    raises WitnessEncodingError (:func:`encode`); a ``max_iter`` that is
+    negative or not an integer (a bool, a fraction) raises ValueError.
     """
     alpha = _check_alpha(alpha)
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    max_iter = _count(max_iter, "max_iter")
     if witness:
         weights = np.array([w for w, _ in witness], dtype=float)
         if not (np.isfinite(weights).all() and (weights >= 0.0).all() and weights.sum() > 0.0):
@@ -186,14 +187,26 @@ def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
     return ratio
 
 
+@np.errstate(invalid="ignore")
+def _eigh(s):
+    """``np.linalg.eigh(s)`` of one Hermitian matrix, bit for bit: the LAPACK
+    gufunc that it wraps (lower triangle), without the wrapper's layers.
+    Where LAPACK does not converge, the eigenvalues are NaN; the invalid
+    flag it raises then is not warned about."""
+    return _eigh_lo(s, signature="D->dD")
+
+
 def _evaluate(s, rho_a, beta):
     """f(sigma) = Tr(rho_a sigma^beta) (eigenvalues flushed, as for every
     power: :func:`_flushed`), its gradient G (Daleckii-Krein, eigenvalues
-    floored), Tr(G sigma) and eig(sigma), from one eigh.
+    floored), Tr(G sigma) and eig(sigma), from one eigh (:func:`_eigh`);
+    LinAlgError where it does not converge.
     Tr(G sigma) is the sum of G * sigma^T in memory order: its roundoff
     steers every L-BFGS path, so another order (np.vdot) moves each
     solve's last digits and its certified width."""
-    w, v = np.linalg.eigh(s)
+    w, v = _eigh(s)
+    if w[0] != w[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     vh = v.conj().T
     r = vh @ rho_a @ v
     f = float(_flushed(w) ** beta @ r.diagonal().real)
@@ -276,15 +289,23 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     gains at least 1/e of the best step (:func:`_line_search`).  A best
     grid gain of at most _STALL, which bounds every step's gain by
     e * _STALL, ends the solve.  At the cap only a certified hull asks the
-    oracle."""
+    oracle.  The better of the end and the start is kept (the solve is
+    monotone); f at the start is read off the first L-BFGS evaluation, and
+    its gradient is recomputed only where the start wins."""
     beta = 1.0 - alpha
+    f0 = None   # f at the start: the first evaluation's, -inf if it failed
 
     def objective(theta):
+        nonlocal f0
         s, pullback = hull.map((theta.view(complex), layout))
         try:
             f, g, tr, _ = _evaluate(s, rho_a, beta)
         except np.linalg.LinAlgError:
+            if f0 is None:
+                f0 = -np.inf
             return np.inf, np.zeros_like(theta)       # a rejected step
+        if f0 is None:
+            f0 = f
         grad = pullback(g, tr).view(float)
         if not np.isfinite(f + grad.sum()):
             return np.inf, np.zeros_like(theta)
@@ -311,9 +332,9 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
             break
         z, layout = hull.add((z, layout), t, where)
 
-    f0, g0, tr0, w0 = _evaluate(hull.map(hull.start)[0], rho_a, beta)
-    if f0 > f:      # keep the better end: the solve is monotone
-        (z, layout), f, w = hull.start, f0, w0
+    if f0 is not None and f0 > f:
+        f, g0, tr0, w = _evaluate(hull.map(hull.start)[0], rho_a, beta)
+        z, layout = hull.start
         gap = hull.oracle(g0, tr0)[0] - tr0 if hull.certified else np.inf
 
     comps = tuple(hull.components((z, layout)))
@@ -419,7 +440,8 @@ def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
     :func:`max_affinity`, which takes ``max_iter`` and ``witness``: order 2
     is the exact closed form, higher orders are solved on the convex hull.
     ``affinity_upper`` is certified (1.0 when the witness is too close to
-    singular).  A negative ``max_iter`` raises ValueError."""
+    singular).  A ``max_iter`` that is negative or not an integer raises
+    ValueError."""
     if not 2 <= k <= rho.d:
         raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
     return _searched(rho, "coherence", k, alpha, variant, seed, opts)

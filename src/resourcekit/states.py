@@ -130,6 +130,18 @@ def _check_dims(dims, side) -> tuple[int, ...]:
     return dims
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int >= 0, an integer already: a bool, a string or a
+    fraction raises ValueError, never truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or isinstance(value, (bool, np.bool_)) or n != value or n < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return n
+
+
 def _trusted(data: np.ndarray, dims) -> DensityMatrix:
     """Wrap a matrix that is valid by construction (no spectral re-check)."""
     data = np.ascontiguousarray(data, dtype=complex)

@@ -55,6 +55,7 @@ from .feasible import WitnessComponent, _assemble_product, _mixture, build_famil
 from .indicators import _closed_forms, _scored, _seed_key, _variant_value, max_affinity
 from .states import (
     PureState,
+    _count,
     _half_trace_norms,
     _random_mixed,
     _rng,
@@ -652,8 +653,11 @@ SUITES = {
 
 
 def run_suite(name, seed, n_samples=None):
-    if n_samples is not None and n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    """The certificates of suite ``name`` (or of every suite, "all") at
+    ``seed``; ``n_samples`` (None: each suite's default) that is negative or
+    not an integer raises ValueError."""
+    if n_samples is not None:
+        n_samples = _count(n_samples, "n_samples")
     if name == "all":
         certs = []
         for sub in SUITE_NAMES:

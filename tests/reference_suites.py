@@ -18,6 +18,13 @@ one definition of each transported claim (``verify._mixing``,
 ``verify._monotone`` and ``verify._subadditive``): each suite wrote its own
 convexity, monotonicity and subadditivity transports, with the witness
 helpers below.
+
+``hull_objective`` and ``hull_components`` are the hull solver's
+objective (its row map, pullback and ``_evaluate``) and its readout as they
+were before the evaluation was trimmed to its arithmetic: z concatenated
+with [1, 0] on every call, a cofactor array of ones for one-slot rows,
+``np.linalg.eigh``, and ``pure_state`` per component.  ``tests/test_indicators.py`` and
+``tests/test_feasible.py`` require the solver to match them bit for bit.
 """
 
 import itertools
@@ -48,6 +55,7 @@ from resourcekit.channels import (
 from resourcekit.embedding import build_embedding, embed_pure, embed_state
 from resourcekit.errors import NTooLarge
 from resourcekit.feasible import (
+    _DROP_WEIGHT,
     FACTOR_PURITY_TOL,
     MAX_SUBSYSTEMS,
     RECONSTRUCT_TOL,
@@ -58,8 +66,15 @@ from resourcekit.feasible import (
     _top_eigvec,
     build_family,
 )
-from resourcekit.indicators import _scored, _variant_value, closed_form_k2
+from resourcekit.indicators import (
+    _EIG_FLOOR,
+    _power_slopes,
+    _scored,
+    _variant_value,
+    closed_form_k2,
+)
 from resourcekit.states import (
+    _flushed,
     _rng,
     pure_state,
     random_mixed,
@@ -469,3 +484,73 @@ def theorem2(seed, n_samples=None):
                            _variant_value(rf.affinity, alpha, "avg"),
                            alpha=alpha, seed=seed))
     return certs
+
+
+def _gathered(z, idx):
+    """Products psi (rows, d) of the entries that the table idx (rows, slots,
+    d) gathers from z followed by [1, 0], and per slot the product of the
+    other slots' entries, from running products."""
+    f = np.concatenate((z, [1.0, 0.0]))[idx]
+    if f.shape[1] == 2:
+        return f[:, 0] * f[:, 1], f[:, ::-1]
+    rest, psi = np.ones_like(f), f[:, -1]
+    for s in range(1, f.shape[1]):           # forward: the slots before s
+        np.multiply(rest[:, s - 1], f[:, s - 1], out=rest[:, s])
+    for s in range(f.shape[1] - 2, -1, -1):  # backward: times the slots after s
+        rest[:, s] *= psi
+        psi = psi * f[:, s]
+    return psi, rest
+
+
+def _table(hull, layout):
+    widths, tmpl = hull.widths[list(layout)], hull.tmpls[list(layout)]
+    return np.where(tmpl < 0, widths.sum() - 1 - tmpl,
+                    (np.cumsum(widths) - widths)[:, None, None] + tmpl)
+
+
+def hull_map(hull, x):
+    """sigma, and its pullback (G, Tr(G sigma)) -> the gradient of Tr(G sigma) on z."""
+    z, layout = x
+    idx = _table(hull, layout)
+    scatter = (2 * idx[..., None] + np.arange(2)).ravel()
+    psi, rest = _gathered(z, idx)
+    n = np.vdot(psi, psi).real
+
+    def pullback(g, tr):
+        dpsi = (2.0 / n) * (psi @ g.T - tr * psi)
+        w = dpsi[:, None, :] * rest.conj()      # real, imaginary parts interleaved
+        return np.bincount(scatter, w.view(float).ravel(),
+                           2 * len(z) + 4)[:-4].view(complex)
+    return psi.T @ psi.conj() / n, pullback
+
+
+def evaluate(s, rho_a, beta):
+    w, v = np.linalg.eigh(s)
+    vh = v.conj().T
+    r = vh @ rho_a @ v
+    f = float(_flushed(w) ** beta @ r.diagonal().real)
+    g = v @ (_power_slopes(np.maximum(w, _EIG_FLOOR * w[-1]), beta) * r) @ vh
+    return f, g, float((g * s.T).sum().real), w
+
+
+def hull_objective(hull, layout, rho_a, beta):
+    """theta -> (-f, the gradient of -f), (inf, 0) for a rejected step."""
+    def objective(theta):
+        s, pullback = hull_map(hull, (theta.view(complex), layout))
+        try:
+            f, g, tr, _ = evaluate(s, rho_a, beta)
+        except np.linalg.LinAlgError:
+            return np.inf, np.zeros_like(theta)       # a rejected step
+        grad = pullback(g, tr).view(float)
+        if not np.isfinite(f + grad.sum()):
+            return np.inf, np.zeros_like(theta)
+        return -f, -grad
+    return objective
+
+
+def hull_components(hull, x):
+    psi = _gathered(x[0], _table(hull, x[1]))[0]
+    weights = np.sum(np.abs(psi) ** 2, axis=1)
+    total = weights.sum()
+    return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), hull.dims))
+            for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]

@@ -361,3 +361,29 @@ def test_membership_is_encodability(case):
     except WitnessEncodingError:
         placed = False
     assert is_feasible_pure(kind, k, psi) == placed
+
+
+@pytest.mark.parametrize("kind,dims,k", [("multilevel", (3,), 2), ("multilevel", (4,), 3),
+                                         ("separable", (2, 2, 2), 2), ("producible", (2, 2, 2), 1)])
+def test_readout_matches_pure_state_per_row_bit_for_bit(kind, dims, k):
+    # the batched readout against pure_state row by row
+    # (reference_suites.hull_components): weights, amplitudes and dims,
+    # byte for byte.  One row is scaled under _DROP_WEIGHT, and one row's
+    # first entry is under pure_state's 1e-12 lead threshold; multilevel
+    # rows on supports without level 0 lead with the gathered zeros
+    import reference_suites
+    family = rk.build_family(kind, dims, k)
+    hull = _Supports(family) if kind == "multilevel" else _Products(family, None, 132)
+    layout, width = hull.start[1], len(hull.start[0])
+    for seed in range(6):
+        rng = np.random.default_rng([133, seed])
+        z = rng.standard_normal(2 * width).view(complex)
+        z[:hull.widths[layout[0]]] *= 1e-9               # a weight of about 1e-18
+        z[-hull.widths[layout[-1]]] = 1e-14 * (1 - 1j)    # skipped for the lead
+        ours = hull.components((z, layout))
+        theirs = reference_suites.hull_components(hull, (z, layout))
+        assert len(ours) == len(theirs) == len(layout) - 1
+        for (w, psi), (rw, rpsi) in zip(ours, theirs):
+            assert np.float64(w).tobytes() == np.float64(rw).tobytes()
+            assert psi.amps.tobytes() == rpsi.amps.tobytes() and psi.dims == rpsi.dims
+            assert not psi.amps.flags.writeable

@@ -837,3 +837,99 @@ def test_reported_seed_reproduces_the_run():
     assert again.seed == first.seed
     assert again.value == first.value
     assert again.witness.data.tobytes() == first.witness.data.tobytes()
+
+
+KERNEL_CASES = [("multilevel", (3,), 2), ("multilevel", (4,), 3), ("separable", (2, 2), 2),
+                ("separable", (2, 2, 2), 2), ("producible", (2, 2, 2), 1)]
+
+
+def _solver_objective(hull, rho_a, beta, monkeypatch):
+    """The objective _hull_max hands L-BFGS on ``hull``'s start layout,
+    caught by a stand-in _lbfgs that reports the run at its cap."""
+    from resourcekit import indicators
+    caught = []
+
+    def stand_in(fun, x, maxiter):
+        caught.append(fun)
+        return x, maxiter
+    monkeypatch.setattr(indicators, "_lbfgs", stand_in)
+    indicators._hull_max(None, rho_a, 1.0 - beta, hull, 1)
+    return caught[0]
+
+
+@pytest.mark.parametrize("kind,dims,k", KERNEL_CASES)
+@pytest.mark.parametrize("start", ["default", "basis"])
+def test_hull_objective_matches_the_reference_bit_for_bit(kind, dims, k, start, monkeypatch):
+    # the solver's map, pullback and eigensolver against the formulation
+    # they replaced (reference_suites.hull_objective): the same f and
+    # gradient bytes at seeded points, from I/d or random starts and from
+    # basis states, whose rows hold exact zeros (kept at half the points);
+    # a NaN point is a rejected step, with no warning
+    import warnings
+
+    import reference_suites
+    from resourcekit.feasible import _Products, _Supports
+    d, beta = int(np.prod(dims)), 0.4
+    family = rk.build_family(kind, dims, k)
+    witness = None if start == "default" else [(0.5, rk.basis_pure(dims, 0)),
+                                                (0.5, rk.basis_pure(dims, d - 1))]
+    hull = _Supports(family, witness) if kind == "multilevel" else _Products(family, witness, 126)
+    rho_a = rk.frac_power(rk.random_mixed(list(dims), d, seed=[127, d, k]), 1.0 - beta)
+    ours = _solver_objective(hull, rho_a, beta, monkeypatch)
+    theirs = reference_suites.hull_objective(hull, hull.start[1], rho_a, beta)
+    x0, rng = hull.start[0].view(float), np.random.default_rng([128, d, k])
+    for i in range(20):
+        theta = x0 + 0.3 * rng.standard_normal(len(x0)) * ((x0 != 0) if i % 2 else 1)
+        f, grad = ours(theta.copy())
+        rf, rgrad = theirs(theta.copy())
+        assert np.isfinite(f) and np.float64(f).tobytes() == np.float64(rf).tobytes()
+        assert grad.tobytes() == rgrad.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, grad = ours(np.full_like(x0, np.nan))
+    assert f == np.inf and grad.tobytes() == np.zeros_like(x0).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 25))
+def test_eigh_helper_matches_numpy_bit_for_bit(d):
+    # the hull objective's eigensolver calls the LAPACK gufunc behind
+    # np.linalg.eigh directly; a numpy that changed either would show here
+    from resourcekit.indicators import _eigh
+    rng = np.random.default_rng([129, d])
+    a = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    stack = np.concatenate([a + a.conj().transpose(0, 2, 1),   # Hermitian, degenerate, singular
+                            [np.eye(d), np.diag(np.arange(d) % 2 + 0j)]])
+    for mats in (stack, *stack):
+        w, v = _eigh(mats)
+        rw, rv = np.linalg.eigh(mats)
+        assert w.tobytes() == rw.tobytes() and v.tobytes() == rv.tobytes()
+
+
+def test_evaluate_rejects_what_eigh_cannot_decompose():
+    # where LAPACK does not converge (here: NaN entries), _evaluate raises
+    # LinAlgError as np.linalg.eigh does, and nothing is warned about
+    import warnings
+    rho_a = rk.frac_power(rk.random_mixed([3], 3, seed=130), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _evaluate(np.full((3, 3), np.nan + 0j), rho_a, 0.5)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, True, False, np.float64(1.5), "3", -1, None])
+def test_max_iter_must_be_a_count(max_iter):
+    # a fraction or a bool was truncated to an iteration count
+    rho = rk.random_mixed([3], 3, seed=131)
+    family = rk.build_family("multilevel", (3,), 2)
+    with pytest.raises(ValueError, match="max_iter"):
+        max_affinity(rho, family, 0.5, seed=0, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        rk.multilevel_coherence(rho, 3, 0.5, seed=0, max_iter=max_iter)
+
+
+def test_max_iter_takes_numpy_integers():
+    rho = rk.random_mixed([3], 3, seed=131)
+    family = rk.build_family("multilevel", (3,), 2)
+    a = max_affinity(rho, family, 0.5, seed=0, max_iter=np.int64(3))
+    b = max_affinity(rho, family, 0.5, seed=0, max_iter=3)
+    assert a.iterations == b.iterations <= 3 and a.affinity == b.affinity

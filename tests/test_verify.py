@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from resourcekit.affinity import InequalityCertificate
@@ -56,7 +57,6 @@ def test_theorem3_reports_a_witness_outside_the_families(monkeypatch):
     # instead of raising
     import dataclasses
 
-    import numpy as np
     import resourcekit.embedding as embedding
     from resourcekit.feasible import WitnessComponent
     from resourcekit.states import pure_state
@@ -114,6 +114,18 @@ def test_run_suite_all_and_unknown():
         run_suite("nonsense", SEED, 2)
 
 
+@pytest.mark.parametrize("n_samples", [2.5, True, np.float64(1.5), "2", -1])
+def test_run_suite_refuses_counts_that_are_not_integers(n_samples):
+    # a fraction was truncated to a sample count, and a bool taken as one
+    for name in ("appendix-b", "all"):
+        with pytest.raises(ValueError, match="n_samples"):
+            run_suite(name, SEED, n_samples)
+
+
+def test_run_suite_takes_numpy_integers():
+    assert run_suite("appendix-b", SEED, np.int64(3)) == run_suite("appendix-b", SEED, 3)
+
+
 def test_suites_are_deterministic():
     from resourcekit.affinity import certificates_to_csv
     a = certificates_to_csv(run_suite("appendix-b", SEED, 10))
@@ -124,7 +136,6 @@ def test_suites_are_deterministic():
 def test_scored_rejects_a_component_outside_the_family():
     # a transported witness is scored, never searched: an entangled component
     # raises instead of being placed or projected
-    import numpy as np
     from resourcekit.affinity import alpha_affinity
     from resourcekit.errors import WitnessEncodingError
     from resourcekit.states import basis_pure, pure_state, random_mixed
@@ -158,7 +169,6 @@ def eig_calls(monkeypatch):
     in [1]."""
     from math import prod
 
-    import numpy as np
 
     counts = [0, 0]
     for name in ("eigh", "eigvalsh"):
