@@ -28,7 +28,7 @@ from .errors import (DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutO
                      WitnessEncodingError)
 from .feasible import WitnessComponent, _coarsens, _effective_support, _finest_parts
 from .indicators import _mixed, _variant_value, multilevel_coherence
-from .states import DensityMatrix, PureState, _trusted, pure_state
+from .states import DensityMatrix, PureState, _count, _trusted, pure_state
 
 MIN_D, MAX_D = 2, 4
 
@@ -191,11 +191,11 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     correlation search runs: the mapped witness is feasible and, by
     affinity preservation, reproduces the coherence affinity, so every
     bound comes out at the coherence bound up to roundoff.  ``max_iter``
-    caps the coherence solve.  ``restarts`` is accepted and dropped here: no
-    solve reads it, and perfbench/workloads.py, its last reader, still
-    passes it.
+    caps the coherence solve; an order k that is not an integer raises
+    ValueError.  ``restarts`` is accepted and dropped here: no solve reads
+    it, and perfbench/workloads.py, its last reader, still passes it.
     """
-    d = rho.d
+    d, k = rho.d, _count(k, "k")
     if not MIN_D <= d <= 3:
         raise DTooLarge(f"transport check supports 2 <= d <= 3, got {d}")
     if not 2 <= k <= d:

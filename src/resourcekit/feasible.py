@@ -16,11 +16,12 @@ of factors over a partition (:class:`_Products`), which maps onto a member
 by construction (Burer & Monteiro).  The hull solver in ``indicators``
 ascends on that vector; a witness enters it through :func:`encode`, the
 one placement rule, which :func:`is_feasible_pure` states and
-``check_witness`` checks.  An evaluation gathers the rows' factors from a
-buffer kept per layout, and one-slot rows (every multilevel row) are
-their factor, with no cofactors to multiply; the readout normalizes the
-kept rows as :func:`pure_state` does, bit for bit, without its per-row
-checks.
+``check_witness`` checks.  Each pool structure is written down once, as
+its gather template: an evaluation gathers the rows' factors through it
+from a buffer kept per layout (a one-slot row, as every multilevel row, is
+its factor, with no cofactors), and the product oracle reads each factor's
+form off it; the readout normalizes the kept rows as :func:`pure_state`
+does, bit for bit, without its per-row checks.
 
 The module also provides set-partition enumeration, the coherence rank of
 pure states, and the finest tensor factorization of a pure state, from
@@ -37,6 +38,7 @@ from math import prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import (
     BadLength,
@@ -44,7 +46,7 @@ from .errors import (
     NTooLarge,
     WitnessEncodingError,
 )
-from .states import PureState, _freeze, basis_pure, pure_state
+from .states import PureState, _check_dims, _freeze, basis_pure, pure_state
 
 MAX_SUBSYSTEMS = 6
 FACTOR_PURITY_TOL = 1e-9     # reduced-state purity threshold for a split
@@ -148,6 +150,15 @@ def _reduced(tensor_amps: np.ndarray, dims, subset) -> np.ndarray:
     shaped = tensor_amps.reshape(dims)
     return np.dot(shaped.transpose(keep + rest).reshape(dk, -1),
                   shaped.conj().transpose(rest + keep).reshape(-1, dk))
+
+
+@np.errstate(invalid="ignore")
+def _eigh(s):
+    """``np.linalg.eigh(s)`` of a complex Hermitian matrix or stack, bit for
+    bit: the LAPACK gufunc that it wraps (lower triangle), without the
+    wrapper's layers.  Where LAPACK does not converge, the eigenvalues are
+    NaN; the invalid flag it raises then is not warned about."""
+    return _eigh_lo(s, signature="D->dD")
 
 
 def _top_eigvec(mat: np.ndarray) -> np.ndarray:
@@ -276,8 +287,9 @@ class FeasibleFamily:
 def structure_pool(kind: str, dims, k: int) -> list:
     """Every structure a component of the family may take: the size-k
     supports (multilevel), exactly-k-part partitions (separable) or
-    max-part-size-k partitions (producible), in enumeration order."""
-    dims = tuple(int(x) for x in dims)
+    max-part-size-k partitions (producible), in enumeration order.  A dim
+    that is not a positive integer already raises DimensionMismatch."""
+    dims = _check_dims(dims)
     n = len(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -300,7 +312,7 @@ def build_family(kind: str, dims, k: int) -> FeasibleFamily:
     with, for the correlation kinds, only the coarsest partitions: a
     partition that refines another adds nothing to the hull, since its
     products are the coarser one's."""
-    dims = tuple(int(x) for x in dims)
+    dims = _check_dims(dims)
     pool = structure_pool(kind, dims, k)
     if kind != "multilevel":
         pool = [p for p in pool if not any(q != p and _coarsens(q, p) for q in pool)]
@@ -528,49 +540,35 @@ class _Supports(_Rows):
         return lam[j, -1], atom, (j, vec[j, :, -1])
 
 
-class _Partition:
-    """Product vectors over one partition, a row of factors per vector;
-    ``tmpl`` holds, per slot and amplitude, the row entry that multiplies
-    into it (-1 past the parts).  The oracle's einsum subscripts name
-    subsystems, so no axis is ever transposed."""
-
-    def __init__(self, dims, partition, slots):
-        letters, batch = "abcdef"[:len(dims)], "z" if len(partition) > 1 else ""
-        self.count, self.shapes = len(partition), [[dims[i] for i in part] for part in partition]
-        self.sizes = [prod(shape) for shape in self.shapes]
-        grid, offsets = np.indices(dims).reshape(len(dims), -1), np.cumsum([0] + self.sizes)
-        self.width, self.tmpl = int(offsets[-1]), np.full((slots, prod(dims)), -1)
-        for s, (part, shape) in enumerate(zip(partition, self.shapes)):
-            self.tmpl[s] = offsets[s] + np.ravel_multi_index(tuple(grid[list(part)]), shape)
-        sub = ["z" + "".join(letters[i] for i in part) for part in partition]
-        co = ["z" + s[1:].upper() for s in sub]
-        self.forms = [",".join([letters + letters.upper()] + sub[:q] + co[:q] + sub[q + 1:]
-                               + co[q + 1:]) + "->" + batch + sub[q][1:] + co[q][1:]
-                      for q in range(self.count)]
-
-    def form(self, gt, phis, q):
-        """<phi|G|phi> as a form on factor q, one matrix per start."""
-        phis = [phi.reshape([len(phi)] + shape) for phi, shape in zip(phis, self.shapes)]
-        return np.einsum(self.forms[q], gt, *[phi.conj() for phi in phis[:q]], *phis[:q],
-                         *[phi.conj() for phi in phis[q + 1:]], *phis[q + 1:]
-                         ).reshape(-1, self.sizes[q], self.sizes[q])
-
-
 class _Products(_Rows):
     """separable(k) and producible(k): rows of unnormalized factors, one
     per part of a partition of the family's pool, each row's psi their
     tensor product.  The oracle, alternating maximization over product
     vectors from a few seeded starts, is a heuristic: its gap only decides
-    when to stop."""
+    when to stop.  It reads the same gather templates as the row map: with
+    the other factors held, <psi|G|psi> is a form on factor q,
+    B^dagger G B, where B scatters each amplitude's cofactor onto the
+    factor entry that multiplies into it."""
 
     certified = False
 
     def __init__(self, family, witness=None, key=0):
         self.dims, self.d = family.dims, family.d
         self.pool, self.rng = family.pool, np.random.default_rng([key, 1])
-        self.parts = [_Partition(self.dims, p, max(map(len, self.pool))) for p in self.pool]
-        self.counts, self.widths = np.array([(p.count, p.width) for p in self.parts]).T
-        self.tmpls = np.array([p.tmpl for p in self.parts])
+        self.sizes = [[prod(self.dims[i] for i in part) for part in p] for p in self.pool]
+        self.counts, self.widths = np.array([(len(sizes), sum(sizes)) for sizes in self.sizes]).T
+        self.tmpls, self.slots = np.full((len(self.pool), max(self.counts), self.d), -1), []
+        grid = np.indices(self.dims).reshape(len(self.dims), -1)
+        for tmpl, p, sizes in zip(self.tmpls, self.pool, self.sizes):
+            offsets = np.cumsum([0] + sizes)
+            for s, part in enumerate(p):
+                tmpl[s] = offsets[s] + np.ravel_multi_index(tuple(grid[list(part)]),
+                                                            [self.dims[i] for i in part])
+            # per slot q, once the template is filled: the template with slot q
+            # reading the trailing 1, and U_q, amplitudes to factor q's entries
+            self.slots.append([(np.where(np.arange(len(tmpl))[:, None] == q, -1, tmpl),
+                                tmpl[q, :, None] == offsets[q] + np.arange(size))
+                               for q, size in enumerate(sizes)])
         if not witness:     # d random components per partition: sigma starts full rank
             layout = tuple(np.repeat(range(len(self.pool)), self.d).tolist())
             n = 2 * self.widths[list(layout)].sum()
@@ -581,25 +579,35 @@ class _Products(_Rows):
              for j, (weight, psi) in zip(layout, witness) for part in self.pool[j]]
         self.start = np.concatenate(z).astype(complex), layout
 
+    def form(self, g, rows, j, q):
+        """<psi|G|psi> as a form on factor q of partition j, one matrix per
+        row of ``rows`` (its factors, then a trailing 1): B^dagger G B, where
+        B = cofactor * U_q, each amplitude's cofactor the product of the
+        other slots' entries at its template index."""
+        tmpl, u = self.slots[j][q]
+        b = rows[:, tmpl].prod(axis=1)[:, :, None] * u
+        return b.conj().transpose(0, 2, 1) @ g @ b
+
     def oracle(self, g, tr):
         """(largest <phi|G|phi> found over product phi, phi, where it goes); a
         sweep gaining under _ORACLE_SHARE of the gap over ``tr`` ends it too."""
-        best, gt = (-np.inf, None, None), g.reshape(self.dims * 2)
-        for j, p in enumerate(self.parts):
-            phis = [self.rng.standard_normal((_ORACLE_STARTS, 2 * s)).view(complex)
-                    for s in p.sizes]
+        best = (-np.inf, None, None)
+        for j, sizes in enumerate(self.sizes):
+            offsets = np.cumsum([0] + sizes)
+            rows = np.concatenate([self.rng.standard_normal((_ORACLE_STARTS, 2 * s)).view(complex)
+                                   for s in sizes] + [np.ones((_ORACLE_STARTS, 1))], axis=1)
             value = np.full(_ORACLE_STARTS, -np.inf)
             for _ in range(_ORACLE_SWEEPS):
-                for q in range(p.count):
-                    lam, vec = np.linalg.eigh(p.form(gt, phis, q))
-                    phis[q] = vec[..., -1]
+                for q in range(len(sizes)):
+                    lam, vec = _eigh(self.form(g, rows, j, q))
+                    rows[:, offsets[q]:offsets[q + 1]] = vec[..., -1]
                 gain, value = lam[:, -1] - value, lam[:, -1]
-                if p.count == 1 or gain.max() <= max(_ORACLE_TOL * np.abs(value).max(),
-                                                     _ORACLE_SHARE * (value.max() - tr)):
+                if len(sizes) == 1 or gain.max() <= max(_ORACLE_TOL * np.abs(value).max(),
+                                                        _ORACLE_SHARE * (value.max() - tr)):
                     break
             z = int(np.argmax(value))
             if value[z] > best[0]:
-                row = np.concatenate([phi[z] for phi in phis])
+                row = rows[z, :-1]
                 best = (value[z], self._psi(row, (j,))[0], (j, row))
         return best
 

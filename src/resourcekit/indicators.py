@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .affinity import _check_alpha, _clamped, _trace_product, alpha_affinity
 from .errors import BadWeights, DimensionMismatch, KOutOfRange, WitnessEncodingError
@@ -46,6 +45,7 @@ from .feasible import (
     _all_feasible,
     _decode_raw,  # unused here; its last reader is perfbench/sweep.py
     _diagonal_components,
+    _eigh,
     _mixture,
     _Products,
     _Supports,
@@ -185,15 +185,6 @@ def _power_slopes(w: np.ndarray, beta: float) -> np.ndarray:
     ratio[same] = beta
     ratio *= w ** (beta - 1.0)
     return ratio
-
-
-@np.errstate(invalid="ignore")
-def _eigh(s):
-    """``np.linalg.eigh(s)`` of one Hermitian matrix, bit for bit: the LAPACK
-    gufunc that it wraps (lower triangle), without the wrapper's layers.
-    Where LAPACK does not converge, the eigenvalues are NaN; the invalid
-    flag it raises then is not warned about."""
-    return _eigh_lo(s, signature="D->dD")
 
 
 def _evaluate(s, rho_a, beta):
@@ -441,7 +432,8 @@ def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
     is the exact closed form, higher orders are solved on the convex hull.
     ``affinity_upper`` is certified (1.0 when the witness is too close to
     singular).  A ``max_iter`` that is negative or not an integer raises
-    ValueError."""
+    ValueError, as does an order k that is not an integer."""
+    k = _count(k, "k")
     if not 2 <= k <= rho.d:
         raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
     return _searched(rho, "coherence", k, alpha, variant, seed, opts)
@@ -459,8 +451,10 @@ def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float
     Solved on the family's convex hull (:func:`max_affinity`, which takes
     ``max_iter`` and ``witness``) from d seeded random product states per
     partition, or from the ``witness``.  The product oracle is a heuristic,
-    so ``affinity_upper`` is 1.0.
+    so ``affinity_upper`` is 1.0.  An order k that is not an integer
+    raises ValueError.
     """
+    k = _count(k, "k")
     if kind not in ("nonseparability", "entanglement"):
         raise ValueError(f"kind must be 'nonseparability' or 'entanglement', got {kind!r}")
     n, shift = len(rho.dims), _FAMILY_OF[kind][1]
@@ -489,7 +483,7 @@ def indicator_suite(rho: DensityMatrix, alphas, specs, *, seed,
     out = []
     for label, k in specs:
         for alpha in alphas:
-            out.append(compute_indicator(rho, label, int(k), float(alpha),
+            out.append(compute_indicator(rho, label, k, float(alpha),
                                          seed=seed, max_iter=max_iter))
     return out
 

@@ -112,33 +112,30 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def _check_dims(dims, side) -> tuple[int, ...]:
-    """``dims`` as ints, each entry an integer already: a bool, a string or
-    a fraction is refused, never truncated."""
+def _check_dims(dims, side=None) -> tuple[int, ...]:
+    """``dims`` as ints, each entry an integer already (:func:`_count`): a
+    bool, a string or a fraction is refused, never truncated.  With
+    ``side``, their product must be it."""
     try:
-        raw = list(dims)
-        ints = tuple(int(x) for x in raw)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints is None or any(isinstance(x, (bool, np.bool_)) or n != x for n, x in zip(ints, raw)):
-        raise DimensionMismatch(f"dims must be a sequence of ints, got {dims!r}")
-    dims = ints
-    if not dims or any(x <= 0 for x in dims):
-        raise DimensionMismatch(f"dims must be positive, got {dims}")
-    if prod(dims) != side:
-        raise DimensionMismatch(f"prod{dims} = {prod(dims)} != matrix side {side}")
-    return dims
+        ints = tuple(_count(x, "dims", DimensionMismatch) for x in dims)
+    except TypeError:
+        raise DimensionMismatch(f"dims must be a sequence of ints, got {dims!r}") from None
+    if not ints or 0 in ints:
+        raise DimensionMismatch(f"dims must be positive, got {ints}")
+    if side is not None and prod(ints) != side:
+        raise DimensionMismatch(f"prod{ints} = {prod(ints)} != matrix side {side}")
+    return ints
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, error=ValueError) -> int:
     """``value`` as an int >= 0, an integer already: a bool, a string or a
-    fraction raises ValueError, never truncated."""
+    fraction raises ``error``, never truncated."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or isinstance(value, (bool, np.bool_)) or n != value or n < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        raise error(f"{name} must be an integer >= 0, got {value!r}")
     return n
 
 
@@ -352,8 +349,8 @@ def _ptrace_raw(data: np.ndarray, dims, keep) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the given subsystem indices (original order kept)."""
     n = len(rho.dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep or keep[0] < 0 or keep[-1] >= n:
+    keep = sorted(set(_count(i, "keep", BadIndex) for i in keep))
+    if not keep or keep[-1] >= n:
         raise BadIndex(f"keep={keep} invalid for {n} subsystems")
     red = _ptrace_raw(rho.data, rho.dims, keep)
     return _trusted(red, tuple(rho.dims[i] for i in keep))

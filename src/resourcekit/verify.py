@@ -200,7 +200,7 @@ def run_affinity_props(seed, n_samples=None):
     affinity on seeded states.  Samples are evaluated in groups by i % 3,
     which fixes d and alpha; the channel part splits a group by outcome
     count (2 + i % 2).  Certificates are emitted in sample order."""
-    n = 500 if n_samples is None else int(n_samples)
+    n = 500 if n_samples is None else _count(n_samples, "n_samples")
     rows = [None] * n
     for idx in _groups([i % 3 for i in range(n)]):
         alpha, d = ALPHA_GRID[idx[0] % 3], 2 + idx[0] % 3
@@ -263,7 +263,7 @@ def run_appendix_b(seed, n_samples=None):
     and channels, in groups by i % 3, which fixes d and alpha, split by
     outcome count (projective measurements for even i, three-outcome
     channels for odd i).  Certificates are emitted in sample order."""
-    n = 500 if n_samples is None else int(n_samples)
+    n = 500 if n_samples is None else _count(n_samples, "n_samples")
     rows = []
     for i in range(n):
         rng = _rng([seed, 1, i])
@@ -401,12 +401,12 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
     order-3 checks on transported witnesses (:func:`_theorem1_constructive`).
     The order-2 samples are evaluated in groups by i % 3, which fixes d,
     alpha and the channel's outcome count; the small systems split a group
-    by their dims (i % 2).  Certificates are emitted in sample order."""
-    n = 300 if n_samples is None else int(n_samples)
-    if n_constructive is None:
-        nc = 30 if n_samples is None else min(n, max(1, n // 10))
-    else:
-        nc = int(n_constructive)
+    by their dims (i % 2).  Certificates are emitted in sample order.
+    ``n_constructive`` (None: n // 10, at least 1 and at most n) counts the
+    order-3 samples."""
+    n = 300 if n_samples is None else _count(n_samples, "n_samples")
+    nc = (min(n, max(1, n // 10)) if n_constructive is None
+          else _count(n_constructive, "n_constructive"))
     rows = [None] * n
     for idx in _groups([i % 3 for i in range(n)]):
         alpha, d = ALPHA_GRID[idx[0] % 3], 2 + idx[0] % 3
@@ -479,7 +479,7 @@ def _t2_config(i):
 
 
 def run_theorem2(seed, n_samples=None):
-    n = 30 if n_samples is None else int(n_samples)
+    n = 30 if n_samples is None else _count(n_samples, "n_samples")
     certs = []
     opts = {"max_iter": 200}
 
@@ -567,7 +567,7 @@ def _unambiguous_pure(seed, tags, d, rank) -> PureState:
 
 
 def run_embedding(seed, n_samples=None):
-    n = 100 if n_samples is None else int(n_samples)
+    n = 100 if n_samples is None else _count(n_samples, "n_samples")
     certs = []
     for d in (2, 3, 4):
         emb = build_embedding(d)
@@ -620,7 +620,7 @@ def run_embedding(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 
 def run_theorem3(seed, n_samples=None):
-    n = 20 if n_samples is None else int(n_samples)
+    n = 20 if n_samples is None else _count(n_samples, "n_samples")
     certs = []
     for d, k in ((2, 2), (3, 2), (3, 3)):
         for i in range(n):
@@ -656,8 +656,6 @@ def run_suite(name, seed, n_samples=None):
     """The certificates of suite ``name`` (or of every suite, "all") at
     ``seed``; ``n_samples`` (None: each suite's default) that is negative or
     not an integer raises ValueError."""
-    if n_samples is not None:
-        n_samples = _count(n_samples, "n_samples")
     if name == "all":
         certs = []
         for sub in SUITE_NAMES:

@@ -25,6 +25,12 @@ were before the evaluation was trimmed to its arithmetic: z concatenated
 with [1, 0] on every call, a cofactor array of ones for one-slot rows,
 ``np.linalg.eigh``, and ``pure_state`` per component.  ``tests/test_indicators.py`` and
 ``tests/test_feasible.py`` require the solver to match them bit for bit.
+
+``Partition`` and ``product_oracle`` are the correlation hull's linear
+oracle as it was before it read the gather templates: each partition wrote
+its product structure down a second time, as einsum subscripts that name
+subsystems, and each factor's form was one einsum.
+``tests/test_feasible.py`` requires the oracle to match them to roundoff.
 """
 
 import itertools
@@ -56,6 +62,10 @@ from resourcekit.embedding import build_embedding, embed_pure, embed_state
 from resourcekit.errors import NTooLarge
 from resourcekit.feasible import (
     _DROP_WEIGHT,
+    _ORACLE_SHARE,
+    _ORACLE_STARTS,
+    _ORACLE_SWEEPS,
+    _ORACLE_TOL,
     FACTOR_PURITY_TOL,
     MAX_SUBSYSTEMS,
     RECONSTRUCT_TOL,
@@ -554,3 +564,47 @@ def hull_components(hull, x):
     total = weights.sum()
     return [WitnessComponent(float(w / total), pure_state(v / np.sqrt(w), hull.dims))
             for w, v in zip(weights, psi) if w / total > _DROP_WEIGHT]
+
+
+class Partition:
+    """Product vectors over one partition, a row of factors per vector."""
+
+    def __init__(self, dims, partition):
+        letters, batch = "abcdef"[:len(dims)], "z" if len(partition) > 1 else ""
+        self.count, self.shapes = len(partition), [[dims[i] for i in part] for part in partition]
+        self.sizes = [prod(shape) for shape in self.shapes]
+        sub = ["z" + "".join(letters[i] for i in part) for part in partition]
+        co = ["z" + s[1:].upper() for s in sub]
+        self.forms = [",".join([letters + letters.upper()] + sub[:q] + co[:q] + sub[q + 1:]
+                               + co[q + 1:]) + "->" + batch + sub[q][1:] + co[q][1:]
+                      for q in range(self.count)]
+
+    def form(self, gt, phis, q):
+        """<phi|G|phi> as a form on factor q, one matrix per start."""
+        phis = [phi.reshape([len(phi)] + shape) for phi, shape in zip(phis, self.shapes)]
+        return np.einsum(self.forms[q], gt, *[phi.conj() for phi in phis[:q]], *phis[:q],
+                         *[phi.conj() for phi in phis[q + 1:]], *phis[q + 1:]
+                         ).reshape(-1, self.sizes[q], self.sizes[q])
+
+
+def product_oracle(dims, pool, rng, g, tr):
+    """(largest <phi|G|phi> found, phi, (pool index, row)), drawing the
+    starts from ``rng``."""
+    best, gt = (-np.inf, None, None), g.reshape(tuple(dims) * 2)
+    for j, partition in enumerate(pool):
+        p = Partition(dims, partition)
+        phis = [rng.standard_normal((_ORACLE_STARTS, 2 * s)).view(complex) for s in p.sizes]
+        value = np.full(_ORACLE_STARTS, -np.inf)
+        for _ in range(_ORACLE_SWEEPS):
+            for q in range(p.count):
+                lam, vec = np.linalg.eigh(p.form(gt, phis, q))
+                phis[q] = vec[..., -1]
+            gain, value = lam[:, -1] - value, lam[:, -1]
+            if p.count == 1 or gain.max() <= max(_ORACLE_TOL * np.abs(value).max(),
+                                                 _ORACLE_SHARE * (value.max() - tr)):
+                break
+        z = int(np.argmax(value))
+        if value[z] > best[0]:
+            atom = _assemble_product(dims, partition, [phi[z] for phi in phis])
+            best = (value[z], atom, (j, np.concatenate([phi[z] for phi in phis])))
+    return best

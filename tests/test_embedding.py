@@ -184,6 +184,10 @@ def test_theorem3_input_validation():
     big = rk.random_mixed([4], 4, seed=11)
     with pytest.raises(DTooLarge):
         theorem3_check(big, 2, 0.5, seed=1)
+    # an order that is not an integer is refused, not truncated
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be"):
+            theorem3_check(rho, k, 0.5, seed=1)
 
 
 def test_transport_report_json():

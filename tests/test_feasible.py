@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resourcekit as rk
-from resourcekit.errors import BadLength, EmptySet, NTooLarge, WitnessEncodingError
+from resourcekit.errors import (
+    BadLength,
+    DimensionMismatch,
+    EmptySet,
+    NTooLarge,
+    WitnessEncodingError,
+)
 from resourcekit.feasible import (
     FACTOR_PURITY_TOL,
     KINDS,
@@ -80,6 +86,14 @@ def test_family_empty_set():
         rk.build_family("separable", (2, 2), 3)
     with pytest.raises(EmptySet):
         rk.build_family("multilevel", (2,), 5)
+
+
+@pytest.mark.parametrize("dims", [(3.7,), (2, 2.5), (True, 2), ("2", 2), (0, 2), (-2,), 3])
+def test_family_dims_are_refused_not_truncated(dims):
+    # int() read (3.7,) as a qutrit
+    for build in (rk.build_family, structure_pool):
+        with pytest.raises(DimensionMismatch):
+            build("multilevel", dims, 2)
 
 
 def test_default_start_decodes_to_maximally_mixed():
@@ -387,3 +401,43 @@ def test_readout_matches_pure_state_per_row_bit_for_bit(kind, dims, k):
             assert np.float64(w).tobytes() == np.float64(rw).tobytes()
             assert psi.amps.tobytes() == rpsi.amps.tobytes() and psi.dims == rpsi.dims
             assert not psi.amps.flags.writeable
+
+
+PRODUCT_FAMILIES = [((2, 2), "separable", 2), ((2, 2, 2), "separable", 1),
+                    ((2, 2, 2), "separable", 2), ((2, 2, 2), "producible", 1),
+                    ((2, 2, 2, 2), "separable", 2), ((2, 2, 2, 2), "producible", 2),
+                    ((3, 2), "separable", 2)]
+
+
+@pytest.mark.parametrize("dims,kind,k", PRODUCT_FAMILIES)
+def test_product_oracle_equals_the_einsum_forms(dims, kind, k):
+    # the oracle reads each factor's form off the gather templates; the
+    # einsum subscripts it replaced (reference_suites.Partition) give the
+    # same forms at random rows and, from the same draws on the gradients of
+    # seeded solves, the same partition, value and atom, up to roundoff
+    import reference_suites
+    from resourcekit.indicators import _evaluate
+    family = rk.build_family(kind, dims, k)
+    for i in range(20):
+        alpha = (0.3, 0.5, 0.7)[i % 3]
+        rho = rk.random_mixed(list(dims), 1 + i % 4, seed=[134, i])
+        hull = _Products(family, None, i)
+        _, g, tr, _ = _evaluate(hull.map(hull.start)[0], rk.frac_power(rho, alpha), 1 - alpha)
+        value, atom, (j, row) = hull.oracle(g, tr)
+        ref_value, ref_atom, (ref_j, _) = reference_suites.product_oracle(
+            dims, family.pool, np.random.default_rng([i, 1]), g, tr)
+        assert j == ref_j
+        assert abs(value - ref_value) <= 1e-12
+        overlap = abs(np.vdot(atom, ref_atom)) / np.linalg.norm(atom) / np.linalg.norm(ref_atom)
+        assert 1.0 - overlap <= 1e-12
+        assert np.abs(hull._psi(row, (j,))[0] - atom).max() == 0.0
+
+        rng = np.random.default_rng([135, i])
+        for j, partition in enumerate(family.pool):
+            p = reference_suites.Partition(dims, partition)
+            phis = [rng.standard_normal((3, 2 * s)).view(complex) for s in p.sizes]
+            rows = np.concatenate(phis + [np.ones((3, 1))], axis=1)
+            for q in range(p.count):
+                ours, theirs = hull.form(g, rows, j, q), p.form(g.reshape(dims * 2), phis, q)
+                assert ours.shape[1:] == theirs.shape[1:]   # one part: G, unbatched
+                assert np.abs(ours - theirs).max() <= 1e-12

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import zlib
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,100 @@ def test_correlation_exact_on_isotropic_states():
                     for label in ("nonseparability", "entanglement"):
                         res = rk.compute_indicator(rho, label, 2, alpha, seed=1, max_iter=200)
                         assert abs(res.best_affinity - exact) <= 1e-9
+
+
+def _noisy_ghz(p):
+    ghz = np.zeros(8)
+    ghz[[0, 7]] = 2 ** -0.5
+    return rk.validate(p * np.outer(ghz, ghz) + (1 - p) * np.eye(8) / 8, (2, 2, 2))
+
+
+def _ghz_producible_max(p, alpha):
+    """max over z in [0, 1/8] of p0^a ((1-4z)/2)^b + q^a ((1-8z)/2)^b + 6 q^a z^b,
+    concave in z: bisection on the sign of its derivative."""
+    beta, p0, q = 1.0 - alpha, p + (1 - p) / 8, (1 - p) / 8
+    if p <= 0.2:
+        return 1.0
+    lo, hi = 0.0, 0.125
+    for _ in range(100):
+        z = (lo + hi) / 2
+        slope = (-2 * p0 ** alpha * ((1 - 4 * z) / 2) ** (beta - 1)
+                 - 4 * q ** alpha * ((1 - 8 * z) / 2) ** (beta - 1)
+                 + 6 * q ** alpha * z ** (beta - 1))
+        lo, hi = (z, hi) if slope > 0 else (lo, z)
+    z = (lo + hi) / 2
+    return (p0 ** alpha * ((1 - 4 * z) / 2) ** beta + q ** alpha * ((1 - 8 * z) / 2) ** beta
+            + 6 * q ** alpha * z ** beta)
+
+
+@pytest.mark.parametrize("p", [0.15, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_correlation_exact_on_noisy_ghz_states(p, alpha):
+    # rho_p = p |GHZ_3><GHZ_3| + (1 - p) I/8, largest GHZ-basis weight
+    # p0 = p + (1 - p)/8, the others q = (1 - p)/8.  Over GHZ-diagonal
+    # states, A = sum_i p_i^a s_i^b.  A GHZ-diagonal state is biseparable
+    # iff its largest weight is at most 1/2 (Guehne & Seevinck, NJP 12,
+    # 053002 (2010)), so max A over separable(2) is 1 for p0 <= 1/2 and else
+    # 2^-b (p0^a + (1 - p0)^a).  For producible(1) the value is the maximum
+    # of A over the states that are PPT across every cut, on the face left by
+    # symmetry (_ghz_producible_max), 1 for p <= 1/5.  The default solve
+    # meets both to 1e-9
+    beta, p0 = 1.0 - alpha, p + (1 - p) / 8
+    rho = _noisy_ghz(p)
+    for label, exact in (
+            ("nonseparability", 1.0 if p0 <= 0.5 else 2 ** -beta * (p0 ** alpha + (1 - p0) ** alpha)),
+            ("entanglement", _ghz_producible_max(p, alpha))):
+        res = rk.compute_indicator(rho, label, 2, alpha, seed=0)
+        assert abs(res.best_affinity - exact) <= 1e-9
+        assert rk.check_witness(res, rho)
+
+
+@pytest.mark.parametrize("kind,dims,k", [("multilevel", (3,), 2), ("separable", (2, 2), 2)])
+def test_a_start_better_than_the_ascent_is_kept(kind, dims, k, monkeypatch):
+    # no solve ends below its start, so the branch that keeps the start is
+    # forced: from a solved witness, a stand-in L-BFGS scores the start, then
+    # returns a worse point (all factors 1 + 1j).  The result is the
+    # max_iter=0 result, the start scored, with its certified bound where
+    # the hull has one
+    from resourcekit import indicators
+    rho = rk.random_mixed(list(dims), prod(dims), seed=136)
+    family = rk.build_family(kind, dims, k)
+    witness = max_affinity(rho, family, 0.5, seed=137).components
+    start = max_affinity(rho, family, 0.5, seed=137, witness=witness, max_iter=0)
+
+    def worse(fun, x, maxiter):
+        f_start = fun(x.copy())[0]
+        y = np.ones_like(x)
+        assert fun(y.copy())[0] > f_start + 0.01    # -f: y is worse
+        return y, 1
+    monkeypatch.setattr(indicators, "_lbfgs", worse)
+    res = max_affinity(rho, family, 0.5, seed=137, witness=witness, max_iter=1)
+    assert res.iterations == 1
+    assert res.affinity == start.affinity and res.upper == start.upper
+    assert res.witness.data.tobytes() == start.witness.data.tobytes()
+    assert [(w, psi.amps.tobytes()) for w, psi in res.components] == [
+        (w, psi.amps.tobytes()) for w, psi in start.components]
+    assert res.upper >= res.affinity
+    assert (res.upper < 1.0) == (kind == "multilevel")
+
+
+@pytest.mark.parametrize("k", [2.5, 3.9, True, np.float64(2.5)])
+def test_orders_are_refused_not_truncated(k):
+    # int(k) read 3.9 as 3; 2.5 reached itertools as a TypeError
+    rho = rk.random_mixed([2, 2, 2], 8, seed=139)
+    for label in ("coherence", "nonseparability", "entanglement_avg"):
+        with pytest.raises(ValueError, match="k must be"):
+            rk.compute_indicator(rho, label, k, 0.5, seed=0)
+        with pytest.raises(ValueError, match="k must be"):
+            rk.indicator_suite(rho, [0.5], [(label, k)], seed=0)
+
+
+def test_numpy_integer_orders_report_as_ints():
+    import json
+    rho = rk.random_mixed([3], 3, seed=140)
+    rows = rk.indicator_suite(rho, [0.5], [("coherence", np.int64(3))], seed=0, max_iter=20)
+    assert type(rows[0].k) is int
+    assert json.loads(rk.results_to_json(rows))["results"][0]["k"] == 3
 
 
 def test_correlation_beats_the_product_oracle_bracket():

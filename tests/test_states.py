@@ -189,6 +189,11 @@ def test_partial_trace_bad_index():
         rk.partial_trace(rho, [])
     with pytest.raises(BadIndex):
         rk.partial_trace(rho, [2])
+    # an index that is not an integer is refused: int() read 1.9 and True
+    # as subsystem 1
+    for keep in ([1.9], [True], [np.True_], ["1"]):
+        with pytest.raises(BadIndex):
+            rk.partial_trace(rho, keep)
 
 
 def test_random_generation_deterministic():

@@ -116,10 +116,35 @@ def test_run_suite_all_and_unknown():
 
 @pytest.mark.parametrize("n_samples", [2.5, True, np.float64(1.5), "2", -1])
 def test_run_suite_refuses_counts_that_are_not_integers(n_samples):
-    # a fraction was truncated to a sample count, and a bool taken as one
+    # a fraction was truncated to a sample count, and a bool taken as one,
+    # by run_suite and by each suite's runner (run_appendix_b(1, 2.5) ran 2)
+    from resourcekit.verify import SUITES
     for name in ("appendix-b", "all"):
         with pytest.raises(ValueError, match="n_samples"):
             run_suite(name, SEED, n_samples)
+    for run in SUITES.values():
+        with pytest.raises(ValueError, match="n_samples"):
+            run(SEED, n_samples)
+
+
+@pytest.mark.parametrize("n_constructive", [1.5, True, np.float64(0.5), -1])
+def test_theorem1_refuses_constructive_counts_that_are_not_integers(n_constructive):
+    from resourcekit.verify import run_theorem1
+    with pytest.raises(ValueError, match="n_constructive"):
+        run_theorem1(SEED, 0, n_constructive=n_constructive)
+
+
+def test_theorem1_constructive_default_is_a_tenth_of_the_samples(monkeypatch):
+    # min(n, max(1, n // 10)) at every n, 30 at the default 300
+    from resourcekit import verify
+    counts = []
+    monkeypatch.setattr(verify, "_theorem1_constructive",
+                        lambda seed, nc: counts.append(nc) or [])
+    for n in (None, 0, 1, 9, 10, 25, np.int64(31)):
+        verify.run_theorem1(SEED, n)
+    assert counts == [30, 0, 1, 1, 1, 2, 3]
+    verify.run_theorem1(SEED, 4, n_constructive=np.int64(2))
+    assert counts[-1] == 2 and type(counts[-1]) is int
 
 
 def test_run_suite_takes_numpy_integers():
