@@ -9,19 +9,21 @@ states:
 * ``producible(k)``   -- components that factor across a partition whose
                          parts hold at most k subsystems each.
 
-A family has one parameterization, its factor layout (:class:`_Rows`):
-one complex vector of rows, each a pure component on one structure of the
-pool, k amplitudes on a size-k support (:class:`_Supports`) or a product
-of factors over a partition (:class:`_Products`), which maps onto a member
-by construction (Burer & Monteiro).  The hull solver in ``indicators``
-ascends on that vector; a witness enters it through :func:`encode`, the
-one placement rule, which :func:`is_feasible_pure` states and
-``check_witness`` checks.  Each pool structure is written down once, as
-its gather template: an evaluation gathers the rows' factors through it
-from a buffer kept per layout (a one-slot row, as every multilevel row, is
-its factor, with no cofactors), and the product oracle reads each factor's
-form off it; the readout normalizes the kept rows as :func:`pure_state`
-does, bit for bit, without its per-row checks.
+A family has one pool of structures (:func:`build_family`) and one
+parameterization, its factor layout (:class:`_Rows`): one complex vector
+of rows, each a pure component on one structure of the pool, k amplitudes
+on a size-k support (:class:`_Supports`) or a product of factors over a
+partition (:class:`_Products`), which maps onto a member by construction
+(Burer & Monteiro).  The hull solver in ``indicators`` ascends on that
+vector; a witness enters it through :func:`encode`.  Placement and
+membership are one search over the pool (:func:`_placements`):
+:func:`encode` places by it, and :func:`is_feasible_pure` and
+``check_witness`` accept what it places.  Each pool structure is written
+down once, as its gather template: an evaluation gathers the rows'
+factors through it from a buffer kept per layout (a one-slot row, as every
+multilevel row, is its factor, with no cofactors), and the product oracle
+reads each factor's form off it; the readout normalizes the kept rows as
+:func:`pure_state` does, bit for bit, without its per-row checks.
 
 The module also provides set-partition enumeration, the coherence rank of
 pure states, and the finest tensor factorization of a pure state, from
@@ -42,11 +44,12 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .errors import (
     BadLength,
+    DimensionMismatch,
     EmptySet,
     NTooLarge,
     WitnessEncodingError,
 )
-from .states import PureState, _check_dims, _freeze, basis_pure, pure_state
+from .states import PureState, _check_dims, _count, _freeze, basis_pure, pure_state
 
 MAX_SUBSYSTEMS = 6
 FACTOR_PURITY_TOL = 1e-9     # reduced-state purity threshold for a split
@@ -284,38 +287,36 @@ class FeasibleFamily:
         return 2 * len(self._default.start[0])
 
 
-def structure_pool(kind: str, dims, k: int) -> list:
-    """Every structure a component of the family may take: the size-k
-    supports (multilevel), exactly-k-part partitions (separable) or
-    max-part-size-k partitions (producible), in enumeration order.  A dim
-    that is not a positive integer already raises DimensionMismatch."""
+def build_family(kind: str, dims, k: int) -> FeasibleFamily:
+    """The family kind(k) on ``dims``, the one pool of structures a member's
+    components take: the size-k supports (multilevel), the partitions into
+    exactly k parts (separable), or the coarsest partitions whose parts hold
+    at most k subsystems (producible), in enumeration order.  A finer
+    producible partition adds nothing, since its products are a coarser
+    one's; a partition is coarsest iff it has one part or its two smallest
+    parts hold more than k subsystems together, and no partition into k
+    parts refines another.  A dim that is not a positive integer raises
+    DimensionMismatch; an order that is not an integer (a bool, a string, a
+    fraction; a numpy integer is one) raises ValueError, and one out of the
+    kind's range EmptySet."""
     dims = _check_dims(dims)
-    n = len(dims)
+    n, d = len(dims), prod(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
+    k = int(k) if isinstance(k, (int, np.integer)) and not isinstance(k, bool) else _count(k, "k")
     if kind == "multilevel":
-        d = prod(dims)
         if not 1 <= k <= d:
             raise EmptySet(f"no states with support size {k} in dimension {d}")
-        return [tuple(s) for s in itertools.combinations(range(d), k)]
-    if kind == "separable":
+        pool = itertools.combinations(range(d), k)
+    elif kind == "separable":
         if not 1 <= k <= n:
             raise EmptySet(f"no partitions of {n} subsystems into exactly {k} parts")
-        return list(enumerate_partitions(n, exactly_k_parts=k).partitions)
-    if k < 1:
-        raise EmptySet("part size bound must be at least 1")
-    return list(enumerate_partitions(n, max_part_size=min(k, n)).partitions)
-
-
-def build_family(kind: str, dims, k: int) -> FeasibleFamily:
-    """The family kind(k) on ``dims``.  Its pool is :func:`structure_pool`
-    with, for the correlation kinds, only the coarsest partitions: a
-    partition that refines another adds nothing to the hull, since its
-    products are the coarser one's."""
-    dims = _check_dims(dims)
-    pool = structure_pool(kind, dims, k)
-    if kind != "multilevel":
-        pool = [p for p in pool if not any(q != p and _coarsens(q, p) for q in pool)]
+        pool = enumerate_partitions(n, exactly_k_parts=k).partitions
+    else:
+        if k < 1:
+            raise EmptySet("part size bound must be at least 1")
+        pool = [p for p in enumerate_partitions(n, max_part_size=min(k, n)).partitions
+                if len(p) == 1 or sum(sorted(map(len, p))[:2]) > k]
     return FeasibleFamily(kind, k, dims, tuple(pool))
 
 
@@ -351,58 +352,49 @@ def _coarsens(coarse_partition, fine_partition) -> bool:
     return True
 
 
-def _structures(kind: str, states) -> list:
-    """The support (multilevel) or finest partition of each component; the
-    partitions of the components of one dims come off one table."""
-    if kind == "multilevel":
-        return [_effective_support(psi) for psi in states]
-    keys = [tuple(psi.dims) for psi in states]
-    tables = {dims: iter(_finest_parts([psi.amps for psi, key in zip(states, keys) if key == dims],
-                                       dims)) for dims in set(keys)}
-    return [next(tables[key]) for key in keys]
-
-
-def _fits(kind: str, structure, pooled) -> bool:
-    """Whether a component's structure fits a structure of the pool."""
-    if kind == "multilevel":
-        return set(structure) <= set(pooled)
-    return _coarsens(pooled, structure)
+def _placements(family: FeasibleFamily, states) -> list:
+    """The one search: for each state, the index of the first structure of
+    the family's pool that its support fits (multilevel) or that its finest
+    partition refines, or None.  The partitions come off one
+    :func:`_finest_parts` table; a state on other dims than the family's
+    raises DimensionMismatch."""
+    if any(psi.dims != family.dims for psi in states):
+        raise DimensionMismatch(f"a component is not on the family's dims {family.dims}")
+    if family.kind == "multilevel":
+        return [next((j for j, support in enumerate(family.pool) if set(levels) <= set(support)),
+                     None) for levels in map(_effective_support, states)]
+    return [next((j for j, p in enumerate(family.pool) if _coarsens(p, parts)), None)
+            for parts in _finest_parts([psi.amps for psi in states], family.dims)]
 
 
 def encode(family: FeasibleFamily, components) -> list[int]:
     """The one witness placement: for each ``(weight, pure state)`` pair, the
     index of the first structure of ``family.pool`` that the component's
-    structure fits (:func:`is_feasible_pure`'s rule).  A component that fits
-    none raises WitnessEncodingError: the mixture is never altered to fit,
-    so a witness start reproduces its affinity.  Both hulls' witness starts
-    call it, and perfbench/tracing.py traces it as a layer."""
-    placed = _first_fits(family.kind, family.pool, [psi for _, psi in components])
+    structure fits (:func:`_placements`).  A component that fits none raises
+    WitnessEncodingError, and one on other dims DimensionMismatch: the
+    mixture is never altered to fit, so a witness start reproduces its
+    affinity.  Both hulls' witness starts call it, and perfbench/tracing.py
+    traces it as a layer."""
+    placed = _placements(family, [psi for _, psi in components])
     if None in placed:
         raise WitnessEncodingError(
             f"a witness component is outside {family.kind}({family.k})")
     return placed
 
 
-def _first_fits(kind: str, pool, states) -> list:
-    """Index of the first structure in ``pool`` that each component's
-    structure fits, or None."""
-    return [next((j for j, pooled in enumerate(pool) if _fits(kind, structure, pooled)), None)
-            for structure in _structures(kind, states)]
-
-
 def is_feasible_pure(kind: str, k: int, psi: PureState) -> bool:
-    """The one membership rule: a component belongs to a family iff its structure
-    (support or finest factorization) fits a structure of the family's pool.
-    :func:`encode` places witness components by it and ``check_witness``
-    checks by it.  An order outside the family's range raises EmptySet."""
+    """The one membership rule: a component belongs to kind(k) on its own
+    dims iff :func:`encode` can place it in :func:`build_family`'s pool,
+    the one search (:func:`_placements`) that ``check_witness`` runs too.
+    An order that is not an integer raises ValueError, one outside the
+    family's range EmptySet."""
     return _all_feasible(kind, k, [psi])
 
 
 def _all_feasible(kind: str, k: int, states) -> bool:
     """:func:`is_feasible_pure` of every state of a list of one dims, the
     partitions read off one table; an empty list is feasible."""
-    return not states or None not in _first_fits(
-        kind, structure_pool(kind, states[0].dims, k), states)
+    return not states or None not in _placements(build_family(kind, states[0].dims, k), states)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     ``max_iter`` caps the ascent's iterations, and ``max_iter=0`` scores the
     start.  Witness weights must be finite and >= 0 with a positive total
     (BadWeights); a witness component that fits no structure of the pool
-    raises WitnessEncodingError (:func:`encode`); a ``max_iter`` that is
+    raises WitnessEncodingError, and one on other dims than the family's
+    DimensionMismatch (:func:`encode`); a ``max_iter`` that is
     negative or not an integer (a bool, a fraction) raises ValueError.
     """
     alpha = _check_alpha(alpha)

@@ -77,14 +77,19 @@ def _grad(rho_a, sigma, alpha):
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _line_search(rho_a, sigma, atom, alpha):
-    """Golden-section search for the best step in [0, 1]; the objective is
-    concave along the segment, and each step costs one new evaluation."""
-    def f(g):
-        return np.real(np.trace(rho_a @ _herm_power((1 - g) * sigma + g * atom, 1 - alpha)))
+def _value(rho_a, sigma, alpha):
+    """The objective Tr(rho_a sigma^(1-alpha))."""
+    return np.real(np.trace(rho_a @ _herm_power(sigma, 1 - alpha)))
 
-    lo, hi = 0.0, 1.0
-    g1, g2 = hi - _INV_GOLDEN, lo + _INV_GOLDEN
+
+def _line_search(rho_a, sigma, atom, alpha, lo=0.0, hi=1.0):
+    """Golden-section search for the best g in [lo, hi] along
+    (1 - g) sigma + g atom; the objective is concave along the line, and
+    each step costs one new evaluation."""
+    def f(g):
+        return _value(rho_a, (1 - g) * sigma + g * atom, alpha)
+
+    g1, g2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(g1), f(g2)
     for _ in range(40):
         if f1 < f2:
@@ -96,6 +101,35 @@ def _line_search(rho_a, sigma, atom, alpha):
             g1 = hi - _INV_GOLDEN * (hi - lo)
             f1 = f(g1)
     return (lo + hi) / 2
+
+
+def _active_step(rho_a, sigma, alpha, g, tr, gap, v, active):
+    """One step of away-step Frank-Wolfe over ``active``, the (weight, atom)
+    pairs of sigma, updated in place; returns sigma rebuilt from them.  Off
+    the active atom of least <a|G|a> when its away gap Tr(G sigma) - <a|G|a>
+    exceeds the Frank-Wolfe gap, up to all of its weight (a drop step);
+    else toward v, merged with an equal active atom."""
+    low, j = min((np.vdot(a, g @ a).real, j) for j, (_, a) in enumerate(active))
+    drop = False
+    if tr - low > gap:
+        w, a = active[j]
+        atom, lo = np.outer(a, a.conj()), -w / (1.0 - w)
+        gamma = _line_search(rho_a, sigma, atom, alpha, lo, 0.0)
+        drop = (_value(rho_a, (1 - lo) * sigma + lo * atom, alpha)
+                >= _value(rho_a, (1 - gamma) * sigma + gamma * atom, alpha))
+        gamma = lo if drop else gamma
+    else:
+        gamma = _line_search(rho_a, sigma, np.outer(v, v.conj()), alpha)
+        j = next((i for i, (_, a) in enumerate(active) if abs(np.vdot(a, v)) > 1 - 1e-12),
+                 len(active))
+        if j == len(active):
+            active.append([0.0, v])
+    for entry in active:
+        entry[0] *= 1 - gamma
+    active[j][0] += gamma
+    if drop:
+        del active[j]
+    return sum(w * np.outer(a, a.conj()) for w, a in active)
 
 
 def _support_atom(grad, k):
@@ -112,7 +146,7 @@ def _support_atom(grad, k):
     return best, best_v
 
 
-def frank_wolfe_max(rho_data, alpha, atom_oracle, iters=2000, gap_stop=2e-6):
+def frank_wolfe_max(rho_data, alpha, atom_oracle, iters=2000, gap_stop=2e-6, away=False):
     """Maximize Tr(rho^alpha sigma^(1-alpha)) over the convex hull of the
     oracle's atoms; returns (achieved value, upper bound).
 
@@ -120,30 +154,42 @@ def frank_wolfe_max(rho_data, alpha, atom_oracle, iters=2000, gap_stop=2e-6):
     iterate upper-bounds the distance to the optimum -- provided the atom
     oracle returns the exact linear maximum.  The upper bound is therefore
     certified only with an exact oracle (``_support_atom``).
+
+    With ``away``, sigma is kept as its active atoms (I/d as the basis
+    vectors) and may step away from one (:func:`_active_step`; Lacoste-Julien
+    & Jaggi, NeurIPS 2015), which converges linearly over finitely many
+    atoms, such as the basis vectors.
     """
     d = rho_data.shape[0]
     rho_a = _herm_power(rho_data, alpha)
     sigma = np.eye(d, dtype=complex) / d
+    active = [[1.0 / d, a] for a in np.eye(d, dtype=complex)]
     ub = np.inf
     for _ in range(iters):
         g = _grad(rho_a, sigma, alpha)
         top, v = atom_oracle(g)
-        gap = top - float(np.real(np.trace(g @ sigma)))
-        f = float(np.real(np.trace(rho_a @ _herm_power(sigma, 1 - alpha))))
+        tr = float(np.real(np.trace(g @ sigma)))
+        gap = top - tr
+        f = float(_value(rho_a, sigma, alpha))
         ub = min(ub, f + gap)
         if gap < gap_stop:
             break
+        if away:
+            sigma = _active_step(rho_a, sigma, alpha, g, tr, gap, v, active)
+            continue
         atom = np.outer(v, v.conj())
         gamma = _line_search(rho_a, sigma, atom, alpha)
         sigma = (1 - gamma) * sigma + gamma * atom
         sigma = (sigma + sigma.conj().T) / 2
-    f = float(np.real(np.trace(rho_a @ _herm_power(sigma, 1 - alpha))))
+    f = float(_value(rho_a, sigma, alpha))
     return f, ub
 
 
 def max_affinity_support(rho_data, alpha, k, iters=2000, gap_stop=2e-6):
+    """frank_wolfe_max over pure states on k basis levels; at k = 1, the
+    basis vectors, it takes away steps."""
     return frank_wolfe_max(rho_data, alpha,
-                           lambda g: _support_atom(g, k), iters, gap_stop)
+                           lambda g: _support_atom(g, k), iters, gap_stop, away=k == 1)
 
 
 # Frozen anchor optima, derived before the library existed and re-derivable

@@ -31,6 +31,11 @@ oracle as it was before it read the gather templates: each partition wrote
 its product structure down a second time, as einsum subscripts that name
 subsystems, and each factor's form was one einsum.
 ``tests/test_feasible.py`` requires the oracle to match them to roundoff.
+
+``coarsest_pool`` is a correlation family's pool as it was before
+``build_family`` read it off part sizes: every admissible partition, pruned
+of those that refine another by an all-pairs check.
+``tests/test_feasible.py`` requires the pools to be equal.
 """
 
 import itertools
@@ -75,6 +80,7 @@ from resourcekit.feasible import (
     _reduced,
     _top_eigvec,
     build_family,
+    enumerate_partitions,
 )
 from resourcekit.indicators import (
     _EIG_FLOOR,
@@ -608,3 +614,17 @@ def product_oracle(dims, pool, rng, g, tr):
             atom = _assemble_product(dims, partition, [phi[z] for phi in phis])
             best = (value[z], atom, (j, np.concatenate([phi[z] for phi in phis])))
     return best
+
+
+def coarsest_pool(kind, n, k):
+    """The separable(k) or producible(k) pool on n subsystems: the
+    partitions into exactly k parts, or with parts of at most k subsystems,
+    less every one that refines another (each of its parts lies in a part
+    of the other)."""
+    if kind == "separable":
+        pool = enumerate_partitions(n, exactly_k_parts=k).partitions
+    else:
+        pool = enumerate_partitions(n, max_part_size=min(k, n)).partitions
+    return tuple(p for p in pool
+                 if not any(q != p and all(any(set(f) <= set(c) for c in q) for f in p)
+                            for q in pool))

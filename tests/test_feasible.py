@@ -25,7 +25,6 @@ from resourcekit.feasible import (
     _reduced,
     _Supports,
     is_feasible_pure,
-    structure_pool,
 )
 
 from members import mixture, random_members
@@ -68,17 +67,39 @@ def test_build_family_separable_two_qubits():
     assert fam.pool == (((0,), (1,)),)
 
 
-def test_structure_pool_counts_and_coarsest_family_pool():
-    assert len(structure_pool("multilevel", (4,), 2)) == 6
-    assert len(structure_pool("separable", (2, 2, 2), 2)) == 3
-    assert len(structure_pool("producible", (2, 2, 2), 2)) == 4
-    # the family keeps the coarsest partitions: the fully product one
-    # refines every two-part partition
-    pool = structure_pool("producible", (2, 2, 2), 2)
-    fam = rk.build_family("producible", (2, 2, 2), 2)
-    assert list(fam.pool) == [p for p in pool if len(p) == 2]
-    supports = structure_pool("multilevel", (4,), 2)
-    assert rk.build_family("multilevel", (4,), 2).pool == tuple(supports)
+def test_family_pools_keep_the_coarsest_structures():
+    # multilevel keeps every size-k support and separable every partition
+    # into k parts; producible keeps only the coarsest partitions: the fully
+    # product one refines every two-part partition, and on four subsystems
+    # a pair with two singles refines a pairing and a triple with a single
+    assert rk.build_family("multilevel", (4,), 2).pool == (
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    two_parts = (((0,), (1, 2)), ((0, 1), (2,)), ((0, 2), (1,)))
+    assert rk.build_family("separable", (2, 2, 2), 2).pool == two_parts
+    assert rk.build_family("producible", (2, 2, 2), 2).pool == two_parts
+    assert rk.build_family("producible", (2, 2, 2), 1).pool == (((0,), (1,), (2,)),)
+    assert rk.build_family("producible", (2, 2, 2), 5).pool == (((0, 1, 2),),)
+    assert rk.build_family("producible", (2, 2, 2, 2), 2).pool == (
+        ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    assert rk.build_family("producible", (2, 2, 2, 2), 3).pool == (
+        ((0,), (1, 2, 3)), ((0, 1), (2, 3)), ((0, 1, 2), (3,)), ((0, 1, 3), (2,)),
+        ((0, 2), (1, 3)), ((0, 2, 3), (1,)), ((0, 3), (1, 2)))
+
+
+def test_size_rule_pool_equals_the_refinement_prune():
+    # build_family keeps a producible partition iff it has one part or its
+    # two smallest parts exceed k together, and prunes no separable pool;
+    # both equal the all-pairs prune (reference_suites.coarsest_pool)
+    import reference_suites
+    for n in range(1, 7):
+        for k in range(1, 8):
+            for kind in ("separable", "producible"):
+                if kind == "separable" and k > n:
+                    with pytest.raises(EmptySet):
+                        rk.build_family(kind, (2,) * n, k)
+                    continue
+                assert (rk.build_family(kind, (2,) * n, k).pool
+                        == reference_suites.coarsest_pool(kind, n, k)), (kind, n, k)
 
 
 def test_family_empty_set():
@@ -91,9 +112,50 @@ def test_family_empty_set():
 @pytest.mark.parametrize("dims", [(3.7,), (2, 2.5), (True, 2), ("2", 2), (0, 2), (-2,), 3])
 def test_family_dims_are_refused_not_truncated(dims):
     # int() read (3.7,) as a qutrit
-    for build in (rk.build_family, structure_pool):
+    for kind in KINDS:
         with pytest.raises(DimensionMismatch):
-            build("multilevel", dims, 2)
+            rk.build_family(kind, dims, 2)
+
+
+@pytest.mark.parametrize("kind,dims,k", [
+    ("producible", (2, 2, 2), 1.5), ("separable", (2, 2), True), ("multilevel", (3,), 2.5),
+    ("multilevel", (3,), np.bool_(True)), ("separable", (2, 2), "2")])
+def test_family_orders_are_refused_not_truncated(kind, dims, k):
+    # 1.5 built producible(1)'s pool, True separable(1)'s, and 2.5 reached
+    # itertools; membership read 1.5 as 1
+    with pytest.raises(ValueError):
+        rk.build_family(kind, dims, k)
+    with pytest.raises(ValueError):
+        is_feasible_pure(kind, k, rk.basis_pure(dims, 0))
+
+
+@pytest.mark.parametrize("kind,dims,k", [
+    ("multilevel", (3,), 0), ("multilevel", (3,), -1), ("multilevel", (3,), 4),
+    ("separable", (2, 2), 0), ("separable", (2, 2), np.int64(3)), ("producible", (2, 2), -2)])
+def test_family_orders_out_of_range_are_empty(kind, dims, k):
+    with pytest.raises(EmptySet):
+        rk.build_family(kind, dims, k)
+
+
+def test_family_order_is_stored_as_int():
+    fam = rk.build_family("producible", (2, 2, 2), np.int64(2))
+    assert type(fam.k) is int and fam.k == 2
+    assert fam.pool == rk.build_family("producible", (2, 2, 2), 2).pool
+
+
+@pytest.mark.parametrize("kind,dims,amps,adims", [
+    ("multilevel", (3,), [1, 1, 0, 0, 0], (5,)), ("separable", (2, 2), [1, 0, 0, 0, 0, 0], (2, 3)),
+    ("multilevel", (2, 2), [1, 1, 0, 0], (4,))])
+def test_components_on_other_dims_are_refused(kind, dims, amps, adims):
+    # the 5-level component was cut to the family's 3 levels, placed and
+    # solved from; the (2, 3) one reached numpy's reshape; a 4-level one is
+    # not on two qubits
+    fam, comp = rk.build_family(kind, dims, 2), (1.0, rk.pure_state(amps, adims))
+    with pytest.raises(DimensionMismatch):
+        rk.encode(fam, [comp])
+    with pytest.raises(DimensionMismatch):
+        rk.max_affinity(rk.random_mixed(list(dims), 2, seed=1), fam, 0.5, seed=0, max_iter=0,
+                        witness=[comp])
 
 
 def test_default_start_decodes_to_maximally_mixed():
