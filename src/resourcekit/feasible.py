@@ -19,7 +19,8 @@ vector; a witness enters it through :func:`encode`.  Placement and
 membership are one search over the pool (:func:`_placements`):
 :func:`encode` places by it, and :func:`is_feasible_pure` and
 ``check_witness`` accept what it places.  Each pool structure is written
-down once, as its gather template: an evaluation gathers the rows'
+down once, as its gather template, kept read-only on its family, which is
+built once per (kind, dims, k): an evaluation gathers the rows'
 factors through it from a buffer kept per layout (a one-slot row, as every
 multilevel row, is its factor, with no cofactors), and the product oracle
 reads each factor's form off it; the readout normalizes the kept rows as
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import prod, sqrt
 from typing import NamedTuple
 
@@ -275,6 +276,12 @@ class FeasibleFamily:
         return prod(self.dims)
 
     @cached_property
+    def _tables(self):
+        """The gather templates of the family's hull, built once and
+        read-only (:meth:`_Supports.templates`, :meth:`_Products.templates`)."""
+        return (_Supports if self.kind == "multilevel" else _Products).templates(self)
+
+    @cached_property
     def _default(self):
         """The hull at its default start (seed 0), built once, so that
         :func:`_decode_raw` reuses its gather tables."""
@@ -298,12 +305,19 @@ def build_family(kind: str, dims, k: int) -> FeasibleFamily:
     parts refines another.  A dim that is not a positive integer raises
     DimensionMismatch; an order that is not an integer (a bool, a string, a
     fraction; a numpy integer is one) raises ValueError, and one out of the
-    kind's range EmptySet."""
+    kind's range EmptySet.  A family is built once per (kind, dims, k) and
+    shared, with its gather templates."""
     dims = _check_dims(dims)
-    n, d = len(dims), prod(dims)
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
     k = int(k) if isinstance(k, (int, np.integer)) and not isinstance(k, bool) else _count(k, "k")
+    return _family(kind, dims, k)
+
+
+@lru_cache(maxsize=128)
+def _family(kind: str, dims: tuple[int, ...], k: int) -> FeasibleFamily:
+    """:func:`build_family` on checked arguments, memoized."""
+    n, d = len(dims), prod(dims)
     if kind == "multilevel":
         if not 1 <= k <= d:
             raise EmptySet(f"no states with support size {k} in dimension {d}")
@@ -508,12 +522,19 @@ class _Supports(_Rows):
 
     certified = True
 
+    @staticmethod
+    def templates(family):
+        """(pool, counts, widths, tmpls), read-only: each support's k
+        amplitudes are one slot, off the support the trailing 0."""
+        pool, k = np.array(family.pool), family.k
+        tmpls = np.full((len(pool), 1, family.d), -2)
+        tmpls[np.arange(len(pool))[:, None], 0, pool] = np.arange(k)
+        return tuple(map(_freeze, (pool, np.ones(len(pool), int), np.full(len(pool), k), tmpls)))
+
     def __init__(self, family, witness=None):
         self.dims, self.d, k = family.dims, family.d, family.k
-        self.pool = pool = np.array(family.pool)
-        self.counts, self.widths = np.ones(len(pool), int), np.full(len(pool), k)
-        self.tmpls = np.full((len(pool), 1, self.d), -2)
-        self.tmpls[np.arange(len(pool))[:, None], 0, pool] = np.arange(k)
+        self.pool, self.counts, self.widths, self.tmpls = family._tables
+        pool = self.pool
         self.rows, self.cols = pool[:, :, None], pool[:, None, :]
         if not witness:     # I/d, as the identity's k columns on every support
             self.start = (np.tile(np.eye(k, dtype=complex).ravel(), len(pool)),
@@ -544,23 +565,30 @@ class _Products(_Rows):
 
     certified = False
 
+    @staticmethod
+    def templates(family):
+        """(sizes, counts, widths, tmpls, slots), read-only: per partition,
+        its parts' sizes and, per slot q, the template with slot q reading
+        the trailing 1 and U_q, amplitudes to factor q's entries."""
+        dims, pool = family.dims, family.pool
+        sizes = tuple(tuple(prod(dims[i] for i in part) for part in p) for p in pool)
+        counts, widths = np.array([(len(s), sum(s)) for s in sizes]).T
+        tmpls, slots = np.full((len(pool), max(counts), family.d), -1), []
+        grid = np.indices(dims).reshape(len(dims), -1)
+        for tmpl, p, sz in zip(tmpls, pool, sizes):
+            offsets = np.cumsum((0, *sz))
+            for s, part in enumerate(p):
+                tmpl[s] = offsets[s] + np.ravel_multi_index(tuple(grid[list(part)]),
+                                                            [dims[i] for i in part])
+            slots.append(tuple((_freeze(np.where(np.arange(len(tmpl))[:, None] == q, -1, tmpl)),
+                                _freeze(tmpl[q, :, None] == offsets[q] + np.arange(size)))
+                               for q, size in enumerate(sz)))
+        return sizes, _freeze(counts), _freeze(widths), _freeze(tmpls), tuple(slots)
+
     def __init__(self, family, witness=None, key=0):
         self.dims, self.d = family.dims, family.d
         self.pool, self.rng = family.pool, np.random.default_rng([key, 1])
-        self.sizes = [[prod(self.dims[i] for i in part) for part in p] for p in self.pool]
-        self.counts, self.widths = np.array([(len(sizes), sum(sizes)) for sizes in self.sizes]).T
-        self.tmpls, self.slots = np.full((len(self.pool), max(self.counts), self.d), -1), []
-        grid = np.indices(self.dims).reshape(len(self.dims), -1)
-        for tmpl, p, sizes in zip(self.tmpls, self.pool, self.sizes):
-            offsets = np.cumsum([0] + sizes)
-            for s, part in enumerate(p):
-                tmpl[s] = offsets[s] + np.ravel_multi_index(tuple(grid[list(part)]),
-                                                            [self.dims[i] for i in part])
-            # per slot q, once the template is filled: the template with slot q
-            # reading the trailing 1, and U_q, amplitudes to factor q's entries
-            self.slots.append([(np.where(np.arange(len(tmpl))[:, None] == q, -1, tmpl),
-                                tmpl[q, :, None] == offsets[q] + np.arange(size))
-                               for q, size in enumerate(sizes)])
+        self.sizes, self.counts, self.widths, self.tmpls, self.slots = family._tables
         if not witness:     # d random components per partition: sigma starts full rank
             layout = tuple(np.repeat(range(len(self.pool)), self.d).tolist())
             n = 2 * self.widths[list(layout)].sum()
@@ -585,7 +613,7 @@ class _Products(_Rows):
         sweep gaining under _ORACLE_SHARE of the gap over ``tr`` ends it too."""
         best = (-np.inf, None, None)
         for j, sizes in enumerate(self.sizes):
-            offsets = np.cumsum([0] + sizes)
+            offsets = np.cumsum((0, *sizes))
             rows = np.concatenate([self.rng.standard_normal((_ORACLE_STARTS, 2 * s)).view(complex)
                                    for s in sizes] + [np.ones((_ORACLE_STARTS, 1))], axis=1)
             value = np.full(_ORACLE_STARTS, -np.inf)

@@ -12,7 +12,11 @@ Frank-Wolfe steps that add the atom of the layout's linear oracle at the
 best node of a log-step grid (at least 1/e of the best step's gain).
 Multilevel (coherence) families have an exact oracle and so also carry a
 certified upper bound (``affinity_upper``); the correlation families'
-product oracle is a heuristic, and their ``affinity_upper`` is 1.0.
+product oracle is a heuristic, and their ``affinity_upper`` is 1.0.  The
+affinity is at most 1 (Hoelder), so a solve within 1e-12 of 1 is done
+whatever its oracle: it ends there without asking it, and a coherence
+member's ``affinity_upper`` is 1.0, which is tight.  At the iteration cap
+only a certified hull asks the oracle.
 
 At order k, coherence is scored against multilevel(k-1), nonseparability
 against separable(k) and entanglement against producible(k-1) mixtures; one
@@ -66,6 +70,7 @@ from .states import (
 DEFAULT_MAX_ITER = 2000
 _WITNESS_TOL = 1e-9   # check_witness: mixture and affinity agreement
 _GAP_STOP = 1e-10     # hull solve: duality gap that ends the search
+_MEMBER = 1.0 - 1e-12  # hull solve: an f that ends it (f <= 1: its gap is at most 1 - f)
 _STALL = 1e-14        # hull solve: a Frank-Wolfe gain below this is roundoff
 _EIG_FLOOR = 1e-12    # hull gradient: eigenvalue floor, relative to the largest
 _FULL_RANK = 1e-8     # hull upper bound: smallest eigenvalue it needs, relative
@@ -235,10 +240,11 @@ def _lbfgs(fun, x, maxiter):
     ``minimize``: the same iterates and evaluations, without that wrapper's
     per-evaluation layers.  Task 3 asks for f and the gradient at x; a step
     too small to move x reuses the last ones, as the wrapper's cache does.
-    Task 1 reports a new iterate.  The run stops at ``maxiter`` iterates or past
-    _LBFGS_MAXFUN evaluations (task 5), or when setulb converges or gives
-    up.  ``fun`` must not keep x, which setulb overwrites.  Returns
-    (x, iterations)."""
+    Task 1 reports a new iterate.  The run stops at ``maxiter`` iterates, at
+    the first iterate whose f is at most -_MEMBER (``fun`` is minus an
+    affinity, which is at most 1), or past _LBFGS_MAXFUN evaluations (task
+    5), or when setulb converges or gives up.  ``fun`` must not keep x,
+    which setulb overwrites.  Returns (x, iterations)."""
     x = np.array(x, dtype=float)
     n, m = x.size, _LBFGS_M
     f, g, free = 0.0, np.zeros(n), np.zeros(n)
@@ -259,7 +265,7 @@ def _lbfgs(fun, x, maxiter):
                 last[:] = x
         elif task[0] == 1:
             nit += 1
-            if nit >= maxiter:
+            if nit >= maxiter or -f >= _MEMBER:
                 task[:] = 5, 504
             elif nfev > _LBFGS_MAXFUN:
                 task[:] = 5, 502
@@ -275,29 +281,36 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     as floats; its layout is fixed for an L-BFGS run.  f is concave, so
     with G its gradient, gap = max over atoms of <atom|G|atom> - Tr(G sigma)
     bounds the distance to the maximum when the hull's oracle is exact.
+    The affinity is at most 1 (Hoelder), so 1 - f bounds it whatever the
+    oracle: at f >= _MEMBER the solve ends, L-BFGS at its first such
+    iterate, with gap 1 - f and no oracle call.
     Where L-BFGS stalls (a zero factor keeps a zero gradient, or too few
     components) a Frank-Wolfe step adds the oracle's atom, at the best node
     of a log-step grid, scored by one stacked evaluation; by concavity it
     gains at least 1/e of the best step (:func:`_line_search`).  A best
     grid gain of at most _STALL, which bounds every step's gain by
     e * _STALL, ends the solve.  At the cap only a certified hull asks the
-    oracle.  The better of the end and the start is kept (the solve is
-    monotone); f at the start is read off the first L-BFGS evaluation, and
-    its gradient is recomputed only where the start wins."""
+    oracle.  The point L-BFGS returns is, as a rule, its last successful
+    evaluation, which is kept and not mapped or decomposed again.  The
+    better of the end and the start is kept (the solve is monotone); f at
+    the start is read off the first L-BFGS evaluation, and its gradient is
+    recomputed only where the start wins."""
     beta = 1.0 - alpha
     f0 = None   # f at the start: the first evaluation's, -inf if it failed
+    last = None  # the last successful evaluation: (layout, theta's bytes), then its values
 
     def objective(theta):
-        nonlocal f0
+        nonlocal f0, last
         s, pullback = hull.map((theta.view(complex), layout))
         try:
-            f, g, tr, _ = _evaluate(s, rho_a, beta)
+            f, g, tr, w = _evaluate(s, rho_a, beta)
         except np.linalg.LinAlgError:
             if f0 is None:
                 f0 = -np.inf
             return np.inf, np.zeros_like(theta)       # a rejected step
         if f0 is None:
             f0 = f
+        last = (layout, theta.tobytes()), (s, f, g, tr, w)
         grad = pullback(g, tr).view(float)
         if not np.isfinite(f + grad.sum()):
             return np.inf, np.zeros_like(theta)
@@ -309,7 +322,13 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
             x, nit = _lbfgs(objective, z.view(float), max_iter - iterations)
             iterations += nit
             z = x.view(complex)
-        f, g, tr, w = _evaluate(s := hull.map((z, layout))[0], rho_a, beta)
+        if last is not None and last[0] == (layout, z.tobytes()):
+            s, f, g, tr, w = last[1]
+        else:
+            f, g, tr, w = _evaluate(s := hull.map((z, layout))[0], rho_a, beta)
+        if f >= _MEMBER:
+            gap = 1.0 - f
+            break
         if iterations >= max_iter and not hull.certified:
             break
         lam, atom, where = hull.oracle(g, tr)

@@ -193,7 +193,7 @@ def max_affinity_support(rho_data, alpha, k, iters=2000, gap_stop=2e-6):
 
 
 # Frozen anchor optima, derived before the library existed and re-derivable
-# with the searches above (see the slow oracle tests):
+# with the searches above (see the oracle recomputation tests):
 #
 # * uniform-amplitude qutrit against mixtures of two-level pure states:
 #   the symmetric boundary mixture (identity + all-ones)/6 is optimal, with

@@ -165,6 +165,22 @@ def test_default_start_decodes_to_maximally_mixed():
         assert np.abs(_decode_raw(fam, z.view(float)) - np.eye(d) / d).max() <= 1e-12
 
 
+def test_a_family_and_its_templates_are_built_once():
+    # build_family returns one family per (kind, dims, k), however they are
+    # spelled, and every hull on it reads the family's read-only templates;
+    # the seeded draws stay per hull
+    fam = rk.build_family("producible", (2, 2, 2), 1)
+    assert rk.build_family("producible", [2, 2, 2], np.int64(1)) is fam
+    a, b = _Products(fam, None, 1), _Products(fam, None, 2)
+    assert a.tmpls is b.tmpls and a.slots is b.slots and a.counts is b.counts
+    assert a.start[0].tobytes() != b.start[0].tobytes()
+    ml = rk.build_family("multilevel", (4,), 3)
+    assert _Supports(ml).tmpls is _Supports(ml).tmpls
+    arrays = [a.counts, a.widths, a.tmpls, *(x for slot in a.slots for pair in slot for x in pair),
+              *ml._tables]
+    assert not any(x.flags.writeable for x in arrays)
+
+
 def test_decode_components_respect_support():
     # the multilevel layout's readout: every component lies on one support
     fam = rk.build_family("multilevel", (4,), 2)

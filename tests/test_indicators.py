@@ -251,7 +251,6 @@ def test_multilevel_coherence_agrees_with_oracle_both_sides():
         assert res.best_affinity <= res.affinity_upper
 
 
-@pytest.mark.slow
 def test_qutrit_anchor_recompute_via_frank_wolfe():
     mx3 = rk.pure_state([1, 1, 1]).projector()
     lb, ub = max_affinity_support(mx3.data, 0.5, 2, iters=3000, gap_stop=1e-4)
@@ -650,6 +649,133 @@ def test_no_oracle_answer_is_discarded(monkeypatch):
     assert calls == ["_Supports"]
     res = rk.compute_indicator(rho, "entanglement", 2, 0.5, seed=123, max_iter=20)
     assert res.iterations == 20 and calls == ["_Supports"]
+
+
+def _counted_solve(monkeypatch, solve):
+    """``solve()`` with the hull solver's evaluations (their f), oracle
+    calls and line searches recorded."""
+    from resourcekit import feasible, indicators
+    seen = {"f": [], "oracle": 0, "line_search": 0}
+    evaluate, search = indicators._evaluate, indicators._line_search
+
+    def evaluated(*args):
+        out = evaluate(*args)
+        seen["f"].append(out[0])
+        return out
+
+    def searched(*args):
+        seen["line_search"] += 1
+        return search(*args)
+    for hull in (feasible._Supports, feasible._Products):
+        def counted(self, g, tr, original=hull.oracle):
+            seen["oracle"] += 1
+            return original(self, g, tr)
+        monkeypatch.setattr(hull, "oracle", counted)
+    monkeypatch.setattr(indicators, "_evaluate", evaluated)
+    monkeypatch.setattr(indicators, "_line_search", searched)
+    return solve(), seen
+
+
+def test_a_member_solve_stops_at_affinity_one(monkeypatch):
+    # the affinity is at most 1, so a separable(2) solve on a mixture of
+    # its products ends at its first evaluation at 1 - 1e-12 or above: the
+    # first L-BFGS iterate there ends the run, and neither the oracle nor a
+    # line search runs
+    from resourcekit.indicators import _MEMBER
+    rho = mixture(random_members("separable", (2, 2, 2), 2, 150), (2, 2, 2))
+    res, seen = _counted_solve(monkeypatch, lambda: rk.compute_indicator(
+        rho, "nonseparability", 2, 0.5, seed=151, max_iter=200))
+    assert seen["oracle"] == 0 and seen["line_search"] == 0
+    assert seen["f"][-1] >= _MEMBER > max(seen["f"][:-1])
+    assert res.best_affinity >= 1.0 - 1e-12 and res.iterations < 200
+    assert rk.check_witness(res, rho)
+
+
+def test_a_multilevel_member_has_a_tight_upper_bound(monkeypatch):
+    # 1 - f bounds the gap whatever the oracle: a member's certified bound
+    # is 1, which is tight, and the exact oracle is not asked
+    rho = mixture(random_members("multilevel", (3,), 2, 152), (3,))
+    res, seen = _counted_solve(monkeypatch,
+                               lambda: rk.multilevel_coherence(rho, 3, 0.5, seed=153))
+    assert seen["oracle"] == 0
+    assert res.best_affinity >= 1.0 - 1e-12
+    assert res.affinity_upper == 1.0
+
+
+def test_lbfgs_stops_on_its_first_iterate_at_the_target():
+    # on f = Rosenbrock - 1, whose minimum is -1, a run ends at the first
+    # iterate with f <= -(1 - 1e-12): a run capped at m iterates follows the
+    # same path, so that iterate is the end of the first capped run there
+    from resourcekit.indicators import _MEMBER, _lbfgs
+
+    def fun(x):
+        r, u = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
+        g = np.zeros_like(x)
+        g[:-1] = -400.0 * x[:-1] * r - 2.0 * u
+        g[1:] += 200.0 * r
+        return np.sum(100.0 * r ** 2 + u ** 2) - 1.0, g
+    x0 = np.array([-1.2, 1.0, -0.5, 0.8])
+    first = next(m for m in range(1, 200) if -fun(_lbfgs(fun, x0, m)[0])[0] >= _MEMBER)
+    x, nit = _lbfgs(fun, x0, 10 ** 4)
+    assert nit == first and x.tobytes() == _lbfgs(fun, x0, first)[0].tobytes()
+
+
+def _result_bytes(res):
+    return (res.affinity, res.upper, res.iterations, res.witness.data.tobytes(),
+            [(w, psi.amps.tobytes()) for w, psi in res.components])
+
+
+@pytest.mark.parametrize("kind,dims,k,max_iter", [("producible", (2, 2, 2), 1, 200),
+                                                  ("multilevel", (3,), 2, 2000)])
+def test_solves_below_one_do_not_see_the_stop(kind, dims, k, max_iter, monkeypatch):
+    # a capped producible(1) solve and a rank-2 qutrit's order-3 coherence
+    # solve stay below affinity 1: they are byte-equal whether or not the
+    # stop can fire
+    from resourcekit import indicators
+    rho = rk.random_mixed(list(dims), 2, seed=154)
+    family = rk.build_family(kind, dims, k)
+    res = max_affinity(rho, family, 0.5, seed=155, max_iter=max_iter)
+    monkeypatch.setattr(indicators, "_MEMBER", np.inf)
+    assert _result_bytes(max_affinity(rho, family, 0.5, seed=155, max_iter=max_iter)) == (
+        _result_bytes(res))
+    assert res.affinity < 1.0 - 1e-6
+    assert (res.iterations == max_iter) == (kind == "producible")     # only it is capped
+
+
+@pytest.mark.parametrize("kind,dims,k,rank,witness", [("multilevel", (4,), 3, 2, True),
+                                                      ("producible", (2, 2, 2), 1, 8, False)])
+def test_the_last_lbfgs_iterate_is_not_evaluated_again(kind, dims, k, rank, witness,
+                                                       monkeypatch):
+    # an L-BFGS run that ends on its last evaluation hands back that point,
+    # which the solve keeps: a stand-in that evaluates the run's start once
+    # more after the run makes the solve map and decompose the end again, so
+    # it costs two evaluations more per run, and the result is the same bytes
+    from resourcekit import indicators
+    rho = rk.random_mixed(list(dims), rank, seed=[156, k, 1])
+    family = rk.build_family(kind, dims, k)
+    start = [(1.0, rk.basis_pure(dims, 0))] if witness else None
+
+    def solve():
+        return max_affinity(rho, family, 0.5, seed=157, witness=start, max_iter=200)
+    res, seen = _counted_solve(monkeypatch, solve)
+    monkeypatch.undo()
+    lbfgs, runs = indicators._lbfgs, []
+
+    def evaluated_again(fun, x, maxiter):
+        thetas = []
+
+        def recorded(theta):
+            thetas.append(theta.tobytes())
+            return fun(theta)
+        end, nit = lbfgs(recorded, x, maxiter)
+        runs.append(end.tobytes() == thetas[-1])
+        assert fun(x.copy())[0] < np.inf
+        return end, nit
+    monkeypatch.setattr(indicators, "_lbfgs", evaluated_again)
+    again, seen_again = _counted_solve(monkeypatch, solve)
+    assert len(runs) > 1 and all(runs)
+    assert len(seen_again["f"]) == len(seen["f"]) + 2 * len(runs)
+    assert _result_bytes(again) == _result_bytes(res)
 
 
 def _reference_evaluate(s, rho_a, beta):
