@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ChannelInvalid, DimensionMismatch, NonFinite
 from .states import (
     DensityMatrix,
+    _count,
     _json_fields,
     _matrix_from_pairs,
     _matrix_to_pairs,
@@ -167,7 +168,9 @@ def make_monomial_incoherent(d: int, outcomes: int, seed) -> KrausChannel:
     construction.  Monomial operators map basis vectors to (multiples of)
     basis vectors, so no selective outcome can increase the coherence rank
     of a pure state.  A single outcome reduces to a diagonal-phase unitary.
+    ``outcomes`` must be an integer >= 1 (ChannelInvalid).
     """
+    outcomes = _count(outcomes, "outcomes", ChannelInvalid)
     if outcomes < 1:
         raise ChannelInvalid("need at least one outcome")
     rng = _rng(seed)
@@ -202,7 +205,9 @@ def make_local_product(site_channels) -> KrausChannel:
 
 
 def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
-    """Haar-random isometry dilation truncated to the requested outcomes."""
+    """Haar-random isometry dilation truncated to the requested outcomes, an
+    integer >= 1 (ChannelInvalid)."""
+    outcomes = _count(outcomes, "outcomes", ChannelInvalid)
     if outcomes < 1:
         raise ChannelInvalid("need at least one outcome")
     u = random_unitary(d * outcomes, seed)
@@ -212,8 +217,12 @@ def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
 
 
 def random_projective(d: int, rank: int, seed) -> KrausChannel:
-    """Two-outcome projective measurement onto a random rank-r subspace."""
+    """Two-outcome projective measurement onto a random rank-r subspace, r an
+    integer <= d (ChannelInvalid)."""
+    rank = _count(rank, "rank", ChannelInvalid)
     u = random_unitary(d, seed)
+    if rank > len(u):
+        raise ChannelInvalid(f"rank {rank} exceeds dimension {len(u)}")
     p1 = u[:, :rank] @ u[:, :rank].conj().T
     return kraus_channel([p1, np.eye(d) - p1])
 

@@ -546,7 +546,7 @@ class _Supports(_Rows):
 
     def oracle(self, g, tr):
         """(top eigenvalue, its atom as a vector, where it goes) over the supports."""
-        lam, vec = np.linalg.eigh(g[self.rows, self.cols])
+        lam, vec = _eigh(g[self.rows, self.cols])
         j = int(np.argmax(lam[:, -1]))
         atom = np.zeros(self.d, dtype=complex)
         atom[self.pool[j]] = vec[j, :, -1]

@@ -79,7 +79,6 @@ _LBFGS_M = 10         # L-BFGS-B: stored correction pairs
 _LBFGS_MAXLS = 20     # L-BFGS-B: line-search steps per iteration
 _LBFGS_FACTR = 1e-15 / np.finfo(float).eps   # L-BFGS-B: relative reduction 1e-15
 _LBFGS_PGTOL = 1e-12  # L-BFGS-B: largest gradient entry that ends the run
-_LBFGS_MAXFUN = 15000  # L-BFGS-B: evaluations after which the next iteration stops
 
 LABELS = ("coherence", "coherence_avg",
           "nonseparability", "nonseparability_avg",
@@ -132,12 +131,11 @@ class MaxAffinityResult(NamedTuple):
 
 
 def _seed_key(seed) -> int:
-    """Canonical integer form of a seed (scalars pass through unchanged)."""
-    if seed is None:
-        raise ValueError("seed is required")
+    """Canonical integer form of a seed, an integer or a sequence of them
+    (folded by SeedSequence), each read by :func:`_count` (ValueError)."""
     if np.ndim(seed) == 0:
-        return int(seed)
-    return int(np.random.SeedSequence([int(s) for s in seed]).generate_state(1)[0])
+        return _count(seed, "seed")
+    return int(np.random.SeedSequence([_count(s, "seed") for s in seed]).generate_state(1)[0])
 
 
 def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
@@ -154,11 +152,12 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     start.  Witness weights must be finite and >= 0 with a positive total
     (BadWeights); a witness component that fits no structure of the pool
     raises WitnessEncodingError, and one on other dims than the family's
-    DimensionMismatch (:func:`encode`); a ``max_iter`` that is
+    DimensionMismatch (:func:`encode`); a ``max_iter`` or ``seed`` that is
     negative or not an integer (a bool, a fraction) raises ValueError.
     """
     alpha = _check_alpha(alpha)
     max_iter = _count(max_iter, "max_iter")
+    seed = _seed_key(seed)
     if witness:
         weights = np.array([w for w, _ in witness], dtype=float)
         if not (np.isfinite(weights).all() and (weights >= 0.0).all() and weights.sum() > 0.0):
@@ -171,7 +170,7 @@ def max_affinity(rho: DensityMatrix, family: FeasibleFamily, alpha: float, *,
     if family.kind == "multilevel":
         hull = _Supports(family, witness)
     else:
-        hull = _Products(family, witness, _seed_key(seed))
+        hull = _Products(family, witness, seed)
     return _hull_max(rho, rho_a, alpha, hull, max_iter)
 
 
@@ -212,8 +211,8 @@ def _evaluate(s, rho_a, beta):
 
 
 def _value(s, rho_a, beta):
-    """f alone, for one sigma or a stack of them, from one (stacked) eigh."""
-    w, v = np.linalg.eigh(s)
+    """f alone, for one sigma or a stack of them, from one (stacked) _eigh."""
+    w, v = _eigh(s)
     r = np.einsum("...ji,...ji->...i", v.conj(), rho_a @ v).real
     return (_flushed(w) ** beta * r).sum(-1)
 
@@ -238,12 +237,13 @@ def _lbfgs(fun, x, maxiter):
     (Byrd, Lu, Nocedal & Zhu 1995), run by scipy's compiled core ``setulb``
     (:func:`_load_setulb`) in the reverse-communication loop of scipy's
     ``minimize``: the same iterates and evaluations, without that wrapper's
-    per-evaluation layers.  Task 3 asks for f and the gradient at x; a step
-    too small to move x reuses the last ones, as the wrapper's cache does.
-    Task 1 reports a new iterate.  The run stops at ``maxiter`` iterates, at
-    the first iterate whose f is at most -_MEMBER (``fun`` is minus an
-    affinity, which is at most 1), or past _LBFGS_MAXFUN evaluations (task
-    5), or when setulb converges or gives up.  ``fun`` must not keep x,
+    per-evaluation layers.  Task 3 asks for f and the gradient at x (a step
+    too small to move x reuses the last ones); task 1 reports a new
+    iterate, which decreases f, and a failed line search restores the last
+    one, so x never ends worse than it began.  The run stops at ``maxiter``
+    iterates (a line search takes at most _LBFGS_MAXLS evaluations), at the
+    first iterate with f <= -_MEMBER (``fun`` is minus an affinity, at most
+    1), or when setulb converges or gives up.  ``fun`` must not keep x,
     which setulb overwrites.  Returns (x, iterations)."""
     x = np.array(x, dtype=float)
     n, m = x.size, _LBFGS_M
@@ -254,29 +254,25 @@ def _lbfgs(fun, x, maxiter):
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    nit = nfev = 0
+    nit = 0
     while True:
         setulb(m, x, free, free, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL, wa, iwa,
                task, lsave, isave, dsave, _LBFGS_MAXLS, ln_task)
         if task[0] == 3:
             if not (x == last).all():
                 f, g = fun(x)
-                nfev += 1
                 last[:] = x
         elif task[0] == 1:
             nit += 1
             if nit >= maxiter or -f >= _MEMBER:
                 task[:] = 5, 504
-            elif nfev > _LBFGS_MAXFUN:
-                task[:] = 5, 502
         else:
             return x, nit
 
 
 def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     """Maximize f(sigma) = Tr(rho^alpha sigma^beta), beta = 1 - alpha, over a
-    family's convex hull, with L-BFGS-B through scipy's compiled core,
-    without the ``minimize`` wrapper (:func:`_lbfgs`), on the factors that
+    family's convex hull by L-BFGS-B (:func:`_lbfgs`) on the factors that
     ``hull`` maps to sigma (Burer-Monteiro), viewing one complex vector z
     as floats; its layout is fixed for an L-BFGS run.  f is concave, so
     with G its gradient, gap = max over atoms of <atom|G|atom> - Tr(G sigma)
@@ -289,27 +285,21 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
     of a log-step grid, scored by one stacked evaluation; by concavity it
     gains at least 1/e of the best step (:func:`_line_search`).  A best
     grid gain of at most _STALL, which bounds every step's gain by
-    e * _STALL, ends the solve.  At the cap only a certified hull asks the
-    oracle.  The point L-BFGS returns is, as a rule, its last successful
-    evaluation, which is kept and not mapped or decomposed again.  The
-    better of the end and the start is kept (the solve is monotone); f at
-    the start is read off the first L-BFGS evaluation, and its gradient is
-    recomputed only where the start wins."""
+    e * _STALL, ends the solve, as does a NaN one (an unconverged eigh).
+    The ascent is monotone: L-BFGS never ends worse than it starts, and a
+    step is taken only when it gains.  At the cap only a certified hull
+    asks the oracle.  L-BFGS's last successful evaluation is kept, so the
+    point it returns is, as a rule, not mapped or decomposed again."""
     beta = 1.0 - alpha
-    f0 = None   # f at the start: the first evaluation's, -inf if it failed
     last = None  # the last successful evaluation: (layout, theta's bytes), then its values
 
     def objective(theta):
-        nonlocal f0, last
+        nonlocal last
         s, pullback = hull.map((theta.view(complex), layout))
         try:
             f, g, tr, w = _evaluate(s, rho_a, beta)
         except np.linalg.LinAlgError:
-            if f0 is None:
-                f0 = -np.inf
             return np.inf, np.zeros_like(theta)       # a rejected step
-        if f0 is None:
-            f0 = f
         last = (layout, theta.tobytes()), (s, f, g, tr, w)
         grad = pullback(g, tr).view(float)
         if not np.isfinite(f + grad.sum()):
@@ -339,14 +329,9 @@ def _hull_max(rho, rho_a, alpha, hull, max_iter) -> MaxAffinityResult:
         # a grid gain <= _STALL bounds the step's gain by e * _STALL
         iterations += 1
         t, gain = _line_search(s, np.outer(atom, atom.conj()), f, rho_a, beta)
-        if gain <= _STALL:
+        if not gain > _STALL:
             break
         z, layout = hull.add((z, layout), t, where)
-
-    if f0 is not None and f0 > f:
-        f, g0, tr0, w = _evaluate(hull.map(hull.start)[0], rho_a, beta)
-        z, layout = hull.start
-        gap = hull.oracle(g0, tr0)[0] - tr0 if hull.certified else np.inf
 
     comps = tuple(hull.components((z, layout)))
     member = _trusted(_mixture(comps), hull.dims)
@@ -435,10 +420,11 @@ def _result(label, k, alpha, variant, seed, res: MaxAffinityResult) -> Indicator
                            value=_variant_value(res.affinity, alpha, variant),
                            best_affinity=res.affinity, affinity_upper=res.upper,
                            witness=res.witness, components=tuple(res.components),
-                           seed=_seed_key(seed), iterations=res.iterations)
+                           seed=seed, iterations=res.iterations)
 
 
 def _searched(rho, base, k, alpha, variant, seed, opts) -> IndicatorResult:
+    seed = _seed_key(seed)
     kind, shift = _FAMILY_OF[base]
     family = build_family(kind, rho.dims, k + shift)
     return _result(base, k, alpha, variant, seed,

@@ -392,7 +392,8 @@ def random_pure(dims, seed) -> PureState:
 
 
 def random_mixed(dims, rank, seed) -> DensityMatrix:
-    """Ginibre-induced mixed state G G^dag / Tr(G G^dag) of the given rank."""
+    """Ginibre-induced mixed state G G^dag / Tr(G G^dag) of the given rank,
+    an integer in 1..prod(dims) (DimensionMismatch)."""
     return _random_mixed(dims, [rank], [seed])[0]
 
 
@@ -402,6 +403,7 @@ def _random_mixed(dims, ranks, seeds) -> list[DensityMatrix]:
     d = prod(dims)
     grams = []
     for rank, seed in zip(ranks, seeds):
+        rank = _count(rank, "rank", DimensionMismatch)
         if not 1 <= rank <= d:
             raise DimensionMismatch(f"rank {rank} out of range for dimension {d}")
         rng = _rng(seed)
@@ -412,7 +414,9 @@ def _random_mixed(dims, ranks, seeds) -> list[DensityMatrix]:
 
 
 def random_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix, d
+    an integer (DimensionMismatch)."""
+    d = _count(d, "d", DimensionMismatch)
     rng = _rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)

@@ -131,6 +131,27 @@ def test_kraus_validation_errors():
         rk.apply(rk.identity_channel(3), rk.random_mixed([2], 2, seed=20))
 
 
+@pytest.mark.parametrize("make,args", [(rk.random_channel, (3, 2.5, 1)),
+                                       (rk.random_channel, (3, True, 1)),
+                                       (rk.make_monomial_incoherent, (3, 2.5, 1)),
+                                       (rk.make_monomial_incoherent, (3, True, 1)),
+                                       (rk.random_projective, (3, 2.5, 1)),
+                                       (rk.random_projective, (3, True, 1)),
+                                       (rk.random_projective, (3, 5, 1))])
+def test_channel_counts_are_refused_not_truncated(make, args):
+    # a fractional count ended in a numpy TypeError, a bool read as 1, and a
+    # projective rank above d built the measurement [I, 0]
+    with pytest.raises(ChannelInvalid):
+        make(*args)
+
+
+def test_channel_counts_read_integral_floats_as_dims_do():
+    for make, args in ((rk.random_channel, (3, 2)), (rk.make_monomial_incoherent, (3, 2)),
+                       (rk.random_projective, (3, 2))):
+        whole, fraction = make(*args, 1), make(args[0], float(args[1]), 1)
+        assert [k.tobytes() for k in whole.kraus] == [k.tobytes() for k in fraction.kraus]
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -245,3 +245,29 @@ def test_format_only_where_honoured(states, capsys):
                  "--n-samples", "1", "--format", "json"]) == 2
     assert main(["embed", "--state", states["diag"], "--k", "2", "--alpha", "0.5",
                  "--seed", "9", "--format", "json"]) == 2
+
+
+def test_affinity_json_format(states, capsys):
+    assert main(["affinity", "--rho", states["plus"], "--sigma", states["mixed"],
+                 "--alpha", "0.5", "--alpha", "0.7", "--seed", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["alpha"] for row in rows] == [0.5, 0.7]
+    assert rows[0]["value"] == pytest.approx(0.70711, abs=1e-5)
+
+
+def test_embed_refuses_a_two_system_state(tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    rk.save_state(rk.pure_state([1, 0, 0, 1], [2, 2]).projector(), path)
+    assert main(["embed", "--state", str(path), "--k", "2", "--alpha", "0.5",
+                 "--seed", "9"]) == EXIT_INPUT_ERROR
+    assert "single-system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["indicator", "embed"])
+def test_negative_seed_exits_two(states, capsys, command):
+    # a negative seed was reported as given on coherence and failed inside
+    # numpy on the correlation kinds; it is now refused before any solve
+    args = ["--label", "coherence"] if command == "indicator" else []
+    assert main([command, "--state", states["plus"], *args, "--k", "2",
+                 "--alpha", "0.5", "--seed", "-1"]) == EXIT_INPUT_ERROR
+    assert "seed" in capsys.readouterr().err

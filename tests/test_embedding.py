@@ -5,7 +5,7 @@ import pytest
 
 import resourcekit as rk
 from resourcekit.embedding import _embedded_partition, embed_pure, map_components, theorem3_check
-from resourcekit.errors import DTooLarge, KOutOfRange
+from resourcekit.errors import DTooLarge, FeasibilityCheckFailed, KOutOfRange
 from resourcekit.feasible import factorize_pure
 
 ALPHAS = (0.3, 0.5, 0.7)
@@ -189,6 +189,24 @@ def test_theorem3_input_validation():
         with pytest.raises(ValueError, match="k must be"):
             theorem3_check(rho, k, 0.5, seed=1)
 
+
+def test_a_transport_that_entangles_the_ancillas_fails_its_feasibility_check(monkeypatch):
+    # a stand-in map that sends every component to a generic pure state of
+    # the embedded space entangles the ancillas that the source's support
+    # leaves free: the check raises, and the theorem3 suite records a failing
+    # transport-witness-feasible certificate for each sample
+    import resourcekit.embedding as embedding
+    from resourcekit.verify import run_theorem3
+
+    def entangling(emb, components):
+        return [rk.WitnessComponent(w, rk.random_pure(emb.dims, [15, i]))
+                for i, (w, _) in enumerate(components)]
+    monkeypatch.setattr(embedding, "map_components", entangling)
+    with pytest.raises(FeasibilityCheckFailed, match="does not refine"):
+        theorem3_check(rk.random_mixed([3], 3, seed=14), 2, 0.5, seed=1)
+    certs = run_theorem3(16, 1)
+    assert [c.label for c in certs] == ["transport-witness-feasible"] * 3
+    assert all(c.lhs == 0.0 and c.slack == 1.0 for c in certs)
 
 def test_transport_report_json():
     rho = rk.validate(np.diag([0.6, 0.4]), [2])

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import zlib
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -387,33 +386,48 @@ def test_correlation_exact_on_noisy_ghz_states(p, alpha):
         assert rk.check_witness(res, rho)
 
 
-@pytest.mark.parametrize("kind,dims,k", [("multilevel", (3,), 2), ("separable", (2, 2), 2)])
-def test_a_start_better_than_the_ascent_is_kept(kind, dims, k, monkeypatch):
-    # no solve ends below its start, so the branch that keeps the start is
-    # forced: from a solved witness, a stand-in L-BFGS scores the start, then
-    # returns a worse point (all factors 1 + 1j).  The result is the
-    # max_iter=0 result, the start scored, with its certified bound where
-    # the hull has one
-    from resourcekit import indicators
-    rho = rk.random_mixed(list(dims), prod(dims), seed=136)
-    family = rk.build_family(kind, dims, k)
-    witness = max_affinity(rho, family, 0.5, seed=137).components
-    start = max_affinity(rho, family, 0.5, seed=137, witness=witness, max_iter=0)
+def test_lbfgs_never_ends_worse_than_its_start():
+    # a nonconvex function, sum of x^2 + 1 - cos(5x), that rejects (inf) every
+    # point outside the box |x| <= 1.2, as a hull objective rejects a step
+    # whose eigh fails: from starts inside the box, at any iteration budget,
+    # the point returned scores no worse than the start
+    from resourcekit.indicators import _lbfgs
+    rejected = []
 
-    def worse(fun, x, maxiter):
-        f_start = fun(x.copy())[0]
-        y = np.ones_like(x)
-        assert fun(y.copy())[0] > f_start + 0.01    # -f: y is worse
-        return y, 1
-    monkeypatch.setattr(indicators, "_lbfgs", worse)
-    res = max_affinity(rho, family, 0.5, seed=137, witness=witness, max_iter=1)
-    assert res.iterations == 1
-    assert res.affinity == start.affinity and res.upper == start.upper
-    assert res.witness.data.tobytes() == start.witness.data.tobytes()
-    assert [(w, psi.amps.tobytes()) for w, psi in res.components] == [
-        (w, psi.amps.tobytes()) for w, psi in start.components]
-    assert res.upper >= res.affinity
-    assert (res.upper < 1.0) == (kind == "multilevel")
+    def fun(x):
+        if np.abs(x).max() > 1.2:
+            rejected.append(x.copy())
+            return np.inf, np.zeros_like(x)
+        return (float((x * x + 1.0 - np.cos(5.0 * x)).sum()),
+                2.0 * x + 5.0 * np.sin(5.0 * x))
+
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        x0 = rng.uniform(-1.0, 1.0, 4)
+        for maxiter in (1, 5, 50):
+            x, nit = _lbfgs(fun, x0.copy(), maxiter)
+            assert 1 <= nit <= maxiter
+            assert fun(x)[0] <= fun(x0)[0]
+    assert rejected
+
+
+@pytest.mark.parametrize("kind,dims,k", [("multilevel", (3,), 2), ("multilevel", (4,), 3),
+                                         ("separable", (2, 2), 2),
+                                         ("separable", (2, 2, 2), 2),
+                                         ("producible", (2, 2, 2), 1)])
+@pytest.mark.parametrize("start", ["default", "witness"])
+def test_a_hull_solve_never_ends_below_its_start(kind, dims, k, start):
+    # the ascent is monotone: at every iteration budget the reported affinity
+    # is at least the start's, which max_iter=0 scores; a solved witness
+    # starts near the top, where any step that loses would show
+    rho = rk.random_mixed(list(dims), 2, seed=[138, len(dims), k])
+    family = rk.build_family(kind, dims, k)
+    witness = (max_affinity(rho, family, 0.5, seed=139, max_iter=20).components
+               if start == "witness" else None)
+    base = max_affinity(rho, family, 0.5, seed=140, witness=witness, max_iter=0).affinity
+    for max_iter in (1, 5, 50):
+        res = max_affinity(rho, family, 0.5, seed=140, witness=witness, max_iter=max_iter)
+        assert res.affinity >= base - 1e-14
 
 
 @pytest.mark.parametrize("k", [2.5, 3.9, True, np.float64(2.5)])
@@ -425,6 +439,42 @@ def test_orders_are_refused_not_truncated(k):
             rk.compute_indicator(rho, label, k, 0.5, seed=0)
         with pytest.raises(ValueError, match="k must be"):
             rk.indicator_suite(rho, [0.5], [(label, k)], seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7", [1, 2.5], -1, [1, -1], None])
+@pytest.mark.parametrize("label", ["coherence", "nonseparability"])
+def test_seeds_are_refused_not_truncated(seed, label, monkeypatch):
+    # int(seed) read 1.5 and True as 1, "7" as 7 and [1, 2.5] as [1, 2]; -1
+    # was reported on coherence and failed inside numpy on the correlation
+    # kinds; None raised only after the solve.  Every seed is read before
+    # any solve
+    from resourcekit import indicators
+
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(indicators, "_hull_max", no_solve)
+    rho = rk.random_mixed([2, 2], 4, seed=141)
+    with pytest.raises(ValueError, match="seed must be"):
+        rk.compute_indicator(rho, label, 3 if label == "coherence" else 2, 0.5, seed=seed)
+
+
+@pytest.mark.parametrize("kind,dims,k", [("multilevel", (3,), 1), ("multilevel", (3,), 2),
+                                         ("separable", (2, 2), 2)])
+def test_max_affinity_reads_its_seed_for_every_family(kind, dims, k):
+    # multilevel families took seed=None and seed=-1 while the correlation
+    # kinds refused them
+    rho = rk.random_mixed(list(dims), 2, seed=142)
+    for seed in (None, -1, 1.5):
+        with pytest.raises(ValueError, match="seed must be"):
+            max_affinity(rho, rk.build_family(kind, dims, k), 0.5, seed=seed)
+
+
+def test_integer_seeds_keep_their_values():
+    rho = rk.random_mixed([3], 3, seed=143)
+    for seed, key in ((7, 7), (np.int64(7), 7), (np.uint32(2 ** 32 - 1), 2 ** 32 - 1),
+                      ([1, 2], int(np.random.SeedSequence([1, 2]).generate_state(1)[0]))):
+        res = rk.compute_indicator(rho, "coherence", 3, 0.5, seed=seed, max_iter=5)
+        assert type(res.seed) is int and res.seed == key
 
 
 def test_numpy_integer_orders_report_as_ints():
@@ -849,13 +899,13 @@ def test_grid_gain_bounds_every_step(d, seed, alpha, full_rank, gradient_atom):
 
 
 def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
-    # every Frank-Wolfe attempt costs one eigh of the stacked grid and takes
-    # a grid node: one that gains nothing ends the solve (the rank-2
-    # ququart's coherence solve), and the producible solve takes steps that
-    # gain
+    # every Frank-Wolfe attempt costs one eigh of the stacked grid, through
+    # the solver's one eigensolver, and takes a grid node: one that gains
+    # nothing ends the solve (the rank-2 ququart's coherence solve), and the
+    # producible solve takes steps that gain
     from resourcekit import indicators
     shapes, attempts = [], []
-    eigh, search = np.linalg.eigh, indicators._line_search
+    eigh, search = indicators._eigh, indicators._line_search
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
@@ -867,7 +917,7 @@ def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
         attempts.append((t, gain, shapes[start:]))
         return t, gain
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(indicators, "_eigh", counted)
     monkeypatch.setattr(indicators, "_line_search", recorded)
     rk.compute_indicator(rk.random_mixed([4], 2, seed=0), "coherence", 3, 0.5, seed=1,
                          max_iter=300)
@@ -885,6 +935,30 @@ def test_a_stalled_frank_wolfe_attempt_is_one_stacked_eigh(monkeypatch):
         assert calls == [(len(_STEPS), 8, 8)]
     assert max(gain for _, gain, _ in attempts) > _STALL
 
+
+def test_an_unconverged_line_search_ends_the_solve(monkeypatch):
+    # the line search's eigh returns NaN where LAPACK does not converge: a
+    # NaN gain ends the solve, as a gain <= _STALL does, with no step taken
+    from resourcekit import indicators
+    attempts, eigh, search = [], indicators._eigh, indicators._line_search
+
+    def unconverged(s):
+        w, v = eigh(s)
+        return (np.full_like(w, np.nan), v) if s.ndim == 3 else (w, v)
+
+    def recorded(*args):
+        attempts.append(search(*args))
+        return attempts[-1]
+
+    rho = rk.random_mixed([2, 2, 2], 8, seed=1)
+    start = rk.compute_indicator(rho, "entanglement", 2, 0.5, seed=1, max_iter=0)
+    monkeypatch.setattr(indicators, "_eigh", unconverged)
+    monkeypatch.setattr(indicators, "_line_search", recorded)
+    res = rk.compute_indicator(rho, "entanglement", 2, 0.5, seed=1, max_iter=200)
+    assert len(attempts) == 1 and np.isnan(attempts[0][1])
+    assert res.iterations < 200
+    assert res.best_affinity >= start.best_affinity
+    assert rk.check_witness(res, rho)
 
 def test_product_hull_starts_on_the_coarsest_partitions():
     # a partition that refines another adds nothing to the hull: on three

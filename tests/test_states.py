@@ -279,6 +279,29 @@ def test_dims_are_refused_not_truncated(dims):
         rk.validate(np.eye(2) / 2, dims)
 
 
+@pytest.mark.parametrize("make,args", [(rk.random_mixed, ([3], 2.5, 1)),
+                                       (rk.random_mixed, ([3], True, 1)),
+                                       (rk.random_mixed, ([3], "2", 1)),
+                                       (rk.random_unitary, (2.5, 1)),
+                                       (rk.random_unitary, (True, 1))])
+def test_random_counts_are_refused_not_truncated(make, args):
+    # a fractional rank or dimension ended in a numpy TypeError, and a bool
+    # read as 1
+    with pytest.raises(DimensionMismatch):
+        make(*args)
+
+
+def test_random_counts_read_integral_floats_as_dims_do():
+    assert rk.random_mixed([3], 2.0, 1).data.tobytes() == rk.random_mixed([3], 2, 1).data.tobytes()
+    assert rk.random_unitary(3.0, 1).tobytes() == rk.random_unitary(3, 1).tobytes()
+
+
+def test_trusted_renormalizes_a_trace_off_one():
+    data = rk.random_mixed([3], 3, seed=4).data
+    rho = _trusted(2.0 * data, [3])
+    assert rho.data.tobytes() == data.tobytes()
+
+
 def test_json_refuses_bool_entries_and_names_missing_fields():
     with pytest.raises(ValueError, match="number pairs"):
         rk.state_from_json('{"dims": [2], "matrix": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}')
