@@ -138,8 +138,18 @@ def selective_apply(channel: KrausChannel, rho: DensityMatrix):
                         _out_dims(channel, rho))
 
 
+def _positive(value, name: str) -> int:
+    """``value`` as an int >= 1, an integer already (:func:`_count`):
+    anything else raises ChannelInvalid."""
+    n = _count(value, name, ChannelInvalid)
+    if n < 1:
+        raise ChannelInvalid(f"{name} must be at least 1, got {n}")
+    return n
+
+
 def identity_channel(d: int) -> KrausChannel:
-    return kraus_channel([np.eye(d, dtype=complex)])
+    """The identity on d levels, d an integer >= 1 (ChannelInvalid)."""
+    return kraus_channel([np.eye(_positive(d, "d"), dtype=complex)])
 
 
 def unitary_channel(u) -> KrausChannel:
@@ -151,7 +161,9 @@ def unitary_channel(u) -> KrausChannel:
 
 
 def dephasing_channel(d: int) -> KrausChannel:
-    """Full dephasing in the reference basis: K_i = |i><i|."""
+    """Full dephasing in the reference basis: K_i = |i><i|, d an integer
+    >= 1 (ChannelInvalid)."""
+    d = _positive(d, "d")
     ops = []
     for i in range(d):
         k = np.zeros((d, d), dtype=complex)
@@ -168,11 +180,9 @@ def make_monomial_incoherent(d: int, outcomes: int, seed) -> KrausChannel:
     construction.  Monomial operators map basis vectors to (multiples of)
     basis vectors, so no selective outcome can increase the coherence rank
     of a pure state.  A single outcome reduces to a diagonal-phase unitary.
-    ``outcomes`` must be an integer >= 1 (ChannelInvalid).
+    ``d`` and ``outcomes`` must be integers >= 1 (ChannelInvalid).
     """
-    outcomes = _count(outcomes, "outcomes", ChannelInvalid)
-    if outcomes < 1:
-        raise ChannelInvalid("need at least one outcome")
+    d, outcomes = _positive(d, "d"), _positive(outcomes, "outcomes")
     rng = _rng(seed)
     amps = rng.standard_normal((outcomes, d)) + 1j * rng.standard_normal((outcomes, d))
     amps /= np.linalg.norm(amps, axis=0, keepdims=True)
@@ -205,11 +215,9 @@ def make_local_product(site_channels) -> KrausChannel:
 
 
 def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
-    """Haar-random isometry dilation truncated to the requested outcomes, an
-    integer >= 1 (ChannelInvalid)."""
-    outcomes = _count(outcomes, "outcomes", ChannelInvalid)
-    if outcomes < 1:
-        raise ChannelInvalid("need at least one outcome")
+    """Haar-random isometry dilation truncated to the requested outcomes;
+    ``d`` and ``outcomes`` must be integers >= 1 (ChannelInvalid)."""
+    d, outcomes = _positive(d, "d"), _positive(outcomes, "outcomes")
     u = random_unitary(d * outcomes, seed)
     iso = u[:, :d]
     ops = [iso[i * d:(i + 1) * d, :] for i in range(outcomes)]
@@ -217,12 +225,12 @@ def random_channel(d: int, outcomes: int, seed) -> KrausChannel:
 
 
 def random_projective(d: int, rank: int, seed) -> KrausChannel:
-    """Two-outcome projective measurement onto a random rank-r subspace, r an
-    integer <= d (ChannelInvalid)."""
-    rank = _count(rank, "rank", ChannelInvalid)
+    """Two-outcome projective measurement onto a random rank-r subspace, d
+    an integer >= 1 and r an integer <= d (ChannelInvalid)."""
+    d, rank = _positive(d, "d"), _count(rank, "rank", ChannelInvalid)
+    if rank > d:
+        raise ChannelInvalid(f"rank {rank} exceeds dimension {d}")
     u = random_unitary(d, seed)
-    if rank > len(u):
-        raise ChannelInvalid(f"rank {rank} exceeds dimension {len(u)}")
     p1 = u[:, :rank] @ u[:, :rank].conj().T
     return kraus_channel([p1, np.eye(d) - p1])
 

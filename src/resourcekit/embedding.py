@@ -24,11 +24,10 @@ from functools import cache
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DTooLarge, FeasibilityCheckFailed, KOutOfRange,
-                     WitnessEncodingError)
+from .errors import DimensionMismatch, DTooLarge, FeasibilityCheckFailed, WitnessEncodingError
 from .feasible import WitnessComponent, _coarsens, _effective_support, _finest_parts
 from .indicators import _mixed, _variant_value, multilevel_coherence
-from .states import DensityMatrix, PureState, _count, _trusted, pure_state
+from .states import DensityMatrix, PureState, _trusted, pure_state
 
 MIN_D, MAX_D = 2, 4
 
@@ -187,24 +186,22 @@ def theorem3_check(rho: DensityMatrix, k: int, alpha: float, *, seed,
     off one table (FeasibilityCheckFailed); membership in
     separable(d - k + 2) and producible(k), read off it, fails with
     WitnessEncodingError.  The one mapped mixture is then scored on the
-    embedded state for both.  No
-    correlation search runs: the mapped witness is feasible and, by
-    affinity preservation, reproduces the coherence affinity, so every
-    bound comes out at the coherence bound up to roundoff.  ``max_iter``
-    caps the coherence solve; an order k that is not an integer raises
-    ValueError.  ``restarts`` is accepted and dropped here: no solve reads
-    it, and perfbench/workloads.py, its last reader, still passes it.
+    embedded state for both.  No correlation search runs: the mapped
+    witness is feasible and, by affinity preservation, reproduces the
+    coherence affinity, so every bound comes out at the coherence bound up
+    to roundoff.  ``max_iter`` caps the coherence solve.  Refused before
+    it: d outside 2..3 (DTooLarge), then k, the seed, alpha and
+    ``max_iter``, read by :func:`multilevel_coherence`.  ``restarts`` is
+    accepted and dropped here: no solve reads it, and
+    perfbench/workloads.py, its last reader, still passes it.
     """
-    d, k = rho.d, _count(k, "k")
+    d = rho.d
     if not MIN_D <= d <= 3:
         raise DTooLarge(f"transport check supports 2 <= d <= 3, got {d}")
-    if not 2 <= k <= d:
-        raise KOutOfRange(f"need 2 <= k <= {d}, got {k}")
-    emb = build_embedding(d)
     coh = multilevel_coherence(rho, k, alpha, "plain", seed=seed, max_iter=max_iter)
+    k, emb = coh.k, build_embedding(d)
     mapped = map_components(emb, coh.components)
-    sep_k = d - k + 2
-    prod_k = k
+    sep_k, prod_k = d - k + 2, k
     # is_feasible_pure's rule on the partitions: separable(K) takes K parts
     # or more, producible(k) parts of at most k subsystems
     for parts in _check_mapped_feasibility(emb, coh.components, mapped):

@@ -407,28 +407,28 @@ class IndicatorResult:
 
 
 def _variant_value(affinity: float, alpha: float, variant: str) -> float:
-    if variant == "plain":
-        return 1.0 - affinity
-    if variant == "avg":
-        return 1.0 - affinity ** (1.0 / alpha)
-    raise ValueError(f"variant must be 'plain' or 'avg', got {variant!r}")
+    return 1.0 - affinity if variant == "plain" else 1.0 - affinity ** (1.0 / alpha)
 
 
-def _result(label, k, alpha, variant, seed, res: MaxAffinityResult) -> IndicatorResult:
-    return IndicatorResult(label=label if variant == "plain" else label + "_avg",
-                           k=k, alpha=alpha,
-                           value=_variant_value(res.affinity, alpha, variant),
-                           best_affinity=res.affinity, affinity_upper=res.upper,
-                           witness=res.witness, components=tuple(res.components),
-                           seed=seed, iterations=res.iterations)
-
-
-def _searched(rho, base, k, alpha, variant, seed, opts) -> IndicatorResult:
-    seed = _seed_key(seed)
+def _indicator(rho, base, variant, k, alpha, seed, opts) -> IndicatorResult:
+    """The one path from an indicator's arguments to its solve: reads the
+    variant, the order k, its range 1 <= k + shift <= top (top: d - 1 for
+    multilevel, else the number of subsystems) and the seed, in that order,
+    before :func:`max_affinity`, which reads alpha and ``max_iter`` first."""
+    if variant not in ("plain", "avg"):
+        raise ValueError(f"variant must be 'plain' or 'avg', got {variant!r}")
+    k = _count(k, "k")
     kind, shift = _FAMILY_OF[base]
-    family = build_family(kind, rho.dims, k + shift)
-    return _result(base, k, alpha, variant, seed,
-                   max_affinity(rho, family, alpha, seed=seed, **opts))
+    top = rho.d - 1 if kind == "multilevel" else len(rho.dims)
+    if not 1 <= k + shift <= top:
+        raise KOutOfRange(f"need {1 - shift} <= k <= {top - shift}, got {k}")
+    seed = _seed_key(seed)
+    res = max_affinity(rho, build_family(kind, rho.dims, k + shift), alpha, seed=seed, **opts)
+    return IndicatorResult(label=base if variant == "plain" else base + "_avg", k=k,
+                           alpha=alpha, value=_variant_value(res.affinity, alpha, variant),
+                           best_affinity=res.affinity, affinity_upper=res.upper,
+                           witness=res.witness, components=res.components, seed=seed,
+                           iterations=res.iterations)
 
 
 def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
@@ -437,12 +437,10 @@ def multilevel_coherence(rho: DensityMatrix, k: int, alpha: float,
     :func:`max_affinity`, which takes ``max_iter`` and ``witness``: order 2
     is the exact closed form, higher orders are solved on the convex hull.
     ``affinity_upper`` is certified (1.0 when the witness is too close to
-    singular).  A ``max_iter`` that is negative or not an integer raises
-    ValueError, as does an order k that is not an integer."""
-    k = _count(k, "k")
-    if not 2 <= k <= rho.d:
-        raise KOutOfRange(f"order must satisfy 2 <= k <= {rho.d}, got {k}")
-    return _searched(rho, "coherence", k, alpha, variant, seed, opts)
+    singular).  Refused before the solve, in this order: a variant not
+    "plain" or "avg", a k not an integer (ValueError), k outside 2..d
+    (KOutOfRange), a bad seed, alpha (AlphaOutOfRange) or ``max_iter``."""
+    return _indicator(rho, "coherence", variant, k, alpha, seed, opts)
 
 
 def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float,
@@ -457,30 +455,25 @@ def multipartite_correlation(rho: DensityMatrix, kind: str, k: int, alpha: float
     Solved on the family's convex hull (:func:`max_affinity`, which takes
     ``max_iter`` and ``witness``) from d seeded random product states per
     partition, or from the ``witness``.  The product oracle is a heuristic,
-    so ``affinity_upper`` is 1.0.  An order k that is not an integer
-    raises ValueError.
+    so ``affinity_upper`` is 1.0.  Refused before the solve: another kind,
+    then as by :func:`multilevel_coherence` over the kind's range of k.
     """
-    k = _count(k, "k")
     if kind not in ("nonseparability", "entanglement"):
         raise ValueError(f"kind must be 'nonseparability' or 'entanglement', got {kind!r}")
-    n, shift = len(rho.dims), _FAMILY_OF[kind][1]
-    if not 1 <= k + shift <= n:
-        raise KOutOfRange(f"need {1 - shift} <= k <= {n - shift}, got {k}")
-    return _searched(rho, kind, k, alpha, variant, seed, opts)
+    return _indicator(rho, kind, variant, k, alpha, seed, opts)
 
 
 def compute_indicator(rho: DensityMatrix, label: str, k: int, alpha: float,
                       *, seed, m=None, restarts=None, **opts) -> IndicatorResult:
-    """Dispatch by CSV label (one of the six indicator names).  ``m`` and
-    ``restarts`` are accepted and dropped here: no solve reads them, and
-    perfbench/workloads.py, their last reader, still passes them."""
+    """Dispatch by CSV label (one of the six indicator names).  Refused
+    before the solve: another label, then as by :func:`multilevel_coherence`
+    over the label's range of k.  ``m`` and ``restarts`` are accepted and
+    dropped here: no solve reads them, and perfbench/workloads.py, their
+    last reader, still passes them."""
     if label not in LABELS:
         raise ValueError(f"label must be one of {LABELS}, got {label!r}")
     base, _, suffix = label.partition("_")
-    variant = "avg" if suffix == "avg" else "plain"
-    if base == "coherence":
-        return multilevel_coherence(rho, k, alpha, variant, seed=seed, **opts)
-    return multipartite_correlation(rho, base, k, alpha, variant, seed=seed, **opts)
+    return _indicator(rho, base, suffix or "plain", k, alpha, seed, opts)
 
 
 def indicator_suite(rho: DensityMatrix, alphas, specs, *, seed,

@@ -200,6 +200,7 @@ def run_affinity_props(seed, n_samples=None):
     affinity on seeded states.  Samples are evaluated in groups by i % 3,
     which fixes d and alpha; the channel part splits a group by outcome
     count (2 + i % 2).  Certificates are emitted in sample order."""
+    seed = _count(seed, "seed")
     n = 500 if n_samples is None else _count(n_samples, "n_samples")
     rows = [None] * n
     for idx in _groups([i % 3 for i in range(n)]):
@@ -263,6 +264,7 @@ def run_appendix_b(seed, n_samples=None):
     and channels, in groups by i % 3, which fixes d and alpha, split by
     outcome count (projective measurements for even i, three-outcome
     channels for odd i).  Certificates are emitted in sample order."""
+    seed = _count(seed, "seed")
     n = 500 if n_samples is None else _count(n_samples, "n_samples")
     rows = []
     for i in range(n):
@@ -404,6 +406,7 @@ def run_theorem1(seed, n_samples=None, n_constructive=None):
     by their dims (i % 2).  Certificates are emitted in sample order.
     ``n_constructive`` (None: n // 10, at least 1 and at most n) counts the
     order-3 samples."""
+    seed = _count(seed, "seed")
     n = 300 if n_samples is None else _count(n_samples, "n_samples")
     nc = (min(n, max(1, n // 10)) if n_constructive is None
           else _count(n_constructive, "n_constructive"))
@@ -479,6 +482,7 @@ def _t2_config(i):
 
 
 def run_theorem2(seed, n_samples=None):
+    seed = _count(seed, "seed")
     n = 30 if n_samples is None else _count(n_samples, "n_samples")
     certs = []
     opts = {"max_iter": 200}
@@ -567,6 +571,7 @@ def _unambiguous_pure(seed, tags, d, rank) -> PureState:
 
 
 def run_embedding(seed, n_samples=None):
+    seed = _count(seed, "seed")
     n = 100 if n_samples is None else _count(n_samples, "n_samples")
     certs = []
     for d in (2, 3, 4):
@@ -620,6 +625,7 @@ def run_embedding(seed, n_samples=None):
 # ---------------------------------------------------------------------------
 
 def run_theorem3(seed, n_samples=None):
+    seed = _count(seed, "seed")
     n = 20 if n_samples is None else _count(n_samples, "n_samples")
     certs = []
     for d, k in ((2, 2), (3, 2), (3, 3)):
@@ -654,8 +660,8 @@ SUITES = {
 
 def run_suite(name, seed, n_samples=None):
     """The certificates of suite ``name`` (or of every suite, "all") at
-    ``seed``; ``n_samples`` (None: each suite's default) that is negative or
-    not an integer raises ValueError."""
+    ``seed``; a ``seed`` or ``n_samples`` (None: each suite's default) that
+    is negative or not an integer raises ValueError before any sample runs."""
     if name == "all":
         certs = []
         for sub in SUITE_NAMES:

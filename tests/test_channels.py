@@ -152,6 +152,34 @@ def test_channel_counts_read_integral_floats_as_dims_do():
         assert [k.tobytes() for k in whole.kraus] == [k.tobytes() for k in fraction.kraus]
 
 
+@pytest.mark.parametrize("make,args", [(rk.random_channel, (2.5, 2, 1)),
+                                       (rk.random_channel, (0, 2, 1)),
+                                       (rk.make_monomial_incoherent, (2.5, 2, 1)),
+                                       (rk.make_monomial_incoherent, (0, 2, 1)),
+                                       (rk.random_projective, (2.5, 1, 1)),
+                                       (rk.random_projective, (0, 0, 1)),
+                                       (rk.dephasing_channel, (2.5,)),
+                                       (rk.dephasing_channel, (True,)),
+                                       (rk.dephasing_channel, (0,)),
+                                       (rk.identity_channel, (2.5,)),
+                                       (rk.identity_channel, (0,)),
+                                       (rk.identity_channel, ("2",))])
+def test_channel_dimensions_are_refused_not_truncated(make, args):
+    # a fractional d ended in numpy's TypeError (random_projective's in
+    # DimensionMismatch), d = 0 in numpy's zero-size ValueError, and a bool
+    # in a TypeError
+    with pytest.raises(ChannelInvalid, match="d must be"):
+        make(*args)
+
+
+def test_channel_dimensions_read_integral_floats_as_counts_do():
+    for make, args in ((rk.random_channel, (2, 1)), (rk.make_monomial_incoherent, (2, 1)),
+                       (rk.random_projective, (1, 1)), (rk.dephasing_channel, ()),
+                       (rk.identity_channel, ())):
+        whole, fraction = make(3, *args), make(np.float64(3.0), *args)
+        assert [k.tobytes() for k in whole.kraus] == [k.tobytes() for k in fraction.kraus]
+
+
 NAN, INF = float("nan"), float("inf")
 
 

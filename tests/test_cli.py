@@ -271,3 +271,10 @@ def test_negative_seed_exits_two(states, capsys, command):
     assert main([command, "--state", states["plus"], *args, "--k", "2",
                  "--alpha", "0.5", "--seed", "-1"]) == EXIT_INPUT_ERROR
     assert "seed" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_negative_seed_by_name(capsys):
+    # it failed inside numpy with "expected non-negative integer"
+    assert main(["verify", "--suite", "appendix-b", "--seed", "-1",
+                 "--n-samples", "1"]) == EXIT_INPUT_ERROR
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err

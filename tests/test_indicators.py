@@ -458,6 +458,72 @@ def test_seeds_are_refused_not_truncated(seed, label, monkeypatch):
         rk.compute_indicator(rho, label, 3 if label == "coherence" else 2, 0.5, seed=seed)
 
 
+def _qutrit_and_qubits():
+    return rk.random_mixed([3], 3, seed=143), rk.random_mixed([2, 2], 4, seed=144)
+
+
+REFUSALS = {
+    # entry point, arguments on (qutrit, two qubits), error, message
+    "label": (lambda q, b: rk.compute_indicator(q, "purity", 2, 0.5, seed=0),
+              ValueError, "label must be"),
+    "label-k": (lambda q, b: rk.compute_indicator(q, "coherence", 2.5, 0.5, seed=0),
+                ValueError, "k must be"),
+    "label-range": (lambda q, b: rk.compute_indicator(q, "coherence_avg", 4, 0.5, seed=0),
+                    KOutOfRange, "need 2 <= k <= 3, got 4"),
+    "label-seed": (lambda q, b: rk.compute_indicator(b, "entanglement", 2, 0.5, seed=-1),
+                   ValueError, "seed must be"),
+    "variant": (lambda q, b: rk.multilevel_coherence(q, 3, 0.5, "bogus", seed=1),
+                ValueError, "variant must be"),
+    "coherence-k": (lambda q, b: rk.multilevel_coherence(q, True, 0.5, seed=1),
+                    ValueError, "k must be"),
+    "coherence-low": (lambda q, b: rk.multilevel_coherence(q, 1, 0.5, seed=1),
+                      KOutOfRange, "need 2 <= k <= 3, got 1"),
+    "coherence-seed": (lambda q, b: rk.multilevel_coherence(q, 3, 0.5, seed=1.5),
+                       ValueError, "seed must be"),
+    "kind": (lambda q, b: rk.multipartite_correlation(b, "coherence", 2, 0.5, seed=1),
+             ValueError, "kind must be"),
+    "correlation-variant": (lambda q, b: rk.multipartite_correlation(
+        b, "entanglement", 2, 0.5, "bogus", seed=1), ValueError, "variant must be"),
+    "correlation-k": (lambda q, b: rk.multipartite_correlation(
+        b, "nonseparability", 2.5, 0.5, seed=1), ValueError, "k must be"),
+    "separable-range": (lambda q, b: rk.multipartite_correlation(
+        b, "nonseparability", 3, 0.5, seed=1), KOutOfRange, "need 1 <= k <= 2, got 3"),
+    "producible-range": (lambda q, b: rk.multipartite_correlation(
+        b, "entanglement", 1, 0.5, seed=1), KOutOfRange, "need 2 <= k <= 3, got 1"),
+    "correlation-seed": (lambda q, b: rk.multipartite_correlation(
+        b, "nonseparability", 2, 0.5, seed=None), ValueError, "seed must be"),
+    "transport-k": (lambda q, b: rk.theorem3_check(q, 2.5, 0.5, seed=1),
+                    ValueError, "k must be"),
+    "transport-range": (lambda q, b: rk.theorem3_check(q, 4, 0.5, seed=1),
+                        KOutOfRange, "need 2 <= k <= 3, got 4"),
+    "transport-seed": (lambda q, b: rk.theorem3_check(q, 3, 0.5, seed=True),
+                       ValueError, "seed must be"),
+    # several bad arguments: the first one read is named
+    "label-before-k": (lambda q, b: rk.compute_indicator(q, "purity", 2.5, 0.5, seed=-1),
+                       ValueError, "label must be"),
+    "variant-before-k": (lambda q, b: rk.multilevel_coherence(q, 9, 0.5, "mean", seed=-1),
+                         ValueError, "variant must be"),
+    "kind-before-variant": (lambda q, b: rk.multipartite_correlation(
+        b, "purity", 2.5, 0.5, "mean", seed=-1), ValueError, "kind must be"),
+    "k-before-seed": (lambda q, b: rk.multipartite_correlation(
+        b, "entanglement", 9, 0.5, seed=-1), KOutOfRange, "need 2 <= k <= 3, got 9"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_entry_point_refuses_before_any_solve(case, monkeypatch):
+    # the variant was read after the solve (a rank-2 ququart at order 4 ran
+    # 12.5 ms before its ValueError); every argument is now read first
+    from resourcekit import indicators
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(indicators, "max_affinity", no_solve)
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(*_qutrit_and_qubits())
+
+
 @pytest.mark.parametrize("kind,dims,k", [("multilevel", (3,), 1), ("multilevel", (3,), 2),
                                          ("separable", (2, 2), 2)])
 def test_max_affinity_reads_its_seed_for_every_family(kind, dims, k):

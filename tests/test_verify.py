@@ -127,6 +127,34 @@ def test_run_suite_refuses_counts_that_are_not_integers(n_samples):
             run(SEED, n_samples)
 
 
+@pytest.mark.parametrize("seed", [True, "3", 1.5, -1, None])
+def test_run_suite_refuses_seeds_that_are_not_integers(seed, monkeypatch):
+    # True ran and was stamped on every certificate, "3" likewise; 1.5, -1
+    # and None failed inside numpy, and theorem1 took True until its order-3
+    # part.  Each runner reads its seed before any sample
+    from resourcekit import verify
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a sample ran")
+    monkeypatch.setattr(verify, "_rng", no_sample)
+    monkeypatch.setattr(verify, "_random_mixed", no_sample)
+    monkeypatch.setattr(verify, "build_embedding", no_sample)
+    monkeypatch.setattr(verify, "random_mixed", no_sample)
+    for name in ("appendix-b", "all"):
+        with pytest.raises(ValueError, match="seed must be"):
+            run_suite(name, seed, 1)
+    for run in verify.SUITES.values():
+        with pytest.raises(ValueError, match="seed must be"):
+            run(seed, 1)
+
+
+def test_run_suite_keeps_integer_seeds():
+    from resourcekit.affinity import certificates_to_csv
+    csv = certificates_to_csv(run_suite("appendix-b", SEED, 3))
+    assert certificates_to_csv(run_suite("appendix-b", np.int64(SEED), 3)) == csv
+    assert all(type(c.seed) is int for c in run_suite("appendix-b", np.int64(SEED), 3))
+
+
 @pytest.mark.parametrize("n_constructive", [1.5, True, np.float64(0.5), -1])
 def test_theorem1_refuses_constructive_counts_that_are_not_integers(n_constructive):
     from resourcekit.verify import run_theorem1
